@@ -1,35 +1,24 @@
 """Modified Bessel functions K0, K1, K2 on the cut complex plane, plus J1.
 
 K_n is evaluated on the cut plane Omega_pi = {z != 0, arg z in (-pi, pi)}
-with the principal branch.  Four regimes:
+with the principal branch, by scipy's ``kv``: the AMOS routines (D. E.
+Amos, ACM TOMS Algorithm 644, 1986).  Arguments at z = 0 or on the
+negative real axis raise BesselDomainError instead of returning a value
+of either side of the cut.
 
-  * ascending power series with digamma terms (small |z|),
-  * a Steed-type continued fraction (moderate and large |z|, away from
-    the cut),
-  * the large-argument asymptotic series truncated at its smallest term
-    (large |z| near the cut),
-  * reflection K_n(w e^{i pi}) = (-1)^n K_n(w) - i pi I_n(w) for the
-    remaining wedge near the cut, with I_n from its ascending series.
-
-K2 always comes from the forward recurrence K2 = K0 + (2/z) K1, which is
-stable for K.
+Only K0 and K1 are evaluated; K2 always comes from the forward
+recurrence K2 = K0 + (2/z) K1, which is stable for K.  ``bessel_k12``
+returns the pair (K1, K2) that the kernel scalars F and G need, from one
+K0/K1 evaluation per point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import j1 as _scipy_j1
+from scipy.special import kv as _scipy_kv
 
 EULER_GAMMA = 0.5772156649015328606
-
-# regime thresholds (moduli and arguments); tuned against a
-# high-precision reference on a dense grid of the cut plane
-_SERIES_RADIUS = 3.5
-_ASYMPT_RADIUS = 16.0
-_CF_MAX_ARG_FRAC = 0.80       # continued fraction used for |arg z| <= 0.80*pi
-_CF_MAX_ITER = 600
-_SERIES_MAX_TERMS = 80
-_ASYMPT_MAX_TERMS = 60
 
 
 class BesselDomainError(ValueError):
@@ -44,231 +33,43 @@ def _check_cut_plane(z: np.ndarray) -> None:
         raise BesselDomainError("K_n undefined on the negative real axis")
 
 
-def _k01_series(z):
-    """Ascending series for K0, K1 (and I0, I1), |z| small."""
-    q = 0.25 * z * z
-    lg = np.log(0.5 * z)
-
-    i0 = np.ones_like(z)
-    k0_sum = np.zeros_like(z)
-    i1_sum = np.ones_like(z)          # sum for I1/(z/2)
-    k1_sum = np.full_like(z, -2.0 * EULER_GAMMA + 1.0)  # psi(1)+psi(2) at k=0
-
-    term_i0 = np.ones_like(z)
-    term_i1 = np.ones_like(z)
-    h_k = 0.0                          # harmonic number H_k
-    h_k1 = 1.0                         # H_{k+1}
-    for k in range(1, _SERIES_MAX_TERMS):
-        term_i0 = term_i0 * q / (k * k)
-        term_i1 = term_i1 * q / (k * (k + 1))
-        h_k += 1.0 / k
-        h_k1 += 1.0 / (k + 1)
-        i0 = i0 + term_i0
-        k0_sum = k0_sum + term_i0 * h_k
-        i1_sum = i1_sum + term_i1
-        k1_sum = k1_sum + term_i1 * (-2.0 * EULER_GAMMA + h_k + h_k1)
-        if np.all(np.abs(term_i0) <= 1e-18 * np.abs(i0)):
-            break
-    i1 = 0.5 * z * i1_sum
-    k0 = -(lg + EULER_GAMMA) * i0 + k0_sum
-    k1 = 1.0 / z + lg * i1 - 0.25 * z * k1_sum
-    return k0, k1, i0, i1
+def _k012(z):
+    """K0, K1, K2 on the cut plane; z is a checked complex array."""
+    k0 = _scipy_kv(0, z)
+    k1 = _scipy_kv(1, z)
+    return k0, k1, k0 + (2.0 / z) * k1
 
 
-def _i01_series(z):
-    """Ascending series for I0, I1 (entire; used for the reflection wedge)."""
-    q = 0.25 * z * z
-    i0 = np.ones_like(z)
-    i1_sum = np.ones_like(z)
-    term_i0 = np.ones_like(z)
-    term_i1 = np.ones_like(z)
-    for k in range(1, 2 * _SERIES_MAX_TERMS):
-        term_i0 = term_i0 * q / (k * k)
-        term_i1 = term_i1 * q / (k * (k + 1))
-        i0 = i0 + term_i0
-        i1_sum = i1_sum + term_i1
-        if np.all(np.abs(term_i0) <= 1e-18 * np.abs(i0)):
-            break
-    return i0, 0.5 * z * i1_sum
-
-
-def _k01_cf(z):
-    """Steed-type continued fraction for K0, K1; accurate away from the cut."""
-    zf = z.ravel()
-    h_out = np.empty_like(zf)
-    s_out = np.empty_like(zf)
-    ok = np.zeros(zf.shape, dtype=bool)
-
-    idx = np.arange(zf.size)
-    zz = zf.copy()
-    b = 2.0 * (1.0 + zz)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(zz)
-    q2 = np.ones_like(zz)
-    a1 = 0.25
-    q = np.full_like(zz, a1)
-    c = np.full_like(zz, a1)
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _CF_MAX_ITER):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        big = np.abs(c) > 1e200
-        if np.any(big):      # joint rescale keeps the products c*q finite
-            c = np.where(big, c * 1e-200, c)
-            q1 = np.where(big, q1 * 1e200, q1)
-            q2 = np.where(big, q2 * 1e200, q2)
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        conv = np.abs(dels) <= 1e-16 * np.abs(s)
-        if np.any(conv):
-            h_out[idx[conv]] = h[conv]
-            s_out[idx[conv]] = s[conv]
-            ok[idx[conv]] = True
-            keep = ~conv
-            if not np.any(keep):
-                break
-            idx = idx[keep]
-            zz = zz[keep]
-            b, d, h, delh = b[keep], d[keep], h[keep], delh[keep]
-            q1, q2, q, c, s = q1[keep], q2[keep], q[keep], c[keep], s[keep]
-    if not np.all(ok):       # leftovers: record best effort
-        h_out[idx] = h
-        s_out[idx] = s
-    k0 = np.sqrt(np.pi / (2.0 * zf)) * np.exp(-zf) / s_out
-    k1 = k0 * (zf + 0.5 - a1 * h_out) / zf
-    return k0.reshape(z.shape), k1.reshape(z.shape), ok.reshape(z.shape)
-
-
-# coefficients a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k)
-def _asympt_coeffs(nu: int, kmax: int) -> np.ndarray:
-    co = np.empty(kmax + 1)
-    co[0] = 1.0
-    acc = 1.0
-    for k in range(1, kmax + 1):
-        acc *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
-        co[k] = acc
-    return co
-
-
-_A0 = _asympt_coeffs(0, _ASYMPT_MAX_TERMS)
-_A1 = _asympt_coeffs(1, _ASYMPT_MAX_TERMS)
-
-
-def _k01_asympt(z):
-    """Large-|z| asymptotic series, truncated at the smallest term."""
-    pre = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
-    s0 = np.ones_like(z)
-    s1 = np.ones_like(z)
-    zinv = 1.0 / z
-    pw = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    last = np.full(z.shape, np.inf)
-    for k in range(1, _ASYMPT_MAX_TERMS + 1):
-        pw = pw * zinv
-        t0 = _A0[k] * pw
-        t1 = _A1[k] * pw
-        mag = np.abs(t1)
-        active &= mag < last       # stop each point at its smallest term
-        last = mag
-        s0 = np.where(active, s0 + t0, s0)
-        s1 = np.where(active, s1 + t1, s1)
-        if not np.any(active):
-            break
-    return pre * s0, pre * s1
-
-
-def _k01(z: np.ndarray):
-    """K0 and K1 on the cut plane, elementwise regime dispatch."""
-    # work in the closed upper half plane, conjugate back at the end
-    lower = z.imag < 0
-    zu = np.where(lower, np.conj(z), z)
-
-    k0 = np.empty_like(zu)
-    k1 = np.empty_like(zu)
-    r = np.abs(zu)
-    ph = np.angle(zu)
-
-    small = r <= _SERIES_RADIUS
-    wedge = (~small) & (ph > _CF_MAX_ARG_FRAC * np.pi)
-    far_wedge = wedge & (r >= _ASYMPT_RADIUS)
-    near_wedge = wedge & (r < _ASYMPT_RADIUS)
-    cf = (~small) & (~wedge)
-
-    if np.any(small):
-        a, b, _, _ = _k01_series(zu[small])
-        k0[small] = a
-        k1[small] = b
-    if np.any(cf):
-        a, b, ok = _k01_cf(zu[cf])
-        k0[cf] = a
-        k1[cf] = b
-        if not np.all(ok):
-            raise RuntimeError("continued fraction failed to converge")
-    if np.any(far_wedge):
-        a, b = _k01_asympt(zu[far_wedge])
-        k0[far_wedge] = a
-        k1[far_wedge] = b
-    if np.any(near_wedge):
-        # reflect through the cut: w = z e^{-i pi} lands in a narrow
-        # wedge around the positive real axis
-        w = zu[near_wedge] * np.exp(-1j * np.pi)
-        ws = np.abs(w) <= _SERIES_RADIUS
-        kw0 = np.empty_like(w)
-        kw1 = np.empty_like(w)
-        if np.any(ws):
-            a, b, _, _ = _k01_series(w[ws])
-            kw0[ws] = a
-            kw1[ws] = b
-        if np.any(~ws):
-            a, b, ok = _k01_cf(w[~ws])
-            kw0[~ws] = a
-            kw1[~ws] = b
-            if not np.all(ok):
-                raise RuntimeError("continued fraction failed to converge")
-        iw0, iw1 = _i01_series(w)
-        k0[near_wedge] = kw0 - 1j * np.pi * iw0
-        k1[near_wedge] = -kw1 - 1j * np.pi * iw1
-    return np.where(lower, np.conj(k0), k0), np.where(lower, np.conj(k1), k1)
+def _cut_plane_array(z):
+    zarr = np.asarray(z, dtype=complex)
+    scalar = zarr.ndim == 0
+    zarr = np.atleast_1d(zarr)
+    _check_cut_plane(zarr)
+    return zarr, scalar
 
 
 def bessel_k(n: int, z):
     """K_n(z) for n in {0, 1, 2} on the cut plane Omega_pi."""
     if n not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zarr = np.atleast_1d(zarr)
-    _check_cut_plane(zarr)
-    k0, k1 = _k01(zarr)
-    if n == 0:
-        out = k0
-    elif n == 1:
-        out = k1
-    else:
-        out = k0 + (2.0 / zarr) * k1
+    zarr, scalar = _cut_plane_array(z)
+    out = _k012(zarr)[2] if n == 2 else _scipy_kv(n, zarr)
     return out[0] if scalar else out
+
+
+def bessel_k12(z):
+    """The pair (K1(z), K2(z)) on the cut plane Omega_pi."""
+    zarr, scalar = _cut_plane_array(z)
+    _, k1, k2 = _k012(zarr)
+    return (k1[0], k2[0]) if scalar else (k1, k2)
 
 
 def bessel_k_derivative(n: int, z):
     """K_n'(z) from the two-sided identity K_n' = -(K_{n-1} + K_{n+1})/2."""
     if n != 1:
         raise ValueError("derivative implemented for order 1 only")
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zarr = np.atleast_1d(zarr)
-    _check_cut_plane(zarr)
-    k0, k1 = _k01(zarr)
-    k2 = k0 + (2.0 / zarr) * k1
+    zarr, scalar = _cut_plane_array(z)
+    k0, _, k2 = _k012(zarr)
     out = -0.5 * (k0 + k2)
     return out[0] if scalar else out
 

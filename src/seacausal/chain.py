@@ -50,9 +50,7 @@ def invariants_from_radial(t, r, eps_chain: float, m: float):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     e = eps_chain
-    zeta = -((t + 1j * e) ** 2) + r * r            # -xi_eps^2
-    f = kernel_mod.scalar_F(zeta, m)
-    g = kernel_mod.scalar_G(zeta, m)
+    f, g, zeta = kernel_mod.kernel_fg_radial(t, r, RegKernelParams(m, e))
     f2 = np.abs(f) ** 2
     g2 = np.abs(g) ** 2
     dot_conj = t * t + e * e - r * r               # xi_eps . conj(xi_eps)

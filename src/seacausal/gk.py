@@ -32,10 +32,6 @@ _WG7 = np.array([
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
 def gk_panel(f, a: float, b: float):
     """One 15/7 panel; returns (kronrod_value, error_estimate)."""
     mid = 0.5 * (a + b)

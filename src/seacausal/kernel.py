@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gk, spinor
-from .bessel import bessel_k
+from .bessel import bessel_k12
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -39,23 +39,35 @@ class KernelValue:
     xi_eps: np.ndarray   # complexified xi
 
 
-def scalar_G(z, m: float):
-    """G(z) = m^2/(2 pi)^3 * K1(m sqrt z)/sqrt z, principal root."""
+def scalar_FG(z, m: float):
+    """(F(z), G(z)) from one K1/K2 evaluation at m sqrt z, principal root.
+
+    G(z) = m^2/(2 pi)^3 * K1(m sqrt z)/sqrt z and
+    F(z) = (2/(i m)) G'(z) = i m^2/(2 pi)^3 * K2(m sqrt z)/z.
+    """
     z = np.asarray(z, dtype=complex)
     rt = np.sqrt(z)
-    return m * m / TWO_PI_CUBED * bessel_k(1, m * rt) / rt
+    k1, k2 = bessel_k12(m * rt)
+    f = 1j * m * m / TWO_PI_CUBED * k2 / z
+    g = m * m / TWO_PI_CUBED * k1 / rt
+    return f, g
+
+
+def scalar_G(z, m: float):
+    """G(z) = m^2/(2 pi)^3 * K1(m sqrt z)/sqrt z, principal root."""
+    return scalar_FG(z, m)[1]
 
 
 def scalar_F(z, m: float):
     """F(z) = (2/(i m)) G'(z) = i m^2/(2 pi)^3 * K2(m sqrt z)/z."""
-    z = np.asarray(z, dtype=complex)
-    return 1j * m * m / TWO_PI_CUBED * bessel_k(2, m * np.sqrt(z)) / z
+    return scalar_FG(z, m)[0]
 
 
 def scalar_G_derivative(z, m: float):
     """G'(z) = -m^3/(2 (2 pi)^3) * K2(m sqrt z)/z."""
     z = np.asarray(z, dtype=complex)
-    return -(m ** 3) / (2.0 * TWO_PI_CUBED) * bessel_k(2, m * np.sqrt(z)) / z
+    _, k2 = bessel_k12(m * np.sqrt(z))
+    return -(m ** 3) / (2.0 * TWO_PI_CUBED) * k2 / z
 
 
 def kernel_p(x, y, params: RegKernelParams) -> KernelValue:
@@ -64,8 +76,8 @@ def kernel_p(x, y, params: RegKernelParams) -> KernelValue:
     y = np.asarray(y, dtype=float)
     xi_eps = spinor.complexify(x - y, params.eps)
     zeta = spinor.neg_minkowski_square(xi_eps)
-    f = complex(scalar_F(zeta, params.m))
-    g = complex(scalar_G(zeta, params.m))
+    f, g = scalar_FG(zeta, params.m)
+    f, g = complex(f), complex(g)
     matrix = f * spinor.slash(xi_eps) + g * spinor.IDENTITY4
     return KernelValue(matrix=matrix, f=f, g=g, zeta=complex(zeta), xi_eps=xi_eps)
 
@@ -74,8 +86,7 @@ def kernel_matrix_batch(xi, params: RegKernelParams):
     """Batched closed-form kernel matrices for displacement rows xi (..., 4)."""
     xi_eps = spinor.complexify(xi, params.eps)
     zeta = spinor.neg_minkowski_square(xi_eps)
-    f = scalar_F(zeta, params.m)
-    g = scalar_G(zeta, params.m)
+    f, g = scalar_FG(zeta, params.m)
     return (f[..., None, None] * spinor.slash(xi_eps)
             + g[..., None, None] * spinor.IDENTITY4)
 
@@ -85,7 +96,8 @@ def kernel_fg_radial(t, r, params: RegKernelParams):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     zeta = -((t + 1j * params.eps) ** 2) + r * r
-    return scalar_F(zeta, params.m), scalar_G(zeta, params.m), zeta
+    f, g = scalar_FG(zeta, params.m)
+    return f, g, zeta
 
 
 def kernel_p_momentum_oracle(x, y, params: RegKernelParams,

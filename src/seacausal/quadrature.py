@@ -249,8 +249,6 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
             raise QuadratureError("tail fit failed (no decay detected)")
         if err_total + tail_total <= tol * abs(value):
             break
-        if err_total > 0.5 * tol * abs(value) and count < max_panels:
-            continue  # unreachable improvement; grow domain instead
         T *= 1.6
         R *= 1.6
     else:

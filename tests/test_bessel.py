@@ -1,5 +1,6 @@
 """Modified Bessel functions K0, K1, K2 on the cut plane."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seacausal.bessel import (BesselDomainError, bessel_j1, bessel_k,
-                              bessel_k_derivative, j1_over_x)
+                              bessel_k12, bessel_k_derivative, j1_over_x)
 
 REL_TOL = 1e-10
 FD_TOL = 1e-6
 ORACLE_REL_TOL = 1e-10
+MPMATH_REL_TOL = 1e-13
 
 
 def k_integral_oracle(n, x):
@@ -64,6 +66,48 @@ class TestIntegralOracle:
         assert complex(bessel_k(n, x)).imag == pytest.approx(0.0, abs=1e-300)
         assert complex(bessel_k(n, x)).real == pytest.approx(
             want, rel=ORACLE_REL_TOL)
+
+
+def mpmath_k012(z):
+    """K0, K1, K2 at 40 significant digits, rounded to complex."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.real, z.imag)
+        return np.array([complex(mpmath.besselk(n, w)) for n in (0, 1, 2)])
+
+
+def kernel_domain_points(eps, n, rng):
+    """m sqrt(zeta) with zeta = r^2 - (t + i eps)^2, m = 1: half generic
+    (t, r), half within a few eps of the light cone r = |t|."""
+    t = rng.uniform(-50.0, 50.0, n)
+    r = np.concatenate([rng.uniform(0.0, 60.0, n // 2),
+                        np.abs(t[n // 2:])
+                        + rng.uniform(-5.0, 5.0, n - n // 2) * eps])
+    r = np.abs(r)
+    return np.sqrt(-((t + 1j * eps) ** 2) + r * r)
+
+
+class TestMpmathOracle:
+    def check(self, z):
+        k0 = bessel_k(0, z)
+        k1, k2 = bessel_k12(z)
+        assert np.array_equal(k1, bessel_k(1, z))
+        assert np.array_equal(k2, bessel_k(2, z))
+        got = np.stack([k0, k1, k2], axis=-1)
+        want = np.array([mpmath_k012(zz) for zz in z])
+        rel = np.abs(got - want) / np.abs(want)
+        assert float(np.max(rel)) <= MPMATH_REL_TOL
+
+    def test_cut_plane(self):
+        rng = np.random.default_rng(20240607)
+        mod = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), 64))
+        arg = rng.uniform(-0.999 * np.pi, 0.999 * np.pi, 64)
+        self.check(mod * np.exp(1j * arg))
+
+    @pytest.mark.parametrize("eps", [0.025, 0.05, 0.1])
+    def test_kernel_domain(self, eps):
+        z = kernel_domain_points(eps, 16, np.random.default_rng(11))
+        assert np.all(z.real >= 0)
+        self.check(z)
 
 
 class TestIdentities:

@@ -124,6 +124,12 @@ class TestIntegrateCommand:
         assert v1["value"] == v2["value"]
         assert v1["seconds"] == v2["seconds"] == "0.0"
 
+    def test_small_eps_lagrangian_converges(self):
+        res = run_cli("integrate", "lagrangian", "--epsilon", "0.05")
+        assert res.returncode == 0, res.stderr
+        header, rows = parse_csv(res.stdout)
+        assert float(dict(zip(header, rows[0]))["value"]) > 0.0
+
     def test_bad_tolerance_is_config_error(self):
         assert run_cli("integrate", "p4", "--quad-rel-tol", "0")\
             .returncode == 2

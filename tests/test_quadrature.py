@@ -20,6 +20,12 @@ PARAMS = RegKernelParams(1.0, 0.1)
 # the quadrature chain shows up here
 FROZEN_P4 = 0.00426548270550622
 FROZEN_LAGRANGIAN = 6.128297319951569e-07
+# int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
+# tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
+# [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
+# "lagrangian@0.05" in bench/refs.json: 4.7480e-6 at T = 320, 4.7483e-6
+# at T = 1280)
+REF_LAGRANGIAN_EPS005 = 4.748e-6
 
 
 class TestPanels:
@@ -156,6 +162,16 @@ class TestCertifiedIntegrals:
         assert lp2 > 0 and lm2 > 0
         # the Lagrangian integrand is dominated by the eigenvalue squares
         assert rep.value <= 4.0 * (lp2 + lm2)
+
+    def test_lagrangian_small_eps_grows_domain(self):
+        # needs a larger box than the default T = 40: every retry of the
+        # certified loop must grow the domain for this one to converge
+        rep = integrate_lagrangian(RegKernelParams(1.0, 0.05),
+                                   tol=INTEGRAL_TOL)
+        assert rep.truncation_T > 40.0
+        assert rep.abs_error_estimate + rep.tail_bound \
+            <= INTEGRAL_TOL * rep.value
+        assert rep.value == pytest.approx(REF_LAGRANGIAN_EPS005, rel=0.005)
 
     def test_ell_at_zero_shift_reduces(self):
         rep0 = ell_varied(0.0, PARAMS, tol=INTEGRAL_TOL)
