@@ -4,6 +4,10 @@ The chain A_xy = P^{2eps}(x,y) P^{2eps}(y,x) has two eigenvalues
 lambda_pm = a +- sqrt(b), each with multiplicity two.  b is assembled in
 closed Bessel form (avoiding the cancellation of the matrix route, which
 is kept as an oracle in the tests).
+
+The chain of two local correlation operators F^{eps1}(x), F^{eps2}(y)
+is (2 pi)^2 times the closed chain at regularization (eps1 + eps2)/2:
+the mixed chain carries the sum of the regularizations.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from enum import Enum
 import numpy as np
 
 from . import kernel as kernel_mod
-from . import spinor
 from .kernel import RegKernelParams
 
 # |b| below this multiple of (a^2 + 1) counts as the lightlike band
@@ -79,30 +82,22 @@ def causal_classify(x, y, params: RegKernelParams) -> CausalClass:
     return classify_invariants(inv.a, inv.b)
 
 
+def class_codes(a, b) -> np.ndarray:
+    """CausalClass values ("T", "S" or "L") of the invariants, elementwise."""
+    band = np.abs(b) <= LIGHTLIKE_BAND * (a * a + 1.0)
+    return np.where(band, CausalClass.Lightlike.value,
+                    np.where(b > 0, CausalClass.Timelike.value,
+                             CausalClass.Spacelike.value))
+
+
 def classify_invariants(a, b) -> CausalClass:
-    if abs(b) <= LIGHTLIKE_BAND * (a * a + 1.0):
-        return CausalClass.Lightlike
-    return CausalClass.Timelike if b > 0 else CausalClass.Spacelike
+    return CausalClass(class_codes(a, b).item())
 
 
-def lagrangian(x, y, params: RegKernelParams) -> float:
-    inv = chain_invariants(x, y, params)
-    return 4.0 * max(inv.b, 0.0)
-
-
-def lagrangian_from_radial(t, r, eps_chain: float, m: float):
-    """Vectorized 4|b|_+ for the radial reduction of the integrals."""
-    a, b = invariants_from_radial(t, r, eps_chain, m)
+def lagrangian_of_b(b):
+    """L = (|lambda_+| - |lambda_-|)^2 = 4 max(b, 0), elementwise."""
     return 4.0 * np.maximum(b, 0.0)
 
 
-def mixed_chain(x, y, eps1: float, eps2: float, m: float) -> np.ndarray:
-    """(2 pi)^2 P^{eps1+eps2}(x,y) P^{eps1+eps2}(y,x): the chain of the two
-    local correlation operators F^{eps1}(x), F^{eps2}(y) carries the sum of
-    the regularizations (validated against the Gram-matrix oracle)."""
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("regularizations must be positive")
-    p = RegKernelParams(m, eps1 + eps2)
-    pxy = kernel_mod.kernel_p(x, y, p).matrix
-    pyx = kernel_mod.kernel_p(y, x, p).matrix
-    return (2.0 * np.pi) ** 2 * (pxy @ pyx)
+def lagrangian(x, y, params: RegKernelParams) -> float:
+    return float(lagrangian_of_b(chain_invariants(x, y, params).b))

@@ -55,8 +55,7 @@ def _write_rows(path: str, header, rows) -> None:
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if close:
             fh.close()
@@ -121,14 +120,12 @@ def cmd_cone_scan(args) -> int:
     tt, rr = np.meshgrid(ts, rs, indexing="ij")
     a, b = chain.invariants_from_radial(
         tt.ravel(), rr.ravel(), 2.0 * cfg.epsilon, cfg.mass)
-    lag = 4.0 * np.maximum(b, 0.0)
     header = ["schema_version", "t", "r", "a", "b", "class", "lagrangian"]
-    rows = []
-    for i in range(a.size):
-        cls = chain.classify_invariants(float(a[i]), float(b[i])).value
-        rows.append([SCHEMA_VERSION, _fmt(float(tt.ravel()[i])),
-                     _fmt(float(rr.ravel()[i])), _fmt(float(a[i])),
-                     _fmt(float(b[i])), cls, _fmt(float(lag[i]))])
+    cols = (tt.ravel().tolist(), rr.ravel().tolist(), a.tolist(), b.tolist(),
+            chain.class_codes(a, b).tolist(),
+            chain.lagrangian_of_b(b).tolist())
+    rows = ([SCHEMA_VERSION, repr(t), repr(r), repr(ai), repr(bi), cls,
+             repr(lag)] for t, r, ai, bi, cls, lag in zip(*cols))
     _write_rows(cfg.output_path, header, rows)
     return EXIT_OK
 
@@ -164,7 +161,11 @@ def cmd_holder(args) -> int:
     cfg = _config_from_args(args)
     params = RegKernelParams(cfg.mass, cfg.epsilon)
     if args.lambda_list:
-        lam_list = [float(s) for s in args.lambda_list.split(",")]
+        try:
+            lam_list = [float(s) for s in args.lambda_list.split(",")]
+        except ValueError as exc:
+            raise ConfigError("bad number in --lambda-list %r"
+                              % args.lambda_list) from exc
     else:
         lam_list = [s * f * cfg.epsilon for f in (0.2, 0.1, 0.05, 0.025)
                     for s in (1, -1)]
@@ -184,10 +185,10 @@ def cmd_em(args) -> int:
                                radius=args.radius,
                                component=args.component,
                                amplitude=args.amplitude)
-    if args.alpha is not None and args.beta is not None:
-        gp = em_perturb.GreenParams(args.alpha, args.beta)
-    else:
-        gp, _ = em_perturb.calibrate_green(cfg.mass, params, pot)
+    gp = em_perturb.green_constants(cfg.mass)
+    gp = em_perturb.GreenParams(
+        gp.alpha_const if args.alpha is None else args.alpha,
+        gp.beta_const if args.beta is None else args.beta)
     z1 = _parse_vec(args.z1, 4)
     z2 = _parse_vec(args.z2, 4)
     header = ["schema_version", "x0", "x1", "x2", "x3", "mu", "nu",
@@ -287,16 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", action="append", help="base point t,x,y,z")
     s.add_argument("--z1", default="-0.3,0.1,0.0,-0.2")
     s.add_argument("--z2", default="-0.2,-0.1,0.2,0.0")
-    s.add_argument("--mu", type=int, default=1)
-    s.add_argument("--nu", type=int, default=2)
+    s.add_argument("--mu", type=int, choices=range(4), default=1)
+    s.add_argument("--nu", type=int, choices=range(4), default=2)
     s.add_argument("--center", default="1.0,0.0,0.0,0.0")
     s.add_argument("--radius", type=float, default=0.5)
-    s.add_argument("--component", type=int, default=3)
+    s.add_argument("--component", type=int, choices=range(4), default=3)
     s.add_argument("--amplitude", type=float, default=1.0)
     s.add_argument("--alpha", type=float, default=None,
-                   help="Green surface constant (skip calibration)")
+                   help="Green surface constant (default -1/(2 pi))")
     s.add_argument("--beta", type=float, default=None,
-                   help="Green volume constant (skip calibration)")
+                   help="Green volume constant (default m^2/(4 pi))")
     s.set_defaults(func=cmd_em)
 
     s = subs.add_parser("verify", help="run a property suite")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .quadrature import check_region_lambda
+
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration (CLI exit code 2)."""
@@ -26,8 +28,10 @@ class RunConfig:
             raise ConfigError("mass must be positive")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
-        if not 0.8 < self.region_lambda < 1.0:
-            raise ConfigError("region_lambda must lie in (0.8, 1)")
+        try:
+            check_region_lambda(self.region_lambda)
+        except ValueError as exc:
+            raise ConfigError("region_lambda: %s" % exc) from exc
         if not self.quad_rel_tol > 0:
             raise ConfigError("quad_rel_tol must be positive")
         if self.quad_max_panels < 1:

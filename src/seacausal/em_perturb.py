@@ -6,9 +6,11 @@ part (J1(m sqrt(xi^2)) / (m sqrt(xi^2)) inside the forward cone):
 
     S(xi) = alpha delta(xi^2) Theta(xi^0) + beta h(xi^2) Theta(xi^2) Theta(xi^0).
 
-The constants (alpha, beta) are not hard-coded: calibrate_green fits
-them by demanding that the convolved field solve the inhomogeneous
-Klein-Gordon equation on a test grid.
+For the sign convention (box + m^2) phi = -g of phi = S * g the constants
+have the closed form alpha = -1/(2 pi), beta = m^2/(4 pi)
+(green_constants).  calibrate_green fits them instead, by demanding
+that the convolved field solve the inhomogeneous Klein-Gordon equation
+on a test grid; it serves as an oracle for the closed form.
 
 The first-order perturbation field on a frame vector is
 
@@ -76,7 +78,11 @@ class Potential:
 class GreenParams:
     alpha_const: float
     beta_const: float
-    mollifier_width: float = 0.05
+
+
+def green_constants(m: float) -> GreenParams:
+    """Closed-form retarded constants alpha = -1/(2 pi), beta = m^2/(4 pi)."""
+    return GreenParams(-1.0 / (2.0 * np.pi), m * m / (4.0 * np.pi))
 
 
 def green_volume_part(xi, m: float, gp: GreenParams) -> float:

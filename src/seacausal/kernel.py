@@ -53,42 +53,33 @@ def scalar_FG(z, m: float):
     return f, g
 
 
-def scalar_G(z, m: float):
-    """G(z) = m^2/(2 pi)^3 * K1(m sqrt z)/sqrt z, principal root."""
-    return scalar_FG(z, m)[1]
-
-
-def scalar_F(z, m: float):
-    """F(z) = (2/(i m)) G'(z) = i m^2/(2 pi)^3 * K2(m sqrt z)/z."""
-    return scalar_FG(z, m)[0]
-
-
 def scalar_G_derivative(z, m: float):
-    """G'(z) = -m^3/(2 (2 pi)^3) * K2(m sqrt z)/z."""
-    z = np.asarray(z, dtype=complex)
-    _, k2 = bessel_k12(m * np.sqrt(z))
-    return -(m ** 3) / (2.0 * TWO_PI_CUBED) * k2 / z
+    """G'(z) = (i m/2) F(z) = -m^3/(2 (2 pi)^3) * K2(m sqrt z)/z."""
+    return 0.5j * m * scalar_FG(z, m)[0]
+
+
+def _assemble(xi, params: RegKernelParams):
+    """Kernel matrices F xi_eps-slash + G for displacement rows xi (..., 4),
+    with F, G, zeta = -xi_eps^2 and xi_eps."""
+    xi_eps = spinor.complexify(xi, params.eps)
+    zeta = spinor.neg_minkowski_square(xi_eps)
+    f, g = scalar_FG(zeta, params.m)
+    matrix = (f[..., None, None] * spinor.slash(xi_eps)
+              + g[..., None, None] * spinor.IDENTITY4)
+    return matrix, f, g, zeta, xi_eps
 
 
 def kernel_p(x, y, params: RegKernelParams) -> KernelValue:
     """Closed-form P^eps(x,y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi_eps = spinor.complexify(x - y, params.eps)
-    zeta = spinor.neg_minkowski_square(xi_eps)
-    f, g = scalar_FG(zeta, params.m)
-    f, g = complex(f), complex(g)
-    matrix = f * spinor.slash(xi_eps) + g * spinor.IDENTITY4
-    return KernelValue(matrix=matrix, f=f, g=g, zeta=complex(zeta), xi_eps=xi_eps)
+    xi = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    matrix, f, g, zeta, xi_eps = _assemble(xi, params)
+    return KernelValue(matrix=matrix, f=complex(f), g=complex(g),
+                       zeta=complex(zeta), xi_eps=xi_eps)
 
 
 def kernel_matrix_batch(xi, params: RegKernelParams):
     """Batched closed-form kernel matrices for displacement rows xi (..., 4)."""
-    xi_eps = spinor.complexify(xi, params.eps)
-    zeta = spinor.neg_minkowski_square(xi_eps)
-    f, g = scalar_FG(zeta, params.m)
-    return (f[..., None, None] * spinor.slash(xi_eps)
-            + g[..., None, None] * spinor.IDENTITY4)
+    return _assemble(xi, params)[0]
 
 
 def kernel_fg_radial(t, r, params: RegKernelParams):

@@ -38,9 +38,14 @@ class RegionTag(Enum):
     C2 = "C2"
 
 
-def region_classify_radial(t: float, r: float, lam: float) -> RegionTag:
+def check_region_lambda(lam: float) -> None:
+    """The region parameter lambda of C0, C1+, C1-, C2 lies in (1/2, 1)."""
     if not 0.5 < lam < 1.0:
         raise ValueError("region parameter must lie in (1/2, 1)")
+
+
+def region_classify_radial(t: float, r: float, lam: float) -> RegionTag:
+    check_region_lambda(lam)
     t = abs(t)
     if t == 0:
         raise ValueError("region decomposition needs t != 0")
@@ -133,7 +138,7 @@ def _integrand_factory(kind: str, params: kernel.RegKernelParams,
         def f(t, r):
             w = 4.0 * np.pi * r * r
             a, b = chain.invariants_from_radial(t, r, ec, m)
-            lag = 4.0 * np.maximum(b, 0.0)
+            lag = chain.lagrangian_of_b(b)
             lp = np.where(b >= 0, (a + np.sqrt(np.maximum(b, 0.0))) ** 2,
                           a * a - b)
             lm = np.where(b >= 0, (a - np.sqrt(np.maximum(b, 0.0))) ** 2,
@@ -228,8 +233,7 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                  eps_chain: float | None = None, name: str | None = None):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not 0.5 < lam < 1.0:
-        raise ValueError("region parameter must lie in (1/2, 1)")
+    check_region_lambda(lam)
     start = time.perf_counter()
     f = _integrand_factory(kind, params, eps_chain)
 

@@ -16,14 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import chain, gk, kernel, quadrature, spinor
+from . import gk, kernel, quadrature, spinor
 from .kernel import RegKernelParams
 
 TWO_PI = 2.0 * np.pi
 
 
-def _p_matrix(x, y, eps: float, m: float) -> np.ndarray:
-    return kernel.kernel_p(x, y, RegKernelParams(m, eps)).matrix
+def _block(points, eps, m: float) -> np.ndarray:
+    """8x8 block matrix [P^{eps_i + eps_j}(x_i, x_j)]_{i,j = 1,2} of the
+    joint frame {P^{eps_1}(., x_1) e_mu} u {P^{eps_2}(., x_2) e_mu}."""
+    out = np.empty((8, 8), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = kernel.kernel_p(
+                points[i], points[j], RegKernelParams(m, eps[i] + eps[j])
+            ).matrix
+    return out
 
 
 def mixed_correlation(x, y, eps1: float, eps2: float, a, b, m: float) -> complex:
@@ -32,20 +40,15 @@ def mixed_correlation(x, y, eps1: float, eps2: float, a, b, m: float) -> complex
         raise ValueError("regularizations must be positive")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    p = _p_matrix(x, y, eps1 + eps2, m)
+    p = kernel.kernel_p(x, y, RegKernelParams(m, eps1 + eps2)).matrix
     return complex(-(1.0 / TWO_PI) * spinor.spin_product(a, p @ b))
 
 
 def gram_block(x, eps1: float, eps2: float, m: float) -> np.ndarray:
     """8x8 Gram matrix of {P^{eps1}(.,x) e_mu} u {P^{eps2}(.,x) e_mu};
     positive semidefinite."""
-    g = np.empty((8, 8), dtype=complex)
-    eps = (eps1, eps2)
-    for i in range(2):
-        for j in range(2):
-            a_ij = _p_matrix(x, x, eps[i] + eps[j], m)
-            g[4 * i:4 * i + 4, 4 * j:4 * j + 4] = \
-                -(1.0 / TWO_PI) * spinor.GAMMA0 @ a_ij
+    rows = _block((x, x), (eps1, eps2), m).reshape(2, 4, 8)
+    g = ((-(1.0 / TWO_PI) * spinor.GAMMA0) @ rows).reshape(8, 8)
     g = 0.5 * (g + g.conj().T)
     ev = np.linalg.eigvalsh(g)
     if ev.min() < -1e-10 * max(np.trace(g).real, 1.0):
@@ -65,14 +68,8 @@ def op_norm_difference(x, eps1: float, eps2: float, m: float) -> float:
     if eps1 <= 0 or eps2 <= 0:
         raise ValueError("regularizations must be positive")
     x = np.asarray(x, dtype=float)
-    eps = (eps1, eps2)
-    c = np.empty((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            a_ij = _p_matrix(x, x, eps[i] + eps[j], m)
-            sign = 1.0 if i == 0 else -1.0
-            c[4 * i:4 * i + 4, 4 * j:4 * j + 4] = sign * TWO_PI * a_ij
-    ev = np.linalg.eigvals(c)
+    sign = np.repeat([TWO_PI, -TWO_PI], 4)[:, None]
+    ev = np.linalg.eigvals(sign * _block((x, x), (eps1, eps2), m))
     return float(np.max(np.abs(ev.real)))
 
 
@@ -82,26 +79,15 @@ def product_coefficient_matrix(x, y, eps1: float, eps2: float,
     {P^{eps1}(.,x) e_mu} u {P^{eps2}(.,y) e_mu}.
 
     Its nonzero eigenvalues are those of the product operator; used as an
-    independent check of the mixed-chain reduction.
+    independent check of the mixed-chain reduction.  Row block i holds
+    F^{eps_i}(x_i) u_{j nu} = 2 pi P^{eps_i}(., x_i)
+    [P^{eps_i + eps_j}(x_i, x_j) e_nu].
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    base = ((eps1, x), (eps2, y))
-
-    def coeff(op_eps, op_pt):
-        # F^{op_eps}(op_pt) u_{j nu} = 2 pi P^{op_eps}(., op_pt)
-        #     [P^{op_eps + eps_j}(op_pt, z_j) e_nu]
-        row = np.zeros((4, 8), dtype=complex)
-        for j, (ej, zj) in enumerate(base):
-            row[:, 4 * j:4 * j + 4] = TWO_PI * _p_matrix(op_pt, zj,
-                                                         op_eps + ej, m)
-        return row
-
-    m1 = np.zeros((8, 8), dtype=complex)
-    m1[0:4, :] = coeff(eps1, x)
-    m2 = np.zeros((8, 8), dtype=complex)
-    m2[4:8, :] = coeff(eps2, y)
-    return m1 @ m2
+    rows = TWO_PI * _block((x, y), (eps1, eps2), m)
+    zeros = np.zeros((4, 8), dtype=complex)
+    return np.vstack([rows[:4], zeros]) @ np.vstack([zeros, rows[4:]])
 
 
 def holder_sweep(lam_list, params: RegKernelParams, tol: float = 0.005,

@@ -21,28 +21,31 @@ def _sample_cut_plane(rng, n, r_lo=1e-3, r_hi=60.0, arg_frac=0.999):
     return mod * np.exp(1j * arg)
 
 
-def _k_integral_oracle(n, x):
-    """K_n(x) = int_0^inf e^{-x cosh t} cosh(n t) dt for real x > 0."""
+def _k_integral_oracle(n, z):
+    """K_n(z) = int_0^inf e^{-z cosh t} cosh(n t) dt for Re z > 0."""
+    x = z.real
     t_max = float(np.arccosh(700.0 / x)) if x < 700.0 else 1.0
 
     def f(t):
-        return np.exp(-x * np.cosh(t)) * np.cosh(n * t)
+        return np.exp(-z * np.cosh(t)) * np.cosh(n * t)
 
-    # absolute tolerance scaled to the K magnitude ~ sqrt(pi/2x) e^{-x}
-    tol = 1e-13 * np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
+    # absolute tolerance scaled to the K magnitude ~ sqrt(pi/2x) e^{-x},
+    # with the (2/|z|)^n growth of K_n at small |z|
+    tol = (1e-13 * np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
+           * (1.0 + (2.0 / abs(z)) ** n))
     val, _, _ = gk.integrate_1d(f, 0.0, t_max, tol, 4000)
-    return float(np.real(val))
+    return complex(val)
 
 
 def suite_bessel(seed=12345):
     rng = np.random.default_rng(seed)
     out = []
     z = _sample_cut_plane(rng, 1000)
-    k0 = bessel.bessel_k(0, z)
-    k1 = bessel.bessel_k(1, z)
-    k2 = bessel.bessel_k(2, z)
-    rec = np.max(np.abs(k2 - (k0 + 2.0 / z * k1)) / np.abs(k2))
-    out.append(("recurrence_k2", rec <= 1e-10, "max rel %.2e" % rec))
+    zk = _sample_cut_plane(rng, 40, r_lo=0.1, r_hi=30.0, arg_frac=1.0 / 3.0)
+    k2 = bessel.bessel_k(2, zk)
+    ref = np.array([_k_integral_oracle(2, zj) for zj in zk])
+    dev = float(np.max(np.abs(k2 - ref) / np.abs(ref)))
+    out.append(("k2_complex_integral", dev <= 1e-10, "max rel %.2e" % dev))
 
     dk = bessel.bessel_k_derivative(1, z)
     h = 1e-6 * np.abs(z)
@@ -55,7 +58,7 @@ def suite_bessel(seed=12345):
     worst = 0.0
     for x in xs:
         for n in (0, 1, 2):
-            ref = _k_integral_oracle(n, float(x))
+            ref = _k_integral_oracle(n, float(x)).real
             got = float(np.real(bessel.bessel_k(n, complex(x))))
             worst = max(worst, abs(got - ref) / abs(ref))
     out.append(("integral_representation", worst <= 1e-10,
@@ -173,7 +176,7 @@ def suite_spectral(seed=12345, n_trials=1000):
     out.append(("a_sq_ge_b", bool(np.all(a * a >= b - 1e-12 * (a * a + 1.0))),
                 "det >= 0 everywhere sampled"))
 
-    lag = chain.lagrangian_from_radial(t, r, eps, m)
+    lag = chain.lagrangian_of_b(b)
     alt = (np.abs(lam_p) - np.abs(lam_m)) ** 2
     dev = np.max(np.abs(lag - alt) / (np.abs(lag) + np.abs(alt) + 1e-300))
     out.append(("lagrangian_identity", dev <= 1e-8, "max rel %.2e" % dev))
@@ -342,7 +345,9 @@ def suite_variation(seed=12345):
         x = rng.uniform(-1.0, 1.0, 4)
         y = rng.uniform(-1.0, 1.0, 4)
         e1, e2 = rng.uniform(0.1, 0.3, 2)
-        mc = chain.mixed_chain(x, y, e1, e2, m)
+        # the chain of F^{e1}(x), F^{e2}(y) carries regularization e1 + e2
+        mc = (2.0 * np.pi) ** 2 * chain.closed_chain(
+            x, y, RegKernelParams(m, (e1 + e2) / 2.0))
         ev_mc = np.linalg.eigvals(mc)
         pc = sea_variation.product_coefficient_matrix(x, y, e1, e2, m)
         ev_pc = np.linalg.eigvals(pc)
@@ -377,7 +382,7 @@ def suite_variation(seed=12345):
     return out
 
 
-def suite_em(seed=12345, fast=True):
+def suite_em(seed=12345):
     rng = np.random.default_rng(seed)
     out = []
     p = RegKernelParams(1.0, 0.1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seacausal import chain
 from seacausal.chain import (CausalClass, causal_classify, chain_invariants,
                              classify_invariants, closed_chain,
-                             invariants_from_radial, lagrangian, mixed_chain)
+                             invariants_from_radial, lagrangian)
 from seacausal.kernel import RegKernelParams
 
 EIG_REL_TOL = 1e-8
@@ -122,25 +122,19 @@ class TestInvariantProperties:
         assert classify_invariants(1.0, -1e-3) is CausalClass.Spacelike
 
 
-class TestMixedChain:
-    def test_equal_regularizations_reduce(self):
-        x = np.array([0.2, 0.1, -0.3, 0.0])
-        y = np.array([-0.1, 0.2, 0.0, 0.4])
-        mixed = mixed_chain(x, y, 0.1, 0.1, 1.0)
-        plain = (2.0 * np.pi) ** 2 * closed_chain(x, y, PARAMS)
-        assert np.allclose(mixed, plain, rtol=1e-14)
+def two_operator_chain(x, y, eps1, eps2):
+    """Chain of F^{eps1}(x) and F^{eps2}(y): (2 pi)^2 times the closed chain
+    at the mean regularization."""
+    return (2.0 * np.pi) ** 2 * closed_chain(
+        x, y, RegKernelParams(1.0, (eps1 + eps2) / 2.0))
 
+
+class TestMixedChain:
     def test_continuity_in_second_regularization(self):
         x = np.array([0.2, 0.1, -0.3, 0.0])
         y = np.array([-0.1, 0.2, 0.0, 0.4])
-        base = mixed_chain(x, y, 0.1, 0.1, 1.0)
-        devs = [np.max(np.abs(mixed_chain(x, y, 0.1, 0.1 + d, 1.0) - base))
+        base = two_operator_chain(x, y, 0.1, 0.1)
+        devs = [np.max(np.abs(two_operator_chain(x, y, 0.1, 0.1 + d) - base))
                 for d in (0.1, 0.01, 0.001)]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] <= 0.05 * np.max(np.abs(base))
-
-    def test_positive_regularizations_required(self):
-        with pytest.raises(ValueError):
-            mixed_chain(np.zeros(4), np.zeros(4), 0.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            mixed_chain(np.zeros(4), np.zeros(4), 0.1, -0.2, 1.0)

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from seacausal import cli, em_perturb
+from seacausal.chain import classify_invariants, invariants_from_radial
 from seacausal.config import ConfigError, RunConfig, load_config, \
     parse_config_file
 
@@ -35,6 +37,12 @@ class TestConfig:
             RunConfig(region_lambda=0.5).validate()
         with pytest.raises(ConfigError):
             RunConfig(quad_rel_tol=0.0).validate()
+
+    def test_region_lambda_range(self):
+        RunConfig(region_lambda=0.6).validate()
+        for bad in (0.5, 1.0):
+            with pytest.raises(ConfigError):
+                RunConfig(region_lambda=bad).validate()
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -111,6 +119,30 @@ class TestConeScanCommand:
         args = ("cone-scan", "--t-steps", "5", "--r-steps", "5")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_row_contract(self, tmp_path):
+        # t = 0 and r = 0 lie on the grid; far out along t = 0 the
+        # invariant b underflows into the lightlike band
+        path = tmp_path / "scan.csv"
+        assert cli.main(["cone-scan", "--t-min", "-1", "--t-max", "1",
+                         "--t-steps", "5", "--r-min", "0", "--r-max", "6",
+                         "--r-steps", "13", "-o", str(path)]) == 0
+        header, rows = parse_csv(path.read_text())
+        assert header == ["schema_version", "t", "r", "a", "b", "class",
+                          "lagrangian"]
+        tt, rr = np.meshgrid(np.linspace(-1.0, 1.0, 5),
+                             np.linspace(0.0, 6.0, 13), indexing="ij")
+        a, b = invariants_from_radial(tt.ravel(), rr.ravel(), 0.2, 1.0)
+        assert len(rows) == a.size
+        for row, t, r, ai, bi in zip(rows, tt.ravel().tolist(),
+                                     rr.ravel().tolist(), a.tolist(),
+                                     b.tolist()):
+            assert row == ["1", repr(t), repr(r), repr(ai), repr(bi),
+                           classify_invariants(ai, bi).value,
+                           repr(4.0 * max(bi, 0.0))]
+        assert {row[5] for row in rows} == {"T", "S", "L"}
+        assert "0.0" in {row[1] for row in rows}
+        assert "0.0" in {row[2] for row in rows}
+
 
 class TestIntegrateCommand:
     def test_ell_zero_equals_lagrangian(self):
@@ -145,6 +177,30 @@ class TestEmCommand:
         assert row["causal_flag"] == "causal_exterior"
         assert float(row["re_value"]) == 0.0
         assert float(row["im_value"]) == 0.0
+
+    def test_closed_form_default_skips_calibration(self, monkeypatch,
+                                                   tmp_path):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrate_green must not run")
+
+        monkeypatch.setattr(em_perturb, "calibrate_green", calibrate)
+        path = tmp_path / "em.csv"
+        assert cli.main(["em", "--x", "0.2,0,0,0", "-o", str(path)]) == 0
+        header, rows = parse_csv(path.read_text())
+        assert dict(zip(header, rows[0]))["causal_flag"] == "causal_exterior"
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "4"), ("--mu", "-1"),
+                                             ("--component", "7")])
+    def test_out_of_range_index_is_config_error(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["em", "--alpha", "-0.1593", "--beta", "0.0812",
+                      "--x", "0.2,0,0,0", flag, value])
+        assert exc.value.code == 2
+
+
+class TestHolderCommand:
+    def test_malformed_lambda_list_is_config_error(self):
+        assert cli.main(["holder", "--lambda-list", "0,abc"]) == 2
 
 
 class TestVerifyCommand:

@@ -70,6 +70,16 @@ class TestGreenVolumePart:
         assert near == pytest.approx(0.5, rel=1e-2)
 
 
+class TestGreenConstants:
+    def test_closed_form_at_m2(self):
+        gp = em_perturb.green_constants(2.0)
+        assert gp.alpha_const == pytest.approx(-0.15915494309189535,
+                                               rel=1e-15)
+        assert gp.beta_const == pytest.approx(1.0 / np.pi, rel=1e-15)
+        assert em_perturb.green_constants(1.0).beta_const \
+            == pytest.approx(0.25 * gp.beta_const, rel=1e-15)
+
+
 class TestConvolution:
     def test_disjoint_past_cone_is_zero(self):
         g = gaussian_source([1.0, 0.0, 0.0, 0.0], 0.2)

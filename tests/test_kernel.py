@@ -5,8 +5,8 @@ import pytest
 
 from seacausal import kernel, spinor
 from seacausal.kernel import (RegKernelParams, TWO_PI_CUBED, kernel_p,
-                              kernel_p_momentum_oracle, nu_pm, scalar_F,
-                              scalar_G, scalar_G_derivative)
+                              kernel_p_momentum_oracle, nu_pm, scalar_FG,
+                              scalar_G_derivative)
 
 ORACLE_ABS_TOL = 1e-6
 RECON_REL_TOL = 1e-12
@@ -18,31 +18,31 @@ K2_AT_ONE = 1.6248388986
 
 class TestScalarFactors:
     def test_g_at_one(self):
-        assert scalar_G(1.0, 1.0) == pytest.approx(
+        assert scalar_FG(1.0, 1.0)[1] == pytest.approx(
             K1_AT_ONE / TWO_PI_CUBED, rel=1e-9)
 
     def test_f_at_one(self):
-        val = complex(scalar_F(1.0, 1.0))
+        val = complex(scalar_FG(1.0, 1.0)[0])
         assert val.real == pytest.approx(0.0, abs=1e-15)
         assert val.imag == pytest.approx(K2_AT_ONE / TWO_PI_CUBED, rel=1e-9)
 
     def test_f_purely_imaginary_on_positive_axis(self):
         for z in (0.2, 1.0, 5.0):
-            val = complex(scalar_F(z, 1.3))
+            val = complex(scalar_FG(z, 1.3)[0])
             assert abs(val.real) <= 1e-15 * abs(val)
             assert val.imag > 0
 
     def test_conjugation_symmetry(self):
         z = 0.7 + 0.4j
-        assert scalar_G(np.conj(z), 1.0) == pytest.approx(
-            np.conj(scalar_G(z, 1.0)), rel=1e-12)
+        assert scalar_FG(np.conj(z), 1.0)[1] == pytest.approx(
+            np.conj(scalar_FG(z, 1.0)[1]), rel=1e-12)
 
     def test_f_is_scaled_derivative_of_g(self):
         # F = (2/(i m)) G', G' checked by central differences
         m, z, h = 1.2, 0.8 + 0.3j, 1e-6
-        fd = (scalar_G(z + h, m) - scalar_G(z - h, m)) / (2.0 * h)
+        fd = (scalar_FG(z + h, m)[1] - scalar_FG(z - h, m)[1]) / (2.0 * h)
         assert scalar_G_derivative(z, m) == pytest.approx(fd, rel=FD_REL_TOL)
-        assert scalar_F(z, m) == pytest.approx(
+        assert scalar_FG(z, m)[0] == pytest.approx(
             2.0 / (1j * m) * scalar_G_derivative(z, m), rel=1e-12)
 
 

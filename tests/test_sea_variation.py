@@ -129,7 +129,10 @@ class TestProductSpectrumOracle:
             e1, e2 = rng.uniform(0.08, 0.4, 2)
             coeff = product_coefficient_matrix(x, y, e1, e2, M)
             ev = np.linalg.eigvals(coeff)
-            mixed = np.linalg.eigvals(chain.mixed_chain(x, y, e1, e2, M))
+            # the chain of F^{e1}(x), F^{e2}(y) carries regularization
+            # e1 + e2
+            mixed = np.linalg.eigvals((2.0 * np.pi) ** 2 * chain.closed_chain(
+                x, y, RegKernelParams(M, (e1 + e2) / 2.0)))
             scale = 1.0 + np.max(np.abs(mixed))
             # the 8x8 coefficient matrix carries the 4 chain eigenvalues
             # plus zeros
