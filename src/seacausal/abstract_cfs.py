@@ -8,6 +8,15 @@ generalized inverse, spin kernels and chains, the abstract Lagrangian
 with its causal trichotomy, faithful spin frames, admissibility bounds,
 a local representation x = -Psi* Psi, and eigenvalue-enumeration
 matching for operator sequences.
+
+A `CfsOperator` holds one matrix or a stack of shape (..., d, d).
+`ordered_spectrum`, `signature`, `is_regular`, `gen_inverse`,
+`range_projection`, `spin_kernel`, `spin_chain`, `chain_spectrum`,
+`abstract_lagrangian`, `admissibility_bounds` and
+`random_regular_operator` work item by item on stacks: a 2-D matrix is
+the one-item case of the same code, and gives the same bits as the item
+of a stack.  Perturbations, the causal classification, frames and the
+local representation take one matrix.
 """
 
 from __future__ import annotations
@@ -30,34 +39,68 @@ class RegularityError(ValueError):
     """Operation requires a regular operator."""
 
 
+def _adjoint(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def _op_norm(a):
+    """Spectral norm of each matrix of a stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _unstack(a):
+    """A Python scalar for the one-item case, the array for a stack."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
 class CfsOperator:
-    """Hermitian matrix with at most n positive and n negative eigenvalues."""
+    """Hermitian matrix, or stack of them, with at most n positive and n
+    negative eigenvalues each.  Raises if any item is not Hermitian
+    (ValueError) or exceeds the signature (SignatureError)."""
 
     def __init__(self, matrix, n: int):
         matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
             raise ValueError("matrix must be square")
-        scale = max(np.linalg.norm(matrix, 2), 1.0)
-        if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITIAN_TOL * scale:
+        scale = np.maximum(_op_norm(matrix), 1.0)
+        asym = np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1))
+        if np.any(asym > _HERMITIAN_TOL * scale):
             raise ValueError("matrix not Hermitian")
         if n < 1:
             raise ValueError("n must be >= 1")
-        self.matrix = 0.5 * (matrix + matrix.conj().T)
+        self.matrix = 0.5 * (matrix + _adjoint(matrix))
         self.n = n
-        self.dim = matrix.shape[0]
+        self.dim = matrix.shape[-1]
         self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
-        tol = _EIG_ZERO_TOL * (1.0 + np.max(np.abs(self.eigvals), initial=0.0))
-        self._zero_tol = tol
-        n_neg = int(np.sum(self.eigvals < -tol))
-        n_pos = int(np.sum(self.eigvals > tol))
-        if n_neg > n or n_pos > n:
+        self._zero_tol = _EIG_ZERO_TOL * (
+            1.0 + np.max(np.abs(self.eigvals), axis=-1, initial=0.0))
+        tol = self._zero_tol[..., None]
+        self._n_neg = np.sum(self.eigvals < -tol, axis=-1)
+        self._n_pos = np.sum(self.eigvals > tol, axis=-1)
+        bad = (self._n_neg > n) | (self._n_pos > n)
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), bad.shape)
             raise SignatureError(
-                "signature (%d, %d) exceeds (n, n) = (%d, %d)"
-                % (n_neg, n_pos, n, n))
-        self._sig = (n_neg, n_pos)
+                "signature (%d, %d) exceeds (n, n) = (%d, %d)%s"
+                % (self._n_neg[i], self._n_pos[i], n, n,
+                   " at stack index %s" % (i,) if i else ""))
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.eigvals), initial=0.0))
+    def __getitem__(self, index) -> CfsOperator:
+        """The operators at `index` of the stack dimensions."""
+        items = np.arange(self._zero_tol.size).reshape(
+            self._zero_tol.shape)[index]
+        out = object.__new__(CfsOperator)
+        out.n, out.dim = self.n, self.dim
+        for name in ("matrix", "eigvals", "eigvecs", "_zero_tol", "_n_neg",
+                     "_n_pos"):
+            a = getattr(self, name)
+            flat = a.reshape((-1,) + a.shape[self._zero_tol.ndim:])
+            setattr(out, name, np.asarray(flat[items]))
+        return out
+
+    def norm(self):
+        """Largest |eigenvalue|: a float, or an array over the stack."""
+        return _unstack(np.max(np.abs(self.eigvals), axis=-1, initial=0.0))
 
 
 def make_operator(matrix, n: int) -> CfsOperator:
@@ -67,23 +110,30 @@ def make_operator(matrix, n: int) -> CfsOperator:
 def ordered_spectrum(x: CfsOperator) -> np.ndarray:
     """2n values: the n negative eigenvalues by non-increasing absolute
     value (most negative first), then the n positive ones increasingly;
-    missing entries padded with zero."""
-    n = x.n
-    tol = x._zero_tol
-    neg = np.sort(x.eigvals[x.eigvals < -tol])          # most negative first
-    pos = np.sort(x.eigvals[x.eigvals > tol])           # increasing
-    out = np.zeros(2 * n)
-    out[:neg.size] = neg
-    out[2 * n - pos.size:] = pos
+    missing entries padded with zero.
+
+    `eigh` returns the eigenvalues in ascending order, so the at most n
+    negative ones lead the first n entries and the at most n positive
+    ones end the last n."""
+    n, d = x.n, x.dim
+    k = min(n, d)
+    tol = x._zero_tol[..., None]
+    low, high = x.eigvals[..., :k], x.eigvals[..., d - k:]
+    out = np.zeros(x.eigvals.shape[:-1] + (2 * n,))
+    out[..., :k] = np.where(low < -tol, low, 0.0)
+    out[..., 2 * n - k:] = np.where(high > tol, high, 0.0)
     return out
 
 
-def signature(x: CfsOperator) -> tuple[int, int]:
-    return x._sig
+def signature(x: CfsOperator):
+    """(negative, positive) eigenvalue counts: ints, or arrays for a stack."""
+    return _unstack(x._n_neg), _unstack(x._n_pos)
 
 
-def is_regular(x: CfsOperator) -> bool:
-    return x._sig == (x.n, x.n)
+def is_regular(x: CfsOperator):
+    """Signature exactly (n, n): a bool, or a bool array for a stack."""
+    n_neg, n_pos = signature(x)
+    return (n_neg == x.n) & (n_pos == x.n)
 
 
 def regular_perturbation(x: CfsOperator, eps: float,
@@ -95,7 +145,7 @@ def regular_perturbation(x: CfsOperator, eps: float,
         raise ValueError("eps must be positive")
     if is_regular(x):
         return x
-    n_neg, n_pos = x._sig
+    n_neg, n_pos = signature(x)
     need_neg = x.n - n_neg
     need_pos = x.n - n_pos
     kern = x.eigvecs[:, np.abs(x.eigvals) <= x._zero_tol]
@@ -117,20 +167,20 @@ def regular_perturbation(x: CfsOperator, eps: float,
     return CfsOperator(x.matrix + delta, x.n)
 
 
+def _nonzero(x: CfsOperator) -> np.ndarray:
+    return np.abs(x.eigvals) > x._zero_tol[..., None]
+
+
 def gen_inverse(x: CfsOperator) -> CfsOperator:
     """Inverse on the range, zero on its orthogonal complement."""
-    inv = np.where(np.abs(x.eigvals) > x._zero_tol,
-                   1.0 / np.where(np.abs(x.eigvals) > x._zero_tol,
-                                  x.eigvals, 1.0),
-                   0.0)
-    g = (x.eigvecs * inv) @ x.eigvecs.conj().T
+    nonzero = _nonzero(x)
+    inv = np.where(nonzero, 1.0 / np.where(nonzero, x.eigvals, 1.0), 0.0)
+    g = (x.eigvecs * inv[..., None, :]) @ _adjoint(x.eigvecs)
     return CfsOperator(g, x.n)
 
 
 def range_projection(x: CfsOperator) -> np.ndarray:
-    mask = np.abs(x.eigvals) > x._zero_tol
-    v = x.eigvecs[:, mask]
-    return v @ v.conj().T
+    return (x.eigvecs * _nonzero(x)[..., None, :]) @ _adjoint(x.eigvecs)
 
 
 def spin_kernel(x: CfsOperator, y: CfsOperator) -> np.ndarray:
@@ -147,23 +197,25 @@ def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     """Nonzero-padded spectrum of x y, ordered to 2n entries: by
     decreasing absolute value, padded with zeros."""
     ev = np.linalg.eigvals(x.matrix @ y.matrix)
-    tol = _EIG_ZERO_TOL * (1.0 + np.max(np.abs(ev), initial=0.0))
-    ev = ev[np.abs(ev) > tol]
-    order = np.argsort(-np.abs(ev), kind="stable")
-    ev = ev[order]
-    out = np.zeros(2 * x.n, dtype=complex)
-    k = min(ev.size, 2 * x.n)
-    out[:k] = ev[:k]
+    tol = _EIG_ZERO_TOL * (
+        1.0 + np.max(np.abs(ev), axis=-1, keepdims=True, initial=0.0))
+    # zeroed entries sort last; the stable sort keeps the order of ties
+    ev = np.where(np.abs(ev) > tol, ev, 0.0)
+    order = np.argsort(-np.abs(ev), axis=-1, kind="stable")
+    ev = np.take_along_axis(ev, order, axis=-1)
+    out = np.zeros(ev.shape[:-1] + (2 * x.n,), dtype=complex)
+    k = min(ev.shape[-1], 2 * x.n)
+    out[..., :k] = ev[..., :k]
     return out
 
 
-def abstract_lagrangian(x: CfsOperator, y: CfsOperator) -> float:
+def abstract_lagrangian(x: CfsOperator, y: CfsOperator):
     """L = (1/4n) sum_{i,j} (|lam_i| - |lam_j|)^2 over the 2n-padded
     spectrum of x y."""
     lam = np.abs(chain_spectrum(x, y))
-    n2 = lam.size
-    diffs = lam[:, None] - lam[None, :]
-    return float(np.sum(diffs * diffs) / (2.0 * n2))
+    n2 = lam.shape[-1]
+    diffs = lam[..., :, None] - lam[..., None, :]
+    return _unstack(np.sum(diffs * diffs, axis=(-2, -1)) / (2.0 * n2))
 
 
 def causal_classify_abstract(x: CfsOperator, y: CfsOperator) -> str:
@@ -211,21 +263,20 @@ def faithful_frame(x: CfsOperator) -> SpinFrame:
 
 def admissibility_bounds(x: CfsOperator, y: CfsOperator):
     """(||P(x,y)|| ||P(y,x)||, ||x|| ||g(y)|| ||P(x,y)||), asserting the
-    two inequality chains they bound."""
+    two inequality chains they bound for every item."""
     pxy = spin_kernel(x, y)
     pyx = spin_kernel(y, x)
-    a = pxy @ pyx
-    norm_a = np.linalg.norm(a, 2)
-    npxy = np.linalg.norm(pxy, 2)
-    npyx = np.linalg.norm(pyx, 2)
-    lam_max = np.max(np.abs(chain_spectrum(x, y)), initial=0.0)
-    g_y = gen_inverse(y)
+    norm_a = _op_norm(pxy @ pyx)
+    npxy = _op_norm(pxy)
+    npyx = _op_norm(pyx)
+    lam_max = np.max(np.abs(chain_spectrum(x, y)), axis=-1, initial=0.0)
     bound_i = npxy * npyx
-    bound_ii = x.norm() * g_y.norm() * npxy
-    scale = 1.0 + max(bound_i, bound_ii)
-    if lam_max > norm_a + 1e-10 * scale or norm_a > bound_i + 1e-10 * scale:
+    bound_ii = x.norm() * gen_inverse(y).norm() * npxy
+    scale = 1.0 + np.maximum(bound_i, bound_ii)
+    if np.any(lam_max > norm_a + 1e-10 * scale) \
+            or np.any(norm_a > bound_i + 1e-10 * scale):
         raise AssertionError("spectral/operator-norm chain violated")
-    if npyx > bound_ii + 1e-10 * scale:
+    if np.any(npyx > bound_ii + 1e-10 * scale):
         raise AssertionError("kernel-transposition bound violated")
     return bound_i, bound_ii
 
@@ -284,9 +335,18 @@ def minmax_excess(a, m_basis) -> float:
     return float(np.max(np.linalg.eigvalsh(comp.conj().T @ a @ comp)))
 
 
-def random_regular_operator(n: int, dim: int, rng) -> CfsOperator:
-    """x = -B^dag J B with J = diag(1_n, -1_n) and random full-rank B:
-    exact signature (n, n)."""
-    b = (rng.normal(size=(2 * n, dim)) + 1j * rng.normal(size=(2 * n, dim)))
+def indefinite_gram(b, n: int) -> CfsOperator:
+    """x = -B^dag J B with J = diag(1_n, -1_n), for B of shape
+    (..., 2n, dim): signature exactly (n, n) when B has full rank 2n."""
     j = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return CfsOperator(-b.conj().T @ j @ b, n)
+    return CfsOperator(-_adjoint(b) @ j @ b, n)
+
+
+def random_regular_operator(n: int, dim: int, rng,
+                            shape: tuple = ()) -> CfsOperator:
+    """`indefinite_gram` of a complex Gaussian B, or a stack of `shape`
+    of them.  One `rng.normal` call draws the stack; in C order each B
+    takes its real part, then its imaginary part, so a stack holds the
+    operators that as many one-item calls draw in turn."""
+    g = rng.normal(size=tuple(shape) + (2, 2 * n, dim))
+    return indefinite_gram(g[..., 0, :, :] + 1j * g[..., 1, :, :], n)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from seacausal import verify
 from seacausal.abstract_cfs import (CfsOperator, RegularityError,
                                     SignatureError, abstract_lagrangian,
                                     admissibility_bounds,
                                     causal_classify_abstract, chain_spectrum,
                                     enumeration_match, faithful_frame,
-                                    gen_inverse, is_regular,
+                                    gen_inverse, indefinite_gram, is_regular,
                                     local_representation, make_operator,
                                     minmax_excess, ordered_spectrum,
                                     random_regular_operator, range_projection,
@@ -132,21 +133,30 @@ class TestGenInverse:
                                                           rel=1e-10)
 
     def test_local_lipschitz_bound(self):
+        # rank-preserving perturbations y = -(B+E)^dag J (B+E) of
+        # x = -B^dag J B; a full-rank Hermitian delta would leave the
+        # signature and check nothing
         rng = np.random.default_rng(53)
+        checked = 0
         for _ in range(200):
-            x = random_regular_operator(2, 5, rng)
+            b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+            e = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+            x = indefinite_gram(b, 2)
             gx = gen_inverse(x)
-            radius = 1.0 / (4.0 * gx.norm())
-            d = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            d = 0.5 * (d + d.conj().T)
-            d *= rng.uniform(0.0, 1.0) * radius / max(np.linalg.norm(d, 2),
-                                                      1e-300)
-            try:
-                y = make_operator(x.matrix + d, 2)
-            except SignatureError:
+            # ||delta|| <= 2 ||B|| ||E|| + ||E||^2 <= radius
+            radius = rng.uniform(0.0, 1.0) / (4.0 * gx.norm())
+            nb = np.linalg.norm(b, 2)
+            e *= radius / (nb + np.sqrt(nb * nb + radius)) \
+                / np.linalg.norm(e, 2)
+            y = indefinite_gram(b + e, 2)
+            if not is_regular(y):
                 continue
+            d = y.matrix - x.matrix
+            assert np.linalg.norm(d, 2) <= radius * (1.0 + 1e-12)
             gap = np.linalg.norm(gen_inverse(y).matrix - gx.matrix, 2)
             assert gap <= 6.0 * gx.norm() ** 2 * np.linalg.norm(d, 2) + 1e-12
+            checked += 1
+        assert checked == 200
 
 
 class TestKernelChainLagrangian:
@@ -293,3 +303,70 @@ class TestBoundsAndMatching:
             # sup over the complement of a 2-dim subspace dominates the
             # third-largest eigenvalue
             assert minmax_excess(a, m_basis) >= ev[-3] - 1e-12
+
+
+class TestStacks:
+    """A stack gives bitwise the arrays of per-matrix calls."""
+
+    @staticmethod
+    def pairs(count=40, dim=6):
+        stack = random_regular_operator(2, dim, np.random.default_rng(62),
+                                        (count, 2))
+        rng = np.random.default_rng(62)
+        single = [[random_regular_operator(2, dim, rng) for _ in range(2)]
+                  for _ in range(count)]
+        return stack, single
+
+    def test_draw_and_eigen_data(self):
+        stack, single = self.pairs()
+        for name in ("matrix", "eigvals", "eigvecs"):
+            ref = np.array([[getattr(op, name) for op in pair]
+                            for pair in single])
+            assert np.array_equal(getattr(stack, name), ref)
+        assert np.array_equal(stack.norm(),
+                              [[op.norm() for op in pair] for pair in single])
+        assert np.all(is_regular(stack))
+        assert signature(stack[3, 1]) == (2, 2)
+        assert isinstance(stack[3, 1].norm(), float)
+        assert np.array_equal(stack[:, 1].eigvals,
+                              [pair[1].eigvals for pair in single])
+
+    def test_spectral_functions(self):
+        stack, single = self.pairs()
+        x, y = stack[:, 0], stack[:, 1]
+        assert np.array_equal(
+            ordered_spectrum(stack),
+            [[ordered_spectrum(op) for op in pair] for pair in single])
+        assert np.array_equal(
+            gen_inverse(stack).matrix,
+            [[gen_inverse(op).matrix for op in pair] for pair in single])
+        assert np.array_equal(chain_spectrum(x, y),
+                              [chain_spectrum(*pair) for pair in single])
+        assert np.array_equal(np.stack(admissibility_bounds(x, y), axis=-1),
+                              [admissibility_bounds(*pair)
+                               for pair in single])
+        assert np.array_equal(abstract_lagrangian(x, y),
+                              [abstract_lagrangian(*pair) for pair in single])
+
+    def test_bad_item_raises(self):
+        stack, _ = self.pairs(count=5, dim=4)
+        mats = stack.matrix.copy()
+        mats[2, 1] = np.diag([1.0, 2.0, 3.0, -1.0])
+        with pytest.raises(SignatureError):
+            make_operator(mats, 2)
+        mats[2, 1] = np.triu(np.ones((4, 4)))
+        with pytest.raises(ValueError) as err:
+            make_operator(mats, 2)
+        assert not isinstance(err.value, SignatureError)
+
+
+def test_verify_abstract_reports_margins():
+    results = verify.suite_abstract(seed=3, n_pairs=300)
+    assert all(type(ok) is bool and ok for _, ok, _ in results)
+    details = {name: detail for name, _, detail in results}
+    for name in ("eigenvalue_lipschitz", "singular_value_lipschitz",
+                 "gen_inverse_lipschitz"):
+        excess = float(details[name].split()[2])
+        assert excess < 0.0, details[name]
+    checked = details["gen_inverse_lipschitz"].split()[4].split("/")[0]
+    assert int(checked) > 0
