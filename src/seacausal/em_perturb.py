@@ -14,10 +14,15 @@ on a test grid; it serves as an oracle for the closed form.
 
 The first-order perturbation field on a frame vector is
 
-    Psi1(x) = -(i gamma^j d_j + m) [S * (slashed A . P^{2 eps}(., z) e_mu)](x)
+    Psi1(x) = -(i gamma^j d_j + m) [S * (slashed A . P^{2 eps}(., z) e_mu)](x).
 
-with the Dirac factor applied by central finite differences outside the
-convolution (this avoids differentiating the delta distribution).
+The source is smooth and compactly supported, so the derivatives move
+onto it, d(S * g) = S * dg, and never touch the delta distribution of S.
+With the Dirac equation (i d-slash - m) P = 0 of the kernel,
+
+    (i d-slash + m)(slashed A P) = i (d-slash slashed A) P + 2 i (A.d) P,
+
+and Psi1 is one convolution of this closed-form source (_dirac_source).
 Matrix elements of the first-order correlation correction combine Psi1
 with closed-form kernel evaluations only.
 """
@@ -60,14 +65,18 @@ class Potential:
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
         return out
 
-    def vector(self, y) -> np.ndarray:
+    def bump_gradient(self, y) -> np.ndarray:
+        """d_j of the bump, (..., 4); zero outside the support."""
         y = np.asarray(y, dtype=float)
-        a = np.zeros(y.shape)
-        a[..., self.component] = self.bump(y)
-        return a
-
-    def slashed(self, y) -> np.ndarray:
-        return spinor.slash(self.vector(y))
+        d = y - self.center
+        s = np.sum(d * d, axis=-1) / self.radius ** 2
+        out = np.zeros(y.shape)
+        inside = s < 1.0
+        si = s[inside]
+        b = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - si))
+        out[inside] = (-2.0 * b / (self.radius * (1.0 - si)) ** 2)[:, None] \
+            * d[inside]
+        return out
 
     def in_support(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -122,7 +131,7 @@ def _sphere_nodes(n_ct, n_ph):
     return omega, w
 
 
-def convolve_surface(x, g, m: float, gp: GreenParams, supp_center,
+def convolve_surface(x, g, gp: GreenParams, supp_center,
                      supp_radius: float, t_window=None) -> np.ndarray:
     """alpha-part: int drho (rho/2) int dOmega g(x0 - rho, xvec - rho w).
 
@@ -130,10 +139,11 @@ def convolve_surface(x, g, m: float, gp: GreenParams, supp_center,
     4-ball (supp_center, supp_radius).
 
     t_window = (t_lo, t_hi): widen the radial interval as if x0 ranged
-    over [t_lo, t_hi].  Finite-difference stencils pass a common window
-    so every stencil point shares identical quadrature nodes and the
-    quadrature error cancels in the differences (the integrand vanishes
-    on the added margin, so the value is unchanged).
+    over [t_lo, t_hi].  Finite-difference stencils (the Green calibration
+    and its oracles) pass a common window so every stencil point shares
+    identical quadrature nodes and the quadrature error cancels in the
+    differences (the integrand vanishes on the added margin, so the value
+    is unchanged).
     """
     x = np.asarray(x, dtype=float)
     supp_center = np.asarray(supp_center, dtype=float)
@@ -183,71 +193,75 @@ def convolve_volume(x, g, m: float, gp: GreenParams, supp_center,
 
 def convolve_S(x, g, m: float, gp: GreenParams, supp_center,
                supp_radius: float, t_window=None) -> np.ndarray:
-    return (convolve_surface(x, g, m, gp, supp_center, supp_radius, t_window)
+    return (convolve_surface(x, g, gp, supp_center, supp_radius, t_window)
             + convolve_volume(x, g, m, gp, supp_center, supp_radius,
                               t_window))
+
+
+def _on_support(a: Potential, values):
+    """Batched source y -> (..., 4) spinors: values(ys) on the points ys
+    inside the support of a, zero elsewhere."""
+    def g(y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
+        mask = a.in_support(y)
+        if np.any(mask):
+            out[mask] = values(y[mask])
+        return out
+
+    return g
 
 
 def _frame_source(a: Potential, z, mu: int, params: RegKernelParams):
     """g(y) = slashed A(y) P^{2 eps}(y, z) e_mu, batched over y."""
     z = np.asarray(z, dtype=float)
     doubled = RegKernelParams(params.m, 2.0 * params.eps)
+    slashed_e = spinor.slash(np.eye(4)[a.component])
 
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
-        mask = a.in_support(y)
-        if not np.any(mask):
-            return out
-        ys = y[mask]
-        mats = kernel.kernel_matrix_batch(ys - z, doubled)
-        col = mats[..., :, mu]
-        out[mask] = np.einsum("nij,nj->ni", spinor.slash(a.vector(ys)), col)
-        return out
+    def values(ys):
+        col, _ = kernel.kernel_column_partial(ys - z, mu, a.component,
+                                              doubled)
+        return a.bump(ys)[:, None] * (col @ slashed_e.T)
 
-    return g
+    return _on_support(a, values)
 
 
-def _dirac_minus(phi_of_x, x, m: float, h: float = 1e-3) -> np.ndarray:
-    """-(i gamma^j d_j + m) phi at x by central differences.
+def _dirac_source(a: Potential, z, mu: int, params: RegKernelParams):
+    """(i d-slash + m) of the frame source, in closed form, batched over y:
+    i (d-slash slashed A) P^{2 eps}(y, z) e_mu + 2 i b d_c P^{2 eps}(y, z) e_mu
+    with A = b e_c (b the bump, c the potential's component)."""
+    z = np.asarray(z, dtype=float)
+    doubled = RegKernelParams(params.m, 2.0 * params.eps)
+    slashed_e = spinor.slash(np.eye(4)[a.component])
 
-    phi_of_x(pt, t_window) must honor the common-node window contract of
-    convolve_surface, so the stencil differences are quadrature-noise
-    free."""
-    x = np.asarray(x, dtype=float)
-    win = (x[0] - h, x[0] + h)
-    grad = []
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        grad.append((phi_of_x(x + e, win) - phi_of_x(x - e, win))
-                    / (2.0 * h))
-    slashed_grad = sum(spinor.GAMMA[j] @ grad[j] for j in range(4))
-    return -(1j * slashed_grad + m * phi_of_x(x, win))
+    def values(ys):
+        col, dcol = kernel.kernel_column_partial(ys - z, mu, a.component,
+                                                 doubled)
+        # d-slash slashed A = sum_j (d_j b) gamma^j slashed e_c
+        dslash_a = np.einsum("nj,jab,nb->na", a.bump_gradient(ys),
+                             spinor.GAMMA, col @ slashed_e.T)
+        return 1j * (dslash_a + 2.0 * a.bump(ys)[:, None] * dcol)
+
+    return _on_support(a, values)
 
 
 def psi1_on_frame(x, z, mu: int, a: Potential, params: RegKernelParams,
-                  gp: GreenParams, fd_step: float = 1e-3) -> np.ndarray:
+                  gp: GreenParams) -> np.ndarray:
     """First-order perturbation field at x of the frame vector
-    P^eps(., z) e_mu under the potential a."""
-    src = _frame_source(a, z, mu, params)
-
-    def phi(pt, win=None):
-        return convolve_S(pt, src, params.m, gp, a.center, a.radius, win)
-
-    return _dirac_minus(phi, x, params.m, fd_step)
+    P^eps(., z) e_mu under the potential a: -S * _dirac_source."""
+    src = _dirac_source(a, z, mu, params)
+    return -convolve_S(x, src, params.m, gp, a.center, a.radius)
 
 
 def f1_matrix_element(x, z1, mu: int, z2, nu: int, a: Potential,
-                      params: RegKernelParams, gp: GreenParams,
-                      fd_step: float = 1e-3) -> complex:
+                      params: RegKernelParams, gp: GreenParams) -> complex:
     """<u1 | F1(x) u2> = -<R u1(x)|Psi1 u2(x)>_spin - <Psi1 u1(x)|R u2(x)>_spin
     for frame vectors u_i = P^eps(., z_i) e; R u_i(x) = P^{2 eps}(x, z_i) e."""
     doubled = RegKernelParams(params.m, 2.0 * params.eps)
     r1 = kernel.kernel_p(x, z1, doubled).matrix[:, mu]
     r2 = kernel.kernel_p(x, z2, doubled).matrix[:, nu]
-    p1 = psi1_on_frame(x, z1, mu, a, params, gp, fd_step)
-    p2 = psi1_on_frame(x, z2, nu, a, params, gp, fd_step)
+    p1 = psi1_on_frame(x, z1, mu, a, params, gp)
+    p2 = psi1_on_frame(x, z2, nu, a, params, gp)
     return complex(-spinor.spin_product(r1, p2) - spinor.spin_product(p1, r2))
 
 
@@ -271,23 +285,20 @@ def _box_plus_m2(phi_of_x, x, m: float, h: float) -> np.ndarray:
     return out
 
 
-def calibrate_green(m: float, params: RegKernelParams,
-                    a: Potential | None = None,
-                    test_points=None, h: float = 2e-2):
+# test points of calibrate_green (offsets from the potential's center) and
+# the step of its second differences
+_CALIB_OFFSETS = np.array([[0.00, 0.15, 0.0, 0.0], [0.10, -0.1, 0.1, 0.0],
+                           [-0.1, 0.0, -0.15, 0.1], [0.20, 0.05, 0.0, -0.1]])
+_CALIB_STEP = 2e-2
+
+
+def calibrate_green(params: RegKernelParams):
     """Fit (alpha_const, beta_const) by least squares so that the
     convolved field phi = S * g solves (box + m^2) phi = -g on a test
     grid; returns (GreenParams, relative_residual).
     """
-    if a is None:
-        a = Potential()
-    if test_points is None:
-        c = a.center
-        test_points = [c + d for d in (
-            np.array([0.00, 0.15, 0.0, 0.0]),
-            np.array([0.10, -0.1, 0.1, 0.0]),
-            np.array([-0.1, 0.0, -0.15, 0.1]),
-            np.array([0.20, 0.05, 0.0, -0.1]),
-        )]
+    m = params.m
+    a = Potential()
     z = np.array([-0.3, 0.1, 0.0, -0.2])
     mu = 1
     src = _frame_source(a, z, mu, params)
@@ -295,16 +306,16 @@ def calibrate_green(m: float, params: RegKernelParams,
     gp_b = GreenParams(0.0, 1.0)
 
     cols_a, cols_b, rhs = [], [], []
-    for x in test_points:
+    for x in a.center + _CALIB_OFFSETS:
         def phi_a(pt, win=None):
             return convolve_S(pt, src, m, gp_a, a.center, a.radius, win)
 
         def phi_b(pt, win=None):
             return convolve_S(pt, src, m, gp_b, a.center, a.radius, win)
 
-        cols_a.append(_box_plus_m2(phi_a, x, m, h))
-        cols_b.append(_box_plus_m2(phi_b, x, m, h))
-        rhs.append(src(np.asarray(x, dtype=float)[None, :])[0])
+        cols_a.append(_box_plus_m2(phi_a, x, m, _CALIB_STEP))
+        cols_b.append(_box_plus_m2(phi_b, x, m, _CALIB_STEP))
+        rhs.append(src(x[None, :])[0])
     la = np.concatenate(cols_a)
     lb = np.concatenate(cols_b)
     g = np.concatenate(rhs)

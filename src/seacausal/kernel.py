@@ -53,9 +53,29 @@ def scalar_FG(z, m: float):
     return f, g
 
 
-def scalar_G_derivative(z, m: float):
-    """G'(z) = (i m/2) F(z) = -m^3/(2 (2 pi)^3) * K2(m sqrt z)/z."""
-    return 0.5j * m * scalar_FG(z, m)[0]
+def kernel_column_partial(xi, mu: int, k: int, params: RegKernelParams):
+    """Kernel column P^eps e_mu and its partial derivative d/dxi^k P^eps e_mu
+    for displacement rows xi (..., 4); both (..., 4), from one scalar_FG call.
+
+    d_k P = eta_kk [F gamma^k - 2 xi_eps^k (F' xi_eps-slash + G')], with
+    G' = (i m/2) F and F' = -(2 F + (i m/2) G)/zeta (from K3 = K1 + (4/w) K2).
+    Only columns are formed, never the (..., 4, 4) matrices.
+    """
+    xi_eps = spinor.complexify(xi, params.eps)
+    zeta = spinor.neg_minkowski_square(xi_eps)
+    f, g = scalar_FG(zeta, params.m)
+    half_im = 0.5j * params.m
+    df = -(2.0 * f + half_im * g) / zeta
+    dg = half_im * f
+    # (xi_eps-slash) e_mu = sum_a eta_aa xi_eps^a gamma^a[:, mu]
+    slashed = xi_eps @ (spinor.METRIC @ spinor.GAMMA[:, :, mu])
+    e_mu = spinor.IDENTITY4[mu]
+    col = f[..., None] * slashed + g[..., None] * e_mu
+    dcol = spinor.METRIC[k, k] * (
+        f[..., None] * spinor.GAMMA[k, :, mu]
+        - 2.0 * xi_eps[..., k, None]
+        * (df[..., None] * slashed + dg[..., None] * e_mu))
+    return col, dcol
 
 
 def _assemble(xi, params: RegKernelParams):

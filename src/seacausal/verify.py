@@ -400,23 +400,47 @@ def suite_variation(seed=12345):
     return out
 
 
+# step of the central differences in the Dirac-factor oracle of suite_em
+_EM_FD_STEP = 1e-3
+
+
+def _dirac_factor_fd(x, z, mu, a, p, gp):
+    """Psi1 = -(i gamma^j d_j + m)(S * g) at x, g the frame source, by
+    central differences of convolve_S on a common t_window, so every
+    stencil point shares its quadrature nodes and their error cancels."""
+    src = em_perturb._frame_source(a, z, mu, p)
+    h = _EM_FD_STEP
+    win = (x[0] - h, x[0] + h)
+
+    def phi(pt):
+        return em_perturb.convolve_S(pt, src, p.m, gp, a.center, a.radius,
+                                     win)
+
+    out = -p.m * phi(x)
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = h
+        out = out - 1j * spinor.GAMMA[j] @ ((phi(x + e) - phi(x - e))
+                                            / (2.0 * h))
+    return out
+
+
 def suite_em(seed=12345):
     rng = np.random.default_rng(seed)
     out = []
     p = RegKernelParams(1.0, 0.1)
     a = em_perturb.Potential()
-    gp, resid = em_perturb.calibrate_green(p.m, p)
+    gp, resid = em_perturb.calibrate_green(p)
     out.append(("green_calibration", resid <= 1e-3,
                 "alpha %.4f beta %.4f resid %.2e"
                 % (gp.alpha_const, gp.beta_const, resid)))
 
     z1 = np.array([-0.3, 0.1, 0.0, -0.2])
     z2 = np.array([-0.2, -0.1, 0.2, 0.0])
+    x_in = np.array([2.0, 0.2, -0.1, 0.3])
     worst = 0.0
     n_ext = 0
-    interior = em_perturb.f1_matrix_element(
-        np.array([2.0, 0.2, -0.1, 0.3]), z1, 1, z2, 2, a, p, gp)
-    scale = abs(interior)
+    scale = abs(em_perturb.f1_matrix_element(x_in, z1, 1, z2, 2, a, p, gp))
     for _ in range(50):
         t0 = rng.uniform(-2.0, 3.0)
         d = rng.normal(size=3)
@@ -434,12 +458,15 @@ def suite_em(seed=12345):
                 "max |elem| %.2e at %d exterior points (scale %.2e)"
                 % (worst, n_ext, scale)))
 
-    x_in = np.array([2.0, 0.2, -0.1, 0.3])
-    v12 = em_perturb.f1_matrix_element(x_in, z1, 1, z2, 2, a, p, gp)
-    v21 = em_perturb.f1_matrix_element(x_in, z2, 2, z1, 1, a, p, gp)
-    dev = abs(v12 - np.conj(v21))
-    out.append(("self_adjointness", dev <= 1e-6 * max(abs(v12), 1e-300),
-                "dev %.2e scale %.2e" % (dev, abs(v12))))
+    # closed-form Dirac factor against central differences of S * g
+    dev = 0.0
+    for z, mu in ((z1, 1), (z2, 2)):
+        fd = _dirac_factor_fd(x_in, z, mu, a, p, gp)
+        cf = em_perturb.psi1_on_frame(x_in, z, mu, a, p, gp)
+        dev = max(dev, float(np.linalg.norm(cf - fd) / np.linalg.norm(fd)))
+    out.append(("dirac_factor_fd", dev <= 1e-3,
+                "max rel %.2e, bound 1.0e-03 (margin x%.1f)"
+                % (dev, 1e-3 / max(dev, 1e-300))))
     return out
 
 

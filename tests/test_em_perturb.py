@@ -41,16 +41,23 @@ class TestPotential:
         assert np.all(pot.bump(outside) == 0.0)
         assert pot.bump(pot.center) == pytest.approx(1.0)
 
-    def test_vector_lives_in_declared_component(self):
-        pot = Potential(component=3)
-        v = pot.vector(pot.center)
-        assert v[3] != 0.0
-        assert np.all(v[[0, 1, 2]] == 0.0)
+    def test_bump_gradient_matches_central_differences(self):
+        pot = Potential(amplitude=1.7)
+        rng = np.random.default_rng(3)
+        h = 1e-5
+        for _ in range(20):
+            d = rng.normal(size=4)
+            y = pot.center + rng.uniform(0.0, 0.9) * pot.radius * d \
+                / np.linalg.norm(d)
+            fd = np.array([(pot.bump(y + h * e) - pot.bump(y - h * e))
+                           / (2.0 * h) for e in np.eye(4)])
+            assert np.allclose(pot.bump_gradient(y), fd, rtol=1e-6,
+                               atol=1e-8)
 
-    def test_slashed_matches_slash_of_vector(self):
+    def test_bump_gradient_vanishes_outside(self):
         pot = Potential()
-        y = pot.center + np.array([0.0, 0.1, 0.1, 0.0])
-        assert np.allclose(pot.slashed(y), spinor.slash(pot.vector(y)))
+        outside = np.array([[1.0, 0.5, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        assert np.all(pot.bump_gradient(outside) == 0.0)
 
 
 class TestGreenVolumePart:
@@ -108,7 +115,7 @@ class TestConvolution:
         gp1 = GreenParams(1.0, 1.0)
         ratios = []
         for m in (1.0, 5.0):
-            surf = convolve_surface(x, g, m, gp1, c, 0.5)
+            surf = convolve_surface(x, g, gp1, c, 0.5)
             vol = convolve_volume(x, g, m, gp1, c, 0.5)
             ratios.append(np.max(np.abs(vol)) / np.max(np.abs(surf)))
         assert ratios[1] < ratios[0]
@@ -163,3 +170,26 @@ class TestFirstOrderField:
                       - spinor.spin_product(half, r1))
         assert v12 == pytest.approx(np.conj(v21), rel=1e-12)
         assert v12 != 0.0
+
+    def test_dirac_source_zero_outside_support(self):
+        pot = Potential()
+        src = em_perturb._dirac_source(pot, Z, 1, PARAMS)
+        rng = np.random.default_rng(5)
+        d = rng.normal(size=(200, 4))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        # on and beyond the boundary sphere of the support ball
+        y = pot.center + pot.radius * rng.uniform(1.0, 3.0, (200, 1)) * d
+        assert np.all(src(y) == 0.0)
+        inside = src(pot.center + 0.5 * pot.radius * d)
+        assert np.all(np.linalg.norm(inside, axis=-1) > 0.0)
+
+    def test_matrix_element_matches_finite_difference_reference(self):
+        # reference: the central-difference Dirac factor (step 5e-4) that
+        # the closed-form source replaced, at the closed-form constants
+        x = np.array([1.6, 0.35, 0.1, 0.35])
+        z2, nu = np.array([-0.2, -0.1, 0.2, 0.0]), 2
+        ref = -5.227061102480963e-08 + 8.672653784893366e-08j
+        val = em_perturb.f1_matrix_element(
+            x, Z, 1, z2, nu, Potential(), PARAMS,
+            em_perturb.green_constants(PARAMS.m))
+        assert abs(val - ref) <= 2e-4 * abs(ref)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from seacausal import kernel, spinor
-from seacausal.kernel import (RegKernelParams, TWO_PI_CUBED, kernel_p,
-                              kernel_p_momentum_oracle, nu_pm, scalar_FG,
-                              scalar_G_derivative)
+from seacausal.kernel import (RegKernelParams, TWO_PI_CUBED,
+                              kernel_column_partial, kernel_matrix_batch,
+                              kernel_p, kernel_p_momentum_oracle, nu_pm,
+                              scalar_FG)
 
 ORACLE_ABS_TOL = 1e-6
 RECON_REL_TOL = 1e-12
@@ -38,12 +39,52 @@ class TestScalarFactors:
             np.conj(scalar_FG(z, 1.0)[1]), rel=1e-12)
 
     def test_f_is_scaled_derivative_of_g(self):
-        # F = (2/(i m)) G', G' checked by central differences
+        # G' = (i m/2) F, G' by central differences
         m, z, h = 1.2, 0.8 + 0.3j, 1e-6
         fd = (scalar_FG(z + h, m)[1] - scalar_FG(z - h, m)[1]) / (2.0 * h)
-        assert scalar_G_derivative(z, m) == pytest.approx(fd, rel=FD_REL_TOL)
-        assert scalar_FG(z, m)[0] == pytest.approx(
-            2.0 / (1j * m) * scalar_G_derivative(z, m), rel=1e-12)
+        assert 0.5j * m * scalar_FG(z, m)[0] == pytest.approx(
+            fd, rel=FD_REL_TOL)
+
+
+class TestColumnPartial:
+    @staticmethod
+    def _displacements():
+        rng = np.random.default_rng(21)
+        xi = rng.normal(size=(40, 4))
+        xi[:20, 0] = np.abs(xi[:20, 0])      # future and past
+        xi[20:, 0] = -np.abs(xi[20:, 0])
+        return xi
+
+    def test_column_is_kernel_column(self):
+        xi = self._displacements()
+        params = RegKernelParams(1.0, 0.1)
+        mats = kernel_matrix_batch(xi, params)
+        for mu in range(4):
+            col, _ = kernel_column_partial(xi, mu, 0, params)
+            assert np.max(np.abs(col - mats[..., mu])) \
+                <= 1e-14 * np.max(np.abs(mats))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_partial_matches_central_differences(self, eps):
+        # fourth-order central differences of kernel_matrix_batch
+        xi = self._displacements()
+        params = RegKernelParams(1.0, eps)
+        h = 1e-4
+
+        def column(pts, mu):
+            return kernel_matrix_batch(pts, params)[..., mu]
+
+        for mu in range(4):
+            for k in range(4):
+                e = np.zeros(4)
+                e[k] = h
+                fd = (8.0 * (column(xi + e, mu) - column(xi - e, mu))
+                      - column(xi + 2 * e, mu) + column(xi - 2 * e, mu)) \
+                    / (12.0 * h)
+                _, dcol = kernel_column_partial(xi, mu, k, params)
+                rel = np.linalg.norm(dcol - fd, axis=-1) \
+                    / np.linalg.norm(fd, axis=-1)
+                assert np.max(rel) <= 1e-8
 
 
 class TestClosedForm:
