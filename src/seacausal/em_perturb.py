@@ -302,16 +302,17 @@ def calibrate_green(params: RegKernelParams):
     z = np.array([-0.3, 0.1, 0.0, -0.2])
     mu = 1
     src = _frame_source(a, z, mu, params)
-    gp_a = GreenParams(1.0, 0.0)
-    gp_b = GreenParams(0.0, 1.0)
+    # unit constants: each basis field is one part of S at weight 1
+    unit = GreenParams(1.0, 1.0)
 
     cols_a, cols_b, rhs = [], [], []
     for x in a.center + _CALIB_OFFSETS:
         def phi_a(pt, win=None):
-            return convolve_S(pt, src, m, gp_a, a.center, a.radius, win)
+            return convolve_surface(pt, src, unit, a.center, a.radius, win)
 
         def phi_b(pt, win=None):
-            return convolve_S(pt, src, m, gp_b, a.center, a.radius, win)
+            return convolve_volume(pt, src, m, unit, a.center, a.radius,
+                                   win)
 
         cols_a.append(_box_plus_m2(phi_a, x, m, _CALIB_STEP))
         cols_b.append(_box_plus_m2(phi_b, x, m, _CALIB_STEP))

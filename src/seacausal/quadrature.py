@@ -2,10 +2,22 @@
 
 All integrands depend on the displacement only through (t, r) =
 (xi^0, |xi_vec|) and are even in t, so integrals over R^4 reduce to
-2 * int dt int dr 4 pi r^2 (...) on the quarter plane.  The interior is
-handled by adaptive Gauss-Kronrod panels; the exterior by a directly
-integrated extension zone plus empirically fitted exponential remainders
-(fitted constants are inflated 2x and recorded in the report).
+2 * int dt int dr 4 pi r^2 (...) on the quarter plane.  The interior
+[0, T] x [0, R] takes half the tolerance budget tol * |value| in
+adaptive Gauss-Kronrod panels.
+
+The exterior is two extension zones out to (4T, Rbig) plus exponential
+closures beyond them.  The integrands decay away from a ridge of width
+about eps along the light cone r = t, so each zone is integrated in
+light-cone coordinates (t, u = r - t), with u-breakpoints at 0 and
++-delta (delta proportional to T): the ridge lies along a panel edge,
+where a (t, r) panel would straddle it with its sparse nodes.  Each zone
+runs tolerance-driven on a fixed private share of the budget, and its
+error estimate is counted into the tail bound with its value.  The
+closures are fitted to sampled cross-sections and inflated 2x (their
+constants are recorded in the report); they are estimates, not proofs.
+All tail geometry scales with T, so the integrals are covariant under
+the mass scaling (m, eps, T, R) -> (s m, eps / s, T / s, R / s).
 
 Also houses the light-cone region decomposition C0, C1+, C1-, C2, the
 exact decay exponent Re sqrt(-xi_eps^2), and its proof-level lower
@@ -25,6 +37,9 @@ from . import chain, gk, kernel
 
 # tail samples below this are numerically extinguished (near-subnormal)
 _TAIL_FLOOR = 1e-280
+# share of the certified budget tol * |value| given to each tail extension
+# zone as its absolute tolerance (the interior takes half the budget)
+_TAIL_ZONE_SHARE = 0.01
 
 
 class QuadratureError(RuntimeError):
@@ -166,34 +181,69 @@ def _fit_exp(xs, ys):
     return float(coef[1]), float(-coef[0])
 
 
-def _tail_estimate(f, T: float, R: float, lam: float, max_panels: int = 800):
+def _cone_coordinates(f, r_lo: float, r_hi: float):
+    """f in light-cone coordinates (t, u = r - t), zero for r outside
+    [r_lo, r_hi] (the change of variables has unit Jacobian)."""
+    def g(t, u):
+        r = t + u
+        keep = (r >= r_lo) & (r <= r_hi)
+        vals = f(t[keep], r[keep])
+        out = np.zeros((t.size,) + vals.shape[1:], dtype=vals.dtype)
+        out[keep] = vals
+        return out
+    return g
+
+
+def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
+                   max_panels: int = 800):
     """Integral of f over the exterior of [0,T]x[0,R] (t >= 0 quarter).
 
-    Directly integrates the extension zone out to (4T, Rbig) and closes
-    the ends with fitted exponential envelopes (inflated 2x).
-    Returns (tail, info_dict).
+    Two extension zones are integrated directly: [T, 4T] x [0, Rbig]
+    (the t-zone) and [0, T] x [R, Rbig] (the r-zone).  Each runs in
+    light-cone coordinates (t, u = r - t) over the u-range of its
+    rectangle, with r outside the rectangle masked to 0, split at the
+    breakpoints u = -delta, 0, +delta (delta = T/40) that fall inside
+    it, so the ridge along the cone is a strip edge.  Each zone gets the
+    absolute tolerance tol_abs, shared evenly among its strips, and
+    contributes value + error estimate.  Beyond the zones, fitted
+    exponential envelopes (inflated 2x) close the ends.
+
+    Every length (Rbig, the sample ranges, delta) scales with T.
+    Returns (tail, info_dict); info carries each zone's value and error,
+    the fitted closures and the 2-D and 1-D panel counts.
     """
     fs = _scalar_integrand(f)
     T2 = 4.0 * T
-    Rbig = max(4.0 * R, T2 / lam + 2.0)
+    # margins of 2, 5 and 1 at the default T = 40, scaled with T
+    Rbig = max(4.0 * R, T2 / lam + T / 20.0)
+    delta = T / 40.0
 
-    z1 = z2 = 0.0
-    if T2 > T:
-        v, _, _ = gk.integrate_2d(f, (T, T2, 0.0, Rbig), tol_abs=0.0,
-                                  max_panels=max_panels)
-        z1 = float(v[0])
-    v, _, _ = gk.integrate_2d(f, (0.0, T, R, Rbig), tol_abs=0.0,
-                              max_panels=max_panels)
-    z2 = float(v[0])
+    zones = {"t": (T, T2, 0.0, Rbig), "r": (0.0, T, R, Rbig)}
+    zone_val, zone_err = {}, {}
+    panels_2d = panels_1d = 0
+    for key, (t0, t1, r0, r1) in zones.items():
+        g = _cone_coordinates(f, r0, r1)
+        u_lo, u_hi = r0 - t1, r1 - t0
+        cuts = [u for u in (-delta, 0.0, delta) if u_lo < u < u_hi]
+        edges = [u_lo] + cuts + [u_hi]
+        share = tol_abs / (len(edges) - 1)
+        zone_val[key] = zone_err[key] = 0.0
+        for u0, u1 in zip(edges[:-1], edges[1:]):
+            v, err, n = gk.integrate_2d(g, (t0, t1, u0, u1), tol_abs=share,
+                                        max_panels=max_panels)
+            zone_val[key] += float(v[0])
+            zone_err[key] += err
+            panels_2d += n
 
     # along-cone closure beyond t = 4T: s(t) ~ A exp(-k sqrt(t))
     ts = T2 * np.array([1.0, 1.3, 1.6, 2.0])
     svals = []
     for tj in ts:
-        val, _, _ = gk.integrate_1d(
+        val, _, n = gk.integrate_1d(
             lambda r, tj=tj: fs(np.full_like(r, tj), r),
-            0.0, tj / lam + 5.0, tol_abs=0.0, max_panels=40)
+            0.0, tj / lam + T / 8.0, tol_abs=0.0, max_panels=40)
         svals.append(max(float(np.real(val)), 0.0))
+        panels_1d += n
     c_t, k_t = _fit_exp(np.sqrt(ts), svals)
     if k_t > 0 and np.isfinite(k_t):
         # int_{4T}^inf A e^{-k sqrt t} dt = 2 A e^{-k s0}(s0/k + 1/k^2)
@@ -208,10 +258,11 @@ def _tail_estimate(f, T: float, R: float, lam: float, max_panels: int = 800):
     rs = Rbig * np.array([1.0, 1.05, 1.1, 1.2])
     qvals = []
     for rj in rs:
-        val, _, _ = gk.integrate_1d(
+        val, _, n = gk.integrate_1d(
             lambda t, rj=rj: fs(t, np.full_like(t, rj)),
             0.0, T2, tol_abs=0.0, max_panels=40)
         qvals.append(max(float(np.real(val)), 0.0))
+        panels_1d += n
     c_r, k_r = _fit_exp(rs, qvals)
     if k_r > 0 and np.isfinite(k_r):
         rem_r = np.exp(c_r - k_r * Rbig) / k_r
@@ -220,11 +271,15 @@ def _tail_estimate(f, T: float, R: float, lam: float, max_panels: int = 800):
     else:
         rem_r = np.inf
 
-    tail = z1 + z2 + 2.0 * (rem_t + rem_r)
-    info = {"tail_zone_t": z1, "tail_zone_r": z2,
+    tail = sum(zone_val.values()) + sum(zone_err.values()) \
+        + 2.0 * (rem_t + rem_r)
+    info = {"tail_zone_t": zone_val["t"], "tail_zone_r": zone_val["r"],
+            "tail_zone_err_t": zone_err["t"],
+            "tail_zone_err_r": zone_err["r"],
             "tail_fit_logA_t": c_t, "tail_fit_k_t": k_t,
             "tail_fit_logA_r": c_r, "tail_fit_k_r": k_r,
-            "tail_rem_t": 2.0 * rem_t, "tail_rem_r": 2.0 * rem_r}
+            "tail_rem_t": 2.0 * rem_t, "tail_rem_r": 2.0 * rem_r,
+            "tail_panels_2d": panels_2d, "tail_panels_1d": panels_1d}
     return tail, info
 
 
@@ -238,6 +293,7 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     f = _integrand_factory(kind, params, eps_chain)
 
     value = None
+    tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
         vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
                                      max_panels=64)
@@ -245,7 +301,10 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
         vvec, err, count = gk.integrate_2d(
             f, (0.0, T, 0.0, R), tol_abs=0.5 * tol * scale,
             max_panels=max_panels)
-        tail, tail_info = _tail_estimate(f, T, R, lam)
+        tail, tail_info = _tail_estimate(f, T, R, lam,
+                                         _TAIL_ZONE_SHARE * tol * scale)
+        for key in tail_panels:
+            tail_panels[key] += tail_info[key]
         value = 2.0 * float(np.real(vvec[0]))
         err_total = 2.0 * float(err)
         tail_total = 2.0 * float(tail)
@@ -258,7 +317,8 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     else:
         raise QuadratureError("interior+tail did not reach tolerance")
 
-    extras = dict(tail_info)
+    # panel counts are summed over all attempts; the rest is the last one's
+    extras = dict(tail_info, **tail_panels, attempts=attempt + 1)
     if kind == "lagrangian":
         extras["int_lambda_plus_sq"] = 2.0 * float(np.real(vvec[1]))
         extras["int_lambda_minus_sq"] = 2.0 * float(np.real(vvec[2]))

@@ -182,6 +182,33 @@ class TestCertifiedIntegrals:
         coarse = integrate_p4(RegKernelParams(1.0, 0.2), tol=INTEGRAL_TOL)
         assert coarse.value < FROZEN_P4
 
+    def test_report_counts_attempts_and_tail_panels(self):
+        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
+        assert rep.extras["attempts"] == 1
+        # two extension zones in light-cone strips, not two 800-panel caps
+        assert rep.extras["tail_panels_2d"] < 50
+        assert rep.extras["tail_panels_1d"] > 0
+        # the zones' error estimates count in the bound with their values
+        parts = sum(rep.extras[k] for k in (
+            "tail_zone_t", "tail_zone_r", "tail_zone_err_t",
+            "tail_zone_err_r", "tail_rem_t", "tail_rem_r"))
+        assert rep.extras["tail_zone_err_t"] > 0.0
+        assert rep.tail_bound == pytest.approx(2.0 * parts, rel=1e-12)
+
+    @pytest.mark.parametrize("integrate", [integrate_p4,
+                                           integrate_lagrangian])
+    def test_mass_scaling_covariance(self, integrate):
+        # P_m^eps(xi) = m^3 P_1^{m eps}(m xi), so at (m, eps/m, T/m, R/m)
+        # the integrals are m^8 times the m = 1 ones; powers of two keep
+        # every node and Bessel argument exact
+        base = integrate(PARAMS, tol=INTEGRAL_TOL)
+        for m in (0.5, 2.0, 4.0):
+            rep = integrate(RegKernelParams(m, PARAMS.eps / m),
+                            tol=INTEGRAL_TOL, T=40.0 / m, R=48.0 / m)
+            assert rep.value == m ** 8 * base.value
+            assert rep.tail_bound == pytest.approx(m ** 8 * base.tail_bound,
+                                                   rel=1e-12, abs=0.0)
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             integrate_p4(PARAMS, tol=0.0)
@@ -189,6 +216,27 @@ class TestCertifiedIntegrals:
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
             ell_varied(-0.2, PARAMS)
+
+
+class TestTailZones:
+    @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_light_cone_zone_matches_rectangle(self, kind, eps):
+        T, R, lam = 40.0, 48.0, 0.85
+        f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
+        vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
+                                     max_panels=64)
+        tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
+            * abs(float(vest[0]))
+        _, info = quadrature._tail_estimate(f, T, R, lam, tol_abs)
+        # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
+        rbig = max(4.0 * R, 4.0 * T / lam + T / 20.0)
+        old, old_err, _ = gk.integrate_2d(f, (T, 4.0 * T, 0.0, rbig),
+                                          tol_abs=0.0, max_panels=800)
+        assert abs(info["tail_zone_t"] - float(old[0])) \
+            <= info["tail_zone_err_t"] + old_err
+        assert info["tail_zone_err_t"] <= tol_abs
+        assert info["tail_panels_2d"] < 50
 
 
 class TestMonteCarlo:
