@@ -55,28 +55,30 @@ def _unstack(a):
 
 class CfsOperator:
     """Hermitian matrix, or stack of them, with at most n positive and n
-    negative eigenvalues each.  Raises if any item is not Hermitian
-    (ValueError) or exceeds the signature (SignatureError)."""
+    negative eigenvalues each.  Raises if any item is not finite or not
+    Hermitian (ValueError) or exceeds the signature (SignatureError)."""
 
     def __init__(self, matrix, n: int):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
             raise ValueError("matrix must be square")
-        scale = np.maximum(_op_norm(matrix), 1.0)
-        asym = np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1))
-        if np.any(asym > _HERMITIAN_TOL * scale):
-            raise ValueError("matrix not Hermitian")
         if n < 1:
             raise ValueError("n must be >= 1")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix not finite")
         self.matrix = 0.5 * (matrix + _adjoint(matrix))
         self.n = n
         self.dim = matrix.shape[-1]
         self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
-        self._zero_tol = _EIG_ZERO_TOL * (
-            1.0 + np.max(np.abs(self.eigvals), axis=-1, initial=0.0))
-        tol = self._zero_tol[..., None]
-        self._n_neg = np.sum(self.eigvals < -tol, axis=-1)
-        self._n_pos = np.sum(self.eigvals > tol, axis=-1)
+        # ||(A + A^dag)/2|| <= ||A||: scaling by the symmetrised matrix's
+        # largest |eigenvalue| is never looser than by ||A||, and costs no
+        # decomposition beyond the eigh above
+        scale = np.maximum(
+            np.max(np.abs(self.eigvals), axis=-1, initial=0.0), 1.0)
+        asym = np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1))
+        if np.any(asym > _HERMITIAN_TOL * scale):
+            raise ValueError("matrix not Hermitian")
+        self._count_signs()
         bad = (self._n_neg > n) | (self._n_pos > n)
         if np.any(bad):
             i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -84,6 +86,14 @@ class CfsOperator:
                 "signature (%d, %d) exceeds (n, n) = (%d, %d)%s"
                 % (self._n_neg[i], self._n_pos[i], n, n,
                    " at stack index %s" % (i,) if i else ""))
+
+    def _count_signs(self) -> None:
+        """Zero tolerance and eigenvalue sign counts from `eigvals`."""
+        self._zero_tol = _EIG_ZERO_TOL * (
+            1.0 + np.max(np.abs(self.eigvals), axis=-1, initial=0.0))
+        tol = self._zero_tol[..., None]
+        self._n_neg = np.sum(self.eigvals < -tol, axis=-1)
+        self._n_pos = np.sum(self.eigvals > tol, axis=-1)
 
     def __getitem__(self, index) -> CfsOperator:
         """The operators at `index` of the stack dimensions."""
@@ -172,11 +182,22 @@ def _nonzero(x: CfsOperator) -> np.ndarray:
 
 
 def gen_inverse(x: CfsOperator) -> CfsOperator:
-    """Inverse on the range, zero on its orthogonal complement."""
+    """Inverse on the range, zero on its orthogonal complement.
+
+    The result reuses x's eigenvectors: its eigenvalues are the
+    reciprocal nonzero eigenvalues of x (zero on the kernel), re-sorted
+    ascending as `eigh` would return them, so no decomposition runs."""
     nonzero = _nonzero(x)
     inv = np.where(nonzero, 1.0 / np.where(nonzero, x.eigvals, 1.0), 0.0)
     g = (x.eigvecs * inv[..., None, :]) @ _adjoint(x.eigvecs)
-    return CfsOperator(g, x.n)
+    order = np.argsort(inv, axis=-1, kind="stable")
+    out = object.__new__(CfsOperator)
+    out.n, out.dim = x.n, x.dim
+    out.matrix = 0.5 * (g + _adjoint(g))
+    out.eigvals = np.take_along_axis(inv, order, axis=-1)
+    out.eigvecs = np.take_along_axis(x.eigvecs, order[..., None, :], axis=-1)
+    out._count_signs()
+    return out
 
 
 def range_projection(x: CfsOperator) -> np.ndarray:

@@ -111,6 +111,23 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
+def _scan_lines(ts, rs, a, b, cls, lag):
+    """cone-scan CSV lines, t outer and r inner, streamed.
+
+    Each distinct t and r is formatted once.  No field can need quoting
+    (floats by repr, one-letter class codes), so the joined lines are the
+    bytes `csv.writer` would write."""
+    r_txt = [repr(r) for r in rs.tolist()]
+    cells = zip(map(repr, a.tolist()), map(repr, b.tolist()), cls.tolist(),
+                map(repr, lag.tolist()))
+    for t in ts.tolist():
+        lead = "%s,%r," % (SCHEMA_VERSION, t)
+        # zip asks r_txt first, so it stops without taking the next row's
+        # cells
+        for r, cell in zip(r_txt, cells):
+            yield lead + r + ",%s,%s,%s,%s\n" % cell
+
+
 def cmd_cone_scan(args) -> int:
     cfg = _config_from_args(args)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
@@ -121,12 +138,14 @@ def cmd_cone_scan(args) -> int:
     a, b = chain.invariants_from_radial(
         tt.ravel(), rr.ravel(), 2.0 * cfg.epsilon, cfg.mass)
     header = ["schema_version", "t", "r", "a", "b", "class", "lagrangian"]
-    cols = (tt.ravel().tolist(), rr.ravel().tolist(), a.tolist(), b.tolist(),
-            chain.class_codes(a, b).tolist(),
-            chain.lagrangian_of_b(b).tolist())
-    rows = ([SCHEMA_VERSION, repr(t), repr(r), repr(ai), repr(bi), cls,
-             repr(lag)] for t, r, ai, bi, cls, lag in zip(*cols))
-    _write_rows(cfg.output_path, header, rows)
+    fh, close = _open_output(cfg.output_path)
+    try:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_scan_lines(ts, rs, a, b, chain.class_codes(a, b),
+                                  chain.lagrangian_of_b(b)))
+    finally:
+        if close:
+            fh.close()
     return EXIT_OK
 
 

@@ -267,38 +267,73 @@ def _blocks(n_pairs):
             for i in range(0, n_pairs, _ABSTRACT_BLOCK)]
 
 
+def _hermitian_norm(a):
+    """Spectral norm of each Hermitian matrix of a stack: the largest
+    |eigenvalue|, which needs no SVD."""
+    return np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+
+
+def _near_equal(pairs, rng):
+    """Make the second member of the first half of the pairs a small
+    perturbation of the first: a copy of the first plus the drawn second
+    member scaled to a relative (Frobenius) size log-uniform in
+    [1e-8, 1e-1].  Returns the number of pairs changed."""
+    h = pairs.shape[0] // 2
+    base, step = pairs[:h, 0], pairs[:h, 1]
+    size = 10.0 ** rng.uniform(-8.0, -1.0, h)
+    pairs[:h, 1] = base + step * (size * np.linalg.norm(base, axis=(-2, -1))
+                                  / np.linalg.norm(step, axis=(-2, -1))
+                                  )[:, None, None]
+    return h
+
+
 def suite_abstract(seed=12345, n_pairs=10000):
     rng = np.random.default_rng(seed)
     out = []
     n, dim = 2, 8
 
-    # the Lipschitz excesses start at -inf: a negative maximum is the margin
-    worst = -np.inf
+    # Weyl and Mirsky bound each spectral shift by ||delta||: the largest
+    # ratio is the margin.  Half of each block's pairs are nearly equal,
+    # where an ordering or padding slip would show as a ratio far above 1.
+    # The pass rule is the absolute excess |shift| - ||delta|| <= 1e-12.
+    worst, ratio, near = -np.inf, 0.0, 0
     for k in _blocks(n_pairs):
-        pairs = abstract_cfs.random_regular_operator(n, dim, rng, (k, 2))
+        # the draw of random_regular_operator(n, dim, rng, (k, 2)); the
+        # near-equal pairs perturb B rank-preservingly, B -> B + E, as a
+        # full-rank Hermitian delta would leave the signature
+        g = rng.normal(size=(k, 2, 2, 2 * n, dim))
+        b = g[:, :, 0] + 1j * g[:, :, 1]
+        near += _near_equal(b, rng)
+        pairs = abstract_cfs.indefinite_gram(b, n)
         spec = abstract_cfs.ordered_spectrum(pairs)
-        d = np.linalg.norm(pairs.matrix[:, 0] - pairs.matrix[:, 1], 2,
-                           axis=(-2, -1))
-        dev = np.max(np.abs(spec[:, 0] - spec[:, 1]), axis=-1) - d
-        worst = max(worst, float(np.max(dev)))
+        d = _hermitian_norm(pairs.matrix[:, 0] - pairs.matrix[:, 1])
+        gap = np.max(np.abs(spec[:, 0] - spec[:, 1]), axis=-1)
+        worst = max(worst, float(np.max(gap - d)))
+        ratio = max(ratio, float(np.max(gap / d)))
     out.append(("eigenvalue_lipschitz", worst <= 1e-12,
-                "max excess %.2e over %d pairs" % (worst, n_pairs)))
+                "max |dspec|/||delta|| %.4f over %d pairs, %d near-equal"
+                % (ratio, n_pairs, near)))
 
-    worst = -np.inf
+    worst, ratio, near = -np.inf, 0.0, 0
     for k in _blocks(n_pairs):
         g = rng.normal(size=(k, 2, 2, 6, 6))
         st = g[:, :, 0] + 1j * g[:, :, 1]          # pairs (s, t)
+        near += _near_equal(st, rng)
         sv = np.linalg.svd(st, compute_uv=False)
         d = np.linalg.norm(st[:, 0] - st[:, 1], 2, axis=(-2, -1))
-        dev = np.max(np.abs(sv[:, 0] - sv[:, 1]), axis=-1) - d
-        worst = max(worst, float(np.max(dev)))
+        gap = np.max(np.abs(sv[:, 0] - sv[:, 1]), axis=-1)
+        worst = max(worst, float(np.max(gap - d)))
+        ratio = max(ratio, float(np.max(gap / d)))
     out.append(("singular_value_lipschitz", worst <= 1e-12,
-                "max excess %.2e" % worst))
+                "max |dsv|/||delta|| %.4f over %d pairs, %d near-equal"
+                % (ratio, n_pairs, near)))
 
     # rank-preserving perturbations: x = -B^dag J B becomes
     # y = -(B+E)^dag J (B+E).  A full-rank Hermitian delta would lift the
     # kernel of x and leave the signature, so no pair would be checked.
-    worst, checked = -np.inf, 0
+    # The excess lhs - rhs tends to 0 with ||delta||, so the margin shown
+    # is the largest ratio lhs/rhs.
+    worst, ratio, checked = -np.inf, 0.0, 0
     for k in _blocks(n_pairs):
         g = rng.normal(size=(2, 2, k, 2 * n, dim))
         b, e = g[:, 0] + 1j * g[:, 1]
@@ -312,16 +347,15 @@ def suite_abstract(seed=12345, n_pairs=10000):
               / np.linalg.norm(e, 2, axis=(-2, -1)))[:, None, None]
         y = abstract_cfs.indefinite_gram(b + e, n)
         regular = abstract_cfs.is_regular(y)
-        lhs = np.linalg.norm(abstract_cfs.gen_inverse(y).matrix - gx.matrix,
-                             2, axis=(-2, -1))
-        rhs = 6.0 * gx.norm() ** 2 * np.linalg.norm(y.matrix - x.matrix, 2,
-                                                    axis=(-2, -1))
+        lhs = _hermitian_norm(abstract_cfs.gen_inverse(y).matrix - gx.matrix)
+        rhs = 6.0 * gx.norm() ** 2 * _hermitian_norm(y.matrix - x.matrix)
         worst = max(worst, float(np.max((lhs - rhs)[regular],
                                         initial=-np.inf)))
+        ratio = max(ratio, float(np.max((lhs / rhs)[regular], initial=0.0)))
         checked += int(np.sum(regular))
     out.append(("gen_inverse_lipschitz", checked > 0 and worst <= 1e-10,
-                "max excess %.2e over %d/%d pairs"
-                % (worst, checked, n_pairs)))
+                "max lhs/rhs %.4f over %d/%d pairs"
+                % (ratio, checked, n_pairs)))
 
     zero = abstract_cfs.make_operator(np.zeros((dim, dim)), n)
     dev = 0.0

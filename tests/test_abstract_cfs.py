@@ -6,8 +6,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from seacausal import verify
-from seacausal.abstract_cfs import (CfsOperator, RegularityError,
-                                    SignatureError, abstract_lagrangian,
+from seacausal.abstract_cfs import (_HERMITIAN_TOL, CfsOperator,
+                                    RegularityError, SignatureError,
+                                    abstract_lagrangian,
                                     admissibility_bounds,
                                     causal_classify_abstract, chain_spectrum,
                                     enumeration_match, faithful_frame,
@@ -360,13 +361,103 @@ class TestStacks:
         assert not isinstance(err.value, SignatureError)
 
 
+def _skewed(h, factor):
+    """h plus an anti-Hermitian part whose |m - m^dag| peaks at
+    factor * _HERMITIAN_TOL * max(||h||, 1)."""
+    scale = max(np.linalg.norm(h, 2), 1.0)
+    skew = np.zeros_like(h)
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    return h + 0.5 * factor * _HERMITIAN_TOL * scale * skew
+
+
+class TestHermitianCheck:
+    """The tolerance scales with the symmetrised item's norm, floored
+    at 1."""
+
+    @pytest.mark.parametrize("size", [1.0, 1e-3])
+    def test_one_matrix(self, size):
+        h = size * random_regular_operator(
+            2, 6, np.random.default_rng(63)).matrix
+        # above 1 the scale is ||h||, below it the floor 1
+        assert (np.linalg.norm(h, 2) > 1.0) == (size == 1.0)
+        make_operator(_skewed(h, 0.5), 2)
+        with pytest.raises(ValueError) as err:
+            make_operator(_skewed(h, 2.0), 2)
+        assert not isinstance(err.value, SignatureError)
+
+    def test_stack_item(self):
+        stack, _ = TestStacks.pairs(count=5)
+        mats = stack.matrix.copy()
+        # the smallest item, so a stack-wide scale would hide it
+        i = np.unravel_index(np.argmin(stack.norm()), stack.norm().shape)
+        mats[i] = _skewed(mats[i], 0.5)
+        make_operator(mats, 2)
+        mats[i] = _skewed(stack.matrix[i], 2.0)
+        with pytest.raises(ValueError) as err:
+            make_operator(mats, 2)
+        assert not isinstance(err.value, SignatureError)
+
+    def test_not_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_operator(np.diag([1.0, bad]), 1)
+
+
+class TestGenInverseEigenData:
+    """gen_inverse reuses its argument's eigenvectors; its eigen data
+    must be what eigh of its matrix would give."""
+
+    @staticmethod
+    def cases():
+        stack, _ = TestStacks.pairs()
+        zero = make_operator(np.zeros((6, 6)), 2)
+        yield stack
+        yield zero
+        yield make_operator(np.zeros((4, 4)), 1)
+        for eps in (0.5, 1e-4):
+            yield regular_perturbation(zero, eps, seed=4)
+        yield regular_perturbation(
+            make_operator(np.diag([2.0, 0.0, 0.0, -0.5, 0.0]), 2), 0.1,
+            seed=5)
+
+    def test_matches_eigh(self):
+        for x in self.cases():
+            g = gen_inverse(x)
+            assert np.array_equal(g.matrix, g.matrix.conj().swapaxes(-1, -2))
+            assert np.all(np.diff(g.eigvals, axis=-1) >= 0.0)
+            tol = 1e-12 * (1.0 + np.linalg.norm(g.matrix, 2, axis=(-2, -1)))
+            ref = np.linalg.eigh(g.matrix)[0]
+            assert np.all(np.max(np.abs(g.eigvals - ref), axis=-1) <= tol)
+            vecs = g.eigvecs
+            diag = vecs.conj().swapaxes(-1, -2) @ g.matrix @ vecs
+            eye = np.eye(g.dim)
+            resid = np.abs(diag - g.eigvals[..., None] * eye)
+            assert np.all(np.max(resid, axis=(-2, -1)) <= tol)
+            assert np.array_equal(signature(g), signature(x))
+            assert np.array_equal(signature(g),
+                                  signature(make_operator(g.matrix, x.n)))
+            assert np.array_equal(is_regular(g), is_regular(x))
+
+    def test_stack_matches_items(self):
+        stack, single = TestStacks.pairs()
+        g = gen_inverse(stack)
+        for name in ("matrix", "eigvals", "eigvecs"):
+            ref = [[getattr(gen_inverse(op), name) for op in pair]
+                   for pair in single]
+            assert np.array_equal(getattr(g, name), ref)
+
+
 def test_verify_abstract_reports_margins():
     results = verify.suite_abstract(seed=3, n_pairs=300)
     assert all(type(ok) is bool and ok for _, ok, _ in results)
-    details = {name: detail for name, _, detail in results}
-    for name in ("eigenvalue_lipschitz", "singular_value_lipschitz",
-                 "gen_inverse_lipschitz"):
-        excess = float(details[name].split()[2])
-        assert excess < 0.0, details[name]
-    checked = details["gen_inverse_lipschitz"].split()[4].split("/")[0]
-    assert int(checked) > 0
+    words = {name: detail.split() for name, _, detail in results}
+    # "max |dspec|/||delta|| R over N pairs, H near-equal": Weyl and
+    # Mirsky bound the ratio by 1
+    for name in ("eigenvalue_lipschitz", "singular_value_lipschitz"):
+        assert 0.0 < float(words[name][2]) < 1.0, words[name]
+        assert words[name][4] == "300" and words[name][6] == "150"
+    # "max lhs/rhs R over C/N pairs"
+    detail = words["gen_inverse_lipschitz"]
+    assert 0.0 < float(detail[2]) < 1.0, detail
+    checked, total = detail[4].split("/")
+    assert 0 < int(checked) <= int(total) == 300

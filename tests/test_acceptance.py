@@ -63,8 +63,9 @@ class TestAcceptance:
         assert_all_pass(results)
 
     def test_6_abstract_operator_suite(self):
-        results, _ = run_suite_timed("abstract")
+        results, elapsed = run_suite_timed("abstract")
         assert_all_pass(results)
+        assert elapsed <= 120.0
 
     def test_7_variation_and_holder(self):
         results, _ = run_suite_timed("variation")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from seacausal import cli, em_perturb
-from seacausal.chain import classify_invariants, invariants_from_radial
+from seacausal.chain import (class_codes, classify_invariants,
+                             invariants_from_radial, lagrangian_of_b)
 from seacausal.config import ConfigError, RunConfig, load_config, \
     parse_config_file
 
@@ -142,6 +143,34 @@ class TestConeScanCommand:
         assert {row[5] for row in rows} == {"T", "S", "L"}
         assert "0.0" in {row[1] for row in rows}
         assert "0.0" in {row[2] for row in rows}
+
+    def test_bytes_match_csv_writer(self, tmp_path, capsys):
+        # the default grid's range at eps = 0.05: t = 0 and r = 0 lie on
+        # it, and it crosses the lightlike band
+        argv = ["cone-scan", "--epsilon", "0.05", "--t-steps", "21",
+                "--r-steps", "31"]
+        path = tmp_path / "scan.csv"
+        assert cli.main(argv + ["-o", str(path)]) == 0
+        tt, rr = np.meshgrid(np.linspace(-2.0, 2.0, 21),
+                             np.linspace(0.0, 2.0, 31), indexing="ij")
+        a, b = invariants_from_radial(tt.ravel(), rr.ravel(), 0.1, 1.0)
+        classes = class_codes(a, b).tolist()
+        assert {"T", "S", "L"} <= set(classes)
+        assert 0.0 in tt and 0.0 in rr
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["schema_version", "t", "r", "a", "b", "class",
+                         "lagrangian"])
+        for t, r, ai, bi, cls, lag in zip(
+                tt.ravel().tolist(), rr.ravel().tolist(), a.tolist(),
+                b.tolist(), classes, lagrangian_of_b(b).tolist()):
+            writer.writerow(["1", repr(t), repr(r), repr(ai), repr(bi), cls,
+                             repr(lag)])
+        expected = ref.getvalue().encode("utf-8")
+        assert path.read_bytes() == expected
+        capsys.readouterr()
+        assert cli.main(argv + ["-o", "-"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 class TestIntegrateCommand:
