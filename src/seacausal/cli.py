@@ -130,6 +130,8 @@ def _scan_lines(ts, rs, a, b, cls, lag):
 
 def cmd_cone_scan(args) -> int:
     cfg = _config_from_args(args)
+    if args.t_steps < 1 or args.r_steps < 1:
+        raise ConfigError("--t-steps and --r-steps must be at least 1")
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
     if ts.size * rs.size > 10 ** 7:

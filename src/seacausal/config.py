@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .quadrature import check_region_lambda
@@ -24,6 +25,10 @@ class RunConfig:
     output_path: str = "-"
 
     def validate(self) -> "RunConfig":
+        for key in ("mass", "epsilon", "quad_rel_tol", "truncation_T",
+                    "truncation_R"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError("%s must be finite" % key)
         if not self.mass > 0:
             raise ConfigError("mass must be positive")
         if not self.epsilon > 0:

@@ -295,12 +295,15 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     value = None
     tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
+        # the capped probe fixes the tolerance scale; its splits are the
+        # tolerance pass's first, so the two share their panels
+        panels = {}
         vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
-                                     max_panels=64)
+                                     max_panels=64, cache=panels)
         scale = max(abs(float(np.real(vest[0]))), 1e-300)
         vvec, err, count = gk.integrate_2d(
             f, (0.0, T, 0.0, R), tol_abs=0.5 * tol * scale,
-            max_panels=max_panels)
+            max_panels=max_panels, cache=panels)
         tail, tail_info = _tail_estimate(f, T, R, lam,
                                          _TAIL_ZONE_SHARE * tol * scale)
         for key in tail_panels:

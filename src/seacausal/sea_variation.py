@@ -155,11 +155,15 @@ def l1_frame_norms(params: RegKernelParams, radius: float = 60.0,
         w = 2.0 * np.pi * r * r * st
         return w[:, None] * colnorm
 
+    # the capped probe fixes the tolerance scale and shares its panels
+    # with the tolerance pass, which starts with the same splits
+    panels = {}
     vest, _, _ = gk.integrate_2d(integrand, (0.0, radius, 0.0, np.pi),
-                                 tol_abs=0.0, max_panels=64)
+                                 tol_abs=0.0, max_panels=64, cache=panels)
     scale = float(np.max(np.abs(vest)))
     v, err, _ = gk.integrate_2d(integrand, (0.0, radius, 0.0, np.pi),
-                                tol_abs=tol * scale, max_panels=max_panels)
+                                tol_abs=tol * scale, max_panels=max_panels,
+                                cache=panels)
     if err > 10.0 * tol * scale:
         raise quadrature.QuadratureError("L1 frame-norm quadrature did not "
                                          "converge")

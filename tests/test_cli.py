@@ -38,6 +38,11 @@ class TestConfig:
             RunConfig(region_lambda=0.5).validate()
         with pytest.raises(ConfigError):
             RunConfig(quad_rel_tol=0.0).validate()
+        for key in ("mass", "epsilon", "quad_rel_tol", "truncation_T",
+                    "truncation_R"):
+            for bad in (float("inf"), float("nan")):
+                with pytest.raises(ConfigError, match=key):
+                    RunConfig(**{key: bad}).validate()
 
     def test_region_lambda_range(self):
         RunConfig(region_lambda=0.6).validate()
@@ -90,6 +95,15 @@ class TestKernelCommand:
         assert run_cli("kernel", "--xi", "a,b,c,d").returncode == 2
         assert run_cli("kernel", "--epsilon", "-1").returncode == 2
 
+    def test_non_finite_exit_codes(self):
+        assert run_cli("kernel", "--mass", "inf",
+                       "--xi", "1,0,0,0").returncode == 2
+        assert run_cli("kernel", "--epsilon", "nan",
+                       "--xi", "1,0,0,0").returncode == 2
+        for flag in ("--quad-rel-tol", "--truncation-T"):
+            res = run_cli("integrate", "p4", flag, "inf")
+            assert res.returncode == 2 and res.stdout == ""
+
     def test_unknown_config_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("masss = 2.0\n")
@@ -115,6 +129,12 @@ class TestConeScanCommand:
         res = run_cli("cone-scan", "--t-steps", "100000",
                       "--r-steps", "10000")
         assert res.returncode == 2
+
+    def test_steps_below_one(self):
+        for flag in ("--t-steps", "--r-steps"):
+            for bad in ("0", "-1"):
+                res = run_cli("cone-scan", flag, bad)
+                assert res.returncode == 2 and res.stdout == ""
 
     def test_determinism(self):
         args = ("cone-scan", "--t-steps", "5", "--r-steps", "5")
