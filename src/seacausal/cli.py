@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -88,9 +89,21 @@ def _parse_vec(text: str, length: int) -> np.ndarray:
         raise ConfigError("expected %d comma-separated numbers, got %r"
                           % (length, text))
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError("bad number in %r" % text) from exc
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError("non-finite number in %r" % text)
+    return vec
+
+
+def _check_finite(args, *names) -> None:
+    """Each named numeric option must be finite where it is given."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("--%s must be finite"
+                              % name.replace("_", "-"))
 
 
 def cmd_kernel(args) -> int:
@@ -130,6 +143,7 @@ def _scan_lines(ts, rs, a, b, cls, lag):
 
 def cmd_cone_scan(args) -> int:
     cfg = _config_from_args(args)
+    _check_finite(args, "t_min", "t_max", "r_min", "r_max")
     if args.t_steps < 1 or args.r_steps < 1:
         raise ConfigError("--t-steps and --r-steps must be at least 1")
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
@@ -161,6 +175,7 @@ def _report_row(rep: quadrature.QuadratureReport, timing: bool):
 
 def cmd_integrate(args) -> int:
     cfg = _config_from_args(args)
+    _check_finite(args, "lambda_var")
     params = RegKernelParams(cfg.mass, cfg.epsilon)
     kwargs = dict(tol=cfg.quad_rel_tol, lam=cfg.region_lambda,
                   T=cfg.truncation_T, R=cfg.truncation_R,
@@ -187,6 +202,9 @@ def cmd_holder(args) -> int:
         except ValueError as exc:
             raise ConfigError("bad number in --lambda-list %r"
                               % args.lambda_list) from exc
+        if not all(math.isfinite(v) for v in lam_list):
+            raise ConfigError("non-finite number in --lambda-list %r"
+                              % args.lambda_list)
     else:
         lam_list = [s * f * cfg.epsilon for f in (0.2, 0.1, 0.05, 0.025)
                     for s in (1, -1)]
@@ -201,6 +219,7 @@ def cmd_holder(args) -> int:
 
 def cmd_em(args) -> int:
     cfg = _config_from_args(args)
+    _check_finite(args, "radius", "amplitude", "alpha", "beta")
     params = RegKernelParams(cfg.mass, cfg.epsilon)
     pot = em_perturb.Potential(center=_parse_vec(args.center, 4),
                                radius=args.radius,

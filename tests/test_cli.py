@@ -104,6 +104,12 @@ class TestKernelCommand:
             res = run_cli("integrate", "p4", flag, "inf")
             assert res.returncode == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize("xi", ["inf,0,0,0", "0,nan,0,0", "0,0,-inf,0"])
+    def test_non_finite_xi_is_config_error(self, xi, capsys):
+        assert cli.main(["kernel", "--xi", xi]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite" in err
+
     def test_unknown_config_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("masss = 2.0\n")
@@ -135,6 +141,15 @@ class TestConeScanCommand:
             for bad in ("0", "-1"):
                 res = run_cli("cone-scan", flag, bad)
                 assert res.returncode == 2 and res.stdout == ""
+
+    @pytest.mark.parametrize("flag", ["--t-min", "--t-max", "--r-min",
+                                      "--r-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bounds_are_config_errors(self, flag, value, capsys):
+        assert cli.main(["cone-scan", "%s=%s" % (flag, value),
+                         "--t-steps", "2", "--r-steps", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
 
     def test_determinism(self):
         args = ("cone-scan", "--t-steps", "5", "--r-steps", "5")
@@ -215,6 +230,11 @@ class TestIntegrateCommand:
         assert run_cli("integrate", "p4", "--quad-rel-tol", "0")\
             .returncode == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_shift_is_config_error(self, value, capsys):
+        assert cli.main(["integrate", "ell", "--lambda-var", value]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestEmCommand:
     def test_exterior_point_flagged_and_zero(self):
@@ -238,6 +258,18 @@ class TestEmCommand:
         header, rows = parse_csv(path.read_text())
         assert dict(zip(header, rows[0]))["causal_flag"] == "causal_exterior"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--x", "nan,0,0,0"), ("--x", "0.2,inf,0,0"), ("--z1", "0,0,inf,0"),
+        ("--center", "1,0,nan,0"), ("--radius", "inf"),
+        ("--amplitude", "nan"), ("--alpha", "inf"), ("--beta", "-inf")])
+    def test_non_finite_input_is_config_error(self, flag, value, capsys):
+        argv = ["em", "%s=%s" % (flag, value)]
+        if flag != "--x":
+            argv += ["--x", "0.2,0,0,0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
     @pytest.mark.parametrize("flag, value", [("--mu", "4"), ("--mu", "-1"),
                                              ("--component", "7")])
     def test_out_of_range_index_is_config_error(self, flag, value):
@@ -250,6 +282,10 @@ class TestEmCommand:
 class TestHolderCommand:
     def test_malformed_lambda_list_is_config_error(self):
         assert cli.main(["holder", "--lambda-list", "0,abc"]) == 2
+
+    @pytest.mark.parametrize("text", ["0,inf", "nan,0.01"])
+    def test_non_finite_lambda_list_is_config_error(self, text):
+        assert cli.main(["holder", "--lambda-list", text]) == 2
 
 
 class TestVerifyCommand:

@@ -19,7 +19,15 @@ PARAMS = RegKernelParams(1.0, 0.1)
 # values fixed from runs of this deterministic code path; any drift in
 # the quadrature chain shows up here
 FROZEN_P4 = 0.00426548270550622
-FROZEN_LAGRANGIAN = 6.128297319951569e-07
+# the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
+# and panel count
+FROZEN_P4_EXACT = 0.004265482705506221
+FROZEN_P4_PANELS = 143
+# with the interior error controlled on L's own column; the independent
+# "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
+# value -1.65e-3 from it), and its tight [0, 40] x [0, 48] box alone
+# 6.128294758500441e-07 (+1.3e-4, inside the interior estimate 2.5e-3)
+FROZEN_LAGRANGIAN = 6.12911501647975e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -154,6 +162,11 @@ class TestCertifiedIntegrals:
         assert rep.abs_error_estimate + rep.tail_bound \
             <= INTEGRAL_TOL * rep.value
 
+    def test_p4_refinement_pinned(self):
+        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
+        assert rep.value == FROZEN_P4_EXACT
+        assert rep.regions_evaluated == FROZEN_P4_PANELS
+
     def test_lagrangian_frozen_and_bounded(self):
         rep = integrate_lagrangian(PARAMS, tol=INTEGRAL_TOL)
         assert rep.value == pytest.approx(FROZEN_LAGRANGIAN, rel=1e-9)
@@ -162,6 +175,25 @@ class TestCertifiedIntegrals:
         assert lp2 > 0 and lm2 > 0
         # the Lagrangian integrand is dominated by the eigenvalue squares
         assert rep.value <= 4.0 * (lp2 + lm2)
+        # |lambda_pm|^2 ride along without steering the mesh: 641 panels
+        # when they were controlled to L's budget, 313 without
+        assert rep.regions_evaluated <= 400
+
+    def test_lagrangian_error_is_its_own_column(self):
+        # the reported interior error is L's own estimate: a run on the L
+        # column alone refines the same mesh to the same error
+        rep = integrate_lagrangian(PARAMS, tol=INTEGRAL_TOL)
+        f = quadrature._integrand_factory("lagrangian", PARAMS)
+
+        def alone(t, r):
+            return f(t, r)[:, :1]
+        box = (0.0, rep.truncation_T, 0.0, rep.truncation_R)
+        vest, _, _ = gk.integrate_2d(alone, box, tol_abs=0.0, max_panels=64)
+        v, err, n = gk.integrate_2d(
+            alone, box, tol_abs=0.5 * INTEGRAL_TOL * abs(float(vest[0])))
+        assert rep.abs_error_estimate == 2.0 * err
+        assert rep.regions_evaluated == n
+        assert rep.value == pytest.approx(2.0 * float(v[0]), rel=1e-15)
 
     def test_lagrangian_small_eps_grows_domain(self):
         # needs a larger box than the default T = 40: every retry of the
