@@ -2,20 +2,18 @@
 finite-dimensional operator model underlying the causal structure.
 
 An operator x is admissible when it is Hermitian with at most n positive
-and at most n negative eigenvalues.  The module provides the ordered
-spectrum, signature and regularity tests, regular perturbations, the
-generalized inverse, spin kernels and chains, the abstract Lagrangian
-with its causal trichotomy, faithful spin frames, admissibility bounds,
-a local representation x = -Psi* Psi, and eigenvalue-enumeration
-matching for operator sequences.
+and at most n negative eigenvalues.  The module provides what `verify
+abstract` checks: the ordered spectrum, signature and regularity tests,
+regular perturbations, the generalized inverse, spin kernels and the
+chain spectrum, admissibility bounds, faithful spin frames and a local
+representation x = -Psi* Psi.
 
 A `CfsOperator` holds one matrix or a stack of shape (..., d, d).
 `ordered_spectrum`, `signature`, `is_regular`, `gen_inverse`,
-`range_projection`, `spin_kernel`, `spin_chain`, `chain_spectrum`,
-`abstract_lagrangian`, `admissibility_bounds` and
-`random_regular_operator` work item by item on stacks: a 2-D matrix is
-the one-item case of the same code, and gives the same bits as the item
-of a stack.  Perturbations, the causal classification, frames and the
+`range_projection`, `spin_kernel`, `chain_spectrum`,
+`admissibility_bounds` and `random_regular_operator` work item by item
+on stacks: a 2-D matrix is the one-item case of the same code, and gives
+the same bits as the item of a stack.  Perturbations, frames and the
 local representation take one matrix.
 """
 
@@ -24,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _HERMITIAN_TOL = 1e-12
 _EIG_ZERO_TOL = 1e-12        # scaled by (1 + ||matrix||)
@@ -111,10 +108,6 @@ class CfsOperator:
     def norm(self):
         """Largest |eigenvalue|: a float, or an array over the stack."""
         return _unstack(np.max(np.abs(self.eigvals), axis=-1, initial=0.0))
-
-
-def make_operator(matrix, n: int) -> CfsOperator:
-    return CfsOperator(matrix, n)
 
 
 def ordered_spectrum(x: CfsOperator) -> np.ndarray:
@@ -209,11 +202,6 @@ def spin_kernel(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     return range_projection(x) @ y.matrix
 
 
-def spin_chain(x: CfsOperator, y: CfsOperator) -> np.ndarray:
-    """A_xy = P(x, y) P(y, x); its nonzero spectrum is that of x y."""
-    return spin_kernel(x, y) @ spin_kernel(y, x)
-
-
 def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     """Nonzero-padded spectrum of x y, ordered to 2n entries: by
     decreasing absolute value, padded with zeros."""
@@ -228,29 +216,6 @@ def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     k = min(ev.shape[-1], 2 * x.n)
     out[..., :k] = ev[..., :k]
     return out
-
-
-def abstract_lagrangian(x: CfsOperator, y: CfsOperator):
-    """L = (1/4n) sum_{i,j} (|lam_i| - |lam_j|)^2 over the 2n-padded
-    spectrum of x y."""
-    lam = np.abs(chain_spectrum(x, y))
-    n2 = lam.shape[-1]
-    diffs = lam[..., :, None] - lam[..., None, :]
-    return _unstack(np.sum(diffs * diffs, axis=(-2, -1)) / (2.0 * n2))
-
-
-def causal_classify_abstract(x: CfsOperator, y: CfsOperator) -> str:
-    """'S' if all |lam| equal; 'T' if all lam real with unequal |lam|;
-    'L' otherwise."""
-    lam = chain_spectrum(x, y)
-    scale = 1.0 + np.max(np.abs(lam), initial=0.0)
-    tol = 1e-10 * scale
-    absl = np.abs(lam)
-    same_abs = np.max(absl) - np.min(absl) <= tol
-    if same_abs:
-        return "S"
-    all_real = np.max(np.abs(lam.imag)) <= tol
-    return "T" if all_real else "L"
 
 
 @dataclass
@@ -320,40 +285,6 @@ def local_representation(x: CfsOperator):
     if np.linalg.norm(recon - x.matrix, 2) > _IDENTITY_TOL * max(x.norm(), 1.0):
         raise AssertionError("local representation reconstruction failed")
     return psi, fr.signs
-
-
-def enumeration_match(sequence, target) -> np.ndarray:
-    """Match eigenvalues of each matrix in `sequence` to those of `target`
-    by minimum-cost bipartite assignment on |nu_i - nu_j|.
-
-    Returns an array of shape (len(sequence), dim): row m holds the
-    eigenvalues of sequence[m] reordered to follow target's enumeration.
-    """
-    target = np.asarray(target, dtype=complex)
-    ref = np.linalg.eigvals(target)
-    rows = []
-    for tm in sequence:
-        ev = np.linalg.eigvals(np.asarray(tm, dtype=complex))
-        cost = np.abs(ev[:, None] - ref[None, :])
-        ri, ci = linear_sum_assignment(cost)
-        row = np.empty_like(ref)
-        row[ci] = ev[ri]
-        rows.append(row)
-    return np.stack(rows, axis=0)
-
-
-def minmax_excess(a, m_basis) -> float:
-    """sup of <Au, u> over unit u orthogonal to span(m_basis): the
-    largest eigenvalue of A compressed to the orthogonal complement."""
-    a = np.asarray(a, dtype=complex)
-    m_basis = np.asarray(m_basis, dtype=complex)
-    if m_basis.ndim == 1:
-        m_basis = m_basis[:, None]
-    d = a.shape[0]
-    q, _ = np.linalg.qr(np.concatenate(
-        [m_basis, np.eye(d, dtype=complex)], axis=1))
-    comp = q[:, m_basis.shape[1]:d]
-    return float(np.max(np.linalg.eigvalsh(comp.conj().T @ a @ comp)))
 
 
 def indefinite_gram(b, n: int) -> CfsOperator:

@@ -1,4 +1,5 @@
-"""Modified Bessel functions K0, K1, K2 on the cut complex plane, plus J1.
+"""Modified Bessel functions K0, K1, K2 on the cut complex plane, plus
+J1(x)/x.
 
 K_n is evaluated on the cut plane Omega_pi = {z != 0, arg z in (-pi, pi)}
 with the principal branch, by scipy's ``kv``: the AMOS routines (D. E.
@@ -72,14 +73,6 @@ def bessel_k_derivative(n: int, z):
     k0, _, k2 = _k012(zarr)
     out = -0.5 * (k0 + k2)
     return out[0] if scalar else out
-
-
-def bessel_j1(x):
-    """J1(x) for x >= 0."""
-    xarr = np.asarray(x, dtype=float)
-    if np.any(xarr < 0):
-        raise BesselDomainError("J1 restricted to non-negative arguments")
-    return _scipy_j1(xarr) if xarr.ndim else float(_scipy_j1(xarr))
 
 
 def j1_over_x(x):

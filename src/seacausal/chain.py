@@ -12,7 +12,6 @@ the mixed chain carries the sum of the regularizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,14 +27,6 @@ class CausalClass(Enum):
     Timelike = "T"
     Spacelike = "S"
     Lightlike = "L"
-
-
-@dataclass(frozen=True)
-class ChainInvariants:
-    a: float
-    b: float
-    lam_plus: complex
-    lam_minus: complex
 
 
 def closed_chain(x, y, params: RegKernelParams) -> np.ndarray:
@@ -64,24 +55,6 @@ def invariants_from_radial(t, r, eps_chain: float, m: float):
     return a, b
 
 
-def chain_invariants(x, y, params: RegKernelParams) -> ChainInvariants:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = x - y
-    t = xi[0]
-    r = float(np.linalg.norm(xi[1:]))
-    a, b = invariants_from_radial(t, r, 2.0 * params.eps, params.m)
-    a = float(a)
-    b = float(b)
-    root = np.sqrt(complex(b))
-    return ChainInvariants(a=a, b=b, lam_plus=a + root, lam_minus=a - root)
-
-
-def causal_classify(x, y, params: RegKernelParams) -> CausalClass:
-    inv = chain_invariants(x, y, params)
-    return classify_invariants(inv.a, inv.b)
-
-
 def class_codes(a, b) -> np.ndarray:
     """CausalClass values ("T", "S" or "L") of the invariants, elementwise."""
     band = np.abs(b) <= LIGHTLIKE_BAND * (a * a + 1.0)
@@ -90,14 +63,6 @@ def class_codes(a, b) -> np.ndarray:
                              CausalClass.Spacelike.value))
 
 
-def classify_invariants(a, b) -> CausalClass:
-    return CausalClass(class_codes(a, b).item())
-
-
 def lagrangian_of_b(b):
     """L = (|lambda_+| - |lambda_-|)^2 = 4 max(b, 0), elementwise."""
     return 4.0 * np.maximum(b, 0.0)
-
-
-def lagrangian(x, y, params: RegKernelParams) -> float:
-    return float(lagrangian_of_b(chain_invariants(x, y, params).b))

@@ -94,16 +94,6 @@ def green_constants(m: float) -> GreenParams:
     return GreenParams(-1.0 / (2.0 * np.pi), m * m / (4.0 * np.pi))
 
 
-def green_volume_part(xi, m: float, gp: GreenParams) -> float:
-    """beta * J1(m sqrt(xi^2))/(m sqrt(xi^2)) on the open forward cone,
-    zero outside; continuous value beta/2 on the cone."""
-    xi = np.asarray(xi, dtype=float)
-    sq = xi[0] ** 2 - np.sum(xi[1:] ** 2)
-    if sq <= 0.0 or xi[0] <= 0.0:
-        return 0.0
-    return gp.beta_const * float(bessel.j1_over_x(m * np.sqrt(sq)))
-
-
 # fixed Gauss-Legendre orders for the convolution quadratures; sized so
 # the quadrature-error field stays below the finite-difference
 # calibration tolerance

@@ -7,9 +7,7 @@ with the larger error), and stop when the running error total reaches
 tol_abs or the panel count reaches max_panels.
 
 A vector integrand is integrated column by column on one mesh.  A
-panel's error estimate is the max over columns of |Kronrod - Gauss|; in
-2-D, per-column weights scale it, and a column of weight 0 rides along on
-the mesh the weighted columns choose, without error control.
+panel's error estimate is the max over columns of |Kronrod - Gauss|.
 
 Batched evaluation.  The integrand is not called once per panel.  When
 the popped panel's children have not been evaluated yet, one call
@@ -31,7 +29,6 @@ domain, because speculative panels may be evaluated and never used.
 
 from __future__ import annotations
 
-import functools
 import heapq
 
 import numpy as np
@@ -92,13 +89,11 @@ def _panels_1d(f, intervals):
     return out
 
 
-def _panels_2d(f, boxes, weights=None):
+def _panels_2d(f, boxes):
     """Tensor 15x15 Kronrod panels on boxes [(t0, t1, r0, r1), ...] from one
     call of f; returns [(value_vec, (err_t, err_r)), ...], the per-axis
     error estimates obtained by downgrading one axis to the embedded
-    7-point rule.  An estimate is the max over columns of |Kronrod - Gauss|,
-    or, with weights, the max over the columns of nonzero weight of
-    weight * |Kronrod - Gauss|."""
+    7-point rule.  An estimate is the max over columns of |Kronrod - Gauss|."""
     bx = np.array(boxes, dtype=float)
     th = 0.5 * (bx[:, 1] - bx[:, 0])
     rh = 0.5 * (bx[:, 3] - bx[:, 2])
@@ -108,23 +103,13 @@ def _panels_2d(f, boxes, weights=None):
     ft = np.asarray(f(np.repeat(tt, 15, axis=1).ravel(),
                       np.tile(rr, 15).ravel()))
     vals = ft.reshape(len(bx), 15, 15, -1)
-    if weights is not None:
-        if weights.size != vals.shape[-1]:
-            raise ValueError("%d error weights for %d integrand columns"
-                             % (weights.size, vals.shape[-1]))
-        index = np.flatnonzero(weights)
-        weight = weights[index]
     out = []
     for w, v in zip(th * rh, vals):
         kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
         gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
         kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
-        if weights is None:
-            dt, dr = np.abs(kk - gk), np.abs(kk - kg)
-        else:
-            dt = weight * np.abs(kk[index] - gk[index])
-            dr = weight * np.abs(kk[index] - kg[index])
-        out.append((kk, (float(np.max(dt)), float(np.max(dr)))))
+        out.append((kk, (float(np.max(np.abs(kk - gk))),
+                         float(np.max(np.abs(kk - kg))))))
     return out
 
 
@@ -203,29 +188,18 @@ def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000):
 
 
 def integrate_2d(f, box, tol_abs: float, max_panels: int = 20000,
-                 cache: dict | None = None, weights=None):
+                 cache: dict | None = None):
     """Adaptive 2-D integration with bisection on the larger-error axis.
 
     f maps (t_array, r_array) -> array (npts, k) of k integrands.  A
-    panel's error is the max over columns of weights[c] * |Kronrod -
-    Gauss| (weights default to all ones: the max over columns), and the
-    refinement and the returned error follow it.  A column of weight 0 is
-    left out, not multiplied by 0: it is integrated on the mesh the others
-    choose, without error control, and cannot steer the refinement even
-    where it is not finite.  Deterministic: panels are accumulated in a
-    fixed geometric order at the end.  `cache` holds the panels of earlier
-    calls on the same f, box and weights and receives this call's; the
-    result does not depend on it.
+    panel's error is the max over columns of |Kronrod - Gauss|, and the
+    refinement and the returned error follow it.  Deterministic: panels
+    are accumulated in a fixed geometric order at the end.  `cache` holds
+    the panels of earlier calls on the same f and box and receives this
+    call's; the result does not depend on it.
     """
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or not np.all(np.isfinite(weights)) \
-                or np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be finite, non-negative and "
-                             "not all zero")
-    heap, count = _refine(f, functools.partial(_panels_2d, weights=weights),
-                          _split_2d, tuple(box), tol_abs, max_panels,
-                          {} if cache is None else cache)
+    heap, count = _refine(f, _panels_2d, _split_2d, tuple(box), tol_abs,
+                          max_panels, {} if cache is None else cache)
     panels = sorted(heap, key=lambda p: (p[2][0], p[2][2], p[2][1], p[2][3]))
     value = np.sum([p[3] for p in panels], axis=0)
     err = float(sum(p[4][0] + p[4][1] for p in panels))

@@ -156,16 +156,3 @@ def kernel_p_momentum_oracle(x, y, params: RegKernelParams,
     matrix = (coef[0] * spinor.GAMMA0 + coef[1] * spinor.IDENTITY4
               + coef[2] * rhat_gamma)
     return matrix, err
-
-
-def nu_pm(params: RegKernelParams):
-    """(nu_minus, nu_plus): 2 pi times the first/last diagonal entry of the
-    doubled-regularization kernel at coincidence."""
-    doubled = RegKernelParams(params.m, 2.0 * params.eps)
-    kv = kernel_p(np.zeros(4), np.zeros(4), doubled)
-    d = np.real(np.diag(kv.matrix))
-    nm = 2.0 * np.pi * d[0]
-    np_ = 2.0 * np.pi * d[3]
-    if not (nm < 0 < np_):
-        raise RuntimeError("sign contract nu_minus < 0 < nu_plus violated")
-    return nm, np_

@@ -4,11 +4,8 @@ All integrands depend on the displacement only through (t, r) =
 (xi^0, |xi_vec|) and are even in t, so integrals over R^4 reduce to
 2 * int dt int dr 4 pi r^2 (...) on the quarter plane.  The interior
 [0, T] x [0, R] takes half the tolerance budget tol * |value| in
-adaptive Gauss-Kronrod panels.  Only the certified column (the first)
-steers the interior refinement: the Lagrangian's |lambda_pm|^2 columns
-ride along on its mesh at error weight 0, without error control: their
-integrals are about 1800x the Lagrangian's at eps = 0.1, and held to its
-budget they would double the interior panels.
+adaptive Gauss-Kronrod panels.  Each integrand is the one certified
+column, 4 pi r^2 |P|^4 or 4 pi r^2 L.
 
 The exterior is two extension zones out to (4T, Rbig) plus exponential
 closures beyond them.  The integrands decay away from a ridge of width
@@ -44,9 +41,6 @@ _TAIL_FLOOR = 1e-280
 # share of the certified budget tol * |value| given to each tail extension
 # zone as its absolute tolerance (the interior takes half the budget)
 _TAIL_ZONE_SHARE = 0.01
-# per-column interior error weights of the vector integrands (gk default,
-# all ones, for the others): |lambda_pm|^2 ride along on L's mesh
-_INTERIOR_WEIGHTS = {"lagrangian": (1.0, 0.0, 0.0)}
 
 
 class QuadratureError(RuntimeError):
@@ -81,11 +75,6 @@ def region_classify_radial(t: float, r: float, lam: float) -> RegionTag:
         if r <= edge:
             return RegionTag.C0
     return RegionTag.C1plus
-
-
-def region_classify(xi, lam: float) -> RegionTag:
-    xi = np.asarray(xi, dtype=float)
-    return region_classify_radial(xi[0], float(np.linalg.norm(xi[1:])), lam)
 
 
 def exponent_exact(t, r, eps: float):
@@ -159,21 +148,10 @@ def _integrand_factory(kind: str, params: kernel.RegKernelParams,
     if kind == "lagrangian":
         def f(t, r):
             w = 4.0 * np.pi * r * r
-            a, b = chain.invariants_from_radial(t, r, ec, m)
-            lag = chain.lagrangian_of_b(b)
-            lp = np.where(b >= 0, (a + np.sqrt(np.maximum(b, 0.0))) ** 2,
-                          a * a - b)
-            lm = np.where(b >= 0, (a - np.sqrt(np.maximum(b, 0.0))) ** 2,
-                          a * a - b)
-            return np.stack([w * lag, w * lp, w * lm], axis=-1)
+            _, b = chain.invariants_from_radial(t, r, ec, m)
+            return (w * chain.lagrangian_of_b(b))[:, None]
         return f
     raise ValueError(kind)
-
-
-def _scalar_integrand(f):
-    def g(t, r):
-        return f(t, r)[:, 0]
-    return g
 
 
 def _fit_exp(xs, ys):
@@ -219,7 +197,8 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     Returns (tail, info_dict); info carries each zone's value and error,
     the fitted closures and the 2-D and 1-D panel counts.
     """
-    fs = _scalar_integrand(f)
+    def fs(t, r):
+        return f(t, r)[:, 0]
     T2 = 4.0 * T
     # margins of 2, 5 and 1 at the default T = 40, scaled with T
     Rbig = max(4.0 * R, T2 / lam + T / 20.0)
@@ -298,7 +277,6 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     check_region_lambda(lam)
     start = time.perf_counter()
     f = _integrand_factory(kind, params, eps_chain)
-    weights = _INTERIOR_WEIGHTS.get(kind)
 
     value = None
     tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
@@ -307,12 +285,11 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
         # tolerance pass's first, so the two share their panels
         panels = {}
         vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
-                                     max_panels=64, cache=panels,
-                                     weights=weights)
+                                     max_panels=64, cache=panels)
         scale = max(abs(float(np.real(vest[0]))), 1e-300)
         vvec, err, count = gk.integrate_2d(
             f, (0.0, T, 0.0, R), tol_abs=0.5 * tol * scale,
-            max_panels=max_panels, cache=panels, weights=weights)
+            max_panels=max_panels, cache=panels)
         tail, tail_info = _tail_estimate(f, T, R, lam,
                                          _TAIL_ZONE_SHARE * tol * scale)
         for key in tail_panels:
@@ -331,9 +308,6 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
 
     # panel counts are summed over all attempts; the rest is the last one's
     extras = dict(tail_info, **tail_panels, attempts=attempt + 1)
-    if kind == "lagrangian":
-        extras["int_lambda_plus_sq"] = 2.0 * float(np.real(vvec[1]))
-        extras["int_lambda_minus_sq"] = 2.0 * float(np.real(vvec[2]))
     return QuadratureReport(
         integral_name=name or kind, m=params.m, epsilon=params.eps,
         lambda_region=lam, value=value, abs_error_estimate=err_total,
@@ -352,8 +326,7 @@ def integrate_p4(params: kernel.RegKernelParams, tol: float = 0.005,
 def integrate_lagrangian(params: kernel.RegKernelParams, tol: float = 0.005,
                          lam: float = 0.85, T: float = 40.0, R: float = 48.0,
                          max_panels: int = 20000) -> QuadratureReport:
-    """int L(0, xi) d^4 xi.  The interior integrals of |lambda_pm|^2 ride
-    along in extras, on L's mesh and without error control (no tail)."""
+    """int L(0, xi) d^4 xi."""
     return _run_reduced("lagrangian", params, tol, lam, T, R, max_panels)
 
 

@@ -6,17 +6,16 @@ matrices built from kernel evaluations, via the correlation identity
 
     2 pi <P^{eps1}(.,x) a | P^{eps2}(.,y) b>  =  -<a | P^{eps1+eps2}(x,y) b>_spin.
 
-Provided: mixed correlations, the Gram block of the joint frame at a
-point, operator-norm distances ||F^{eps1}(x) - F^{eps2}(x)||, the
-regularization-rescaling sweep with its Hoelder fit, and L1 norms of the
-time-zero frame data.
+Provided: operator-norm distances ||F^{eps1}(x) - F^{eps2}(x)||, the
+coefficient matrix of the product F^{eps1}(x) F^{eps2}(y) on the joint
+frame, and the regularization-rescaling sweep with its Hoelder fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import gk, kernel, quadrature, spinor
+from . import kernel, quadrature
 from .kernel import RegKernelParams
 
 TWO_PI = 2.0 * np.pi
@@ -32,28 +31,6 @@ def _block(points, eps, m: float) -> np.ndarray:
                 points[i], points[j], RegKernelParams(m, eps[i] + eps[j])
             ).matrix
     return out
-
-
-def mixed_correlation(x, y, eps1: float, eps2: float, a, b, m: float) -> complex:
-    """<P^{eps1}(.,x) a | P^{eps2}(.,y) b> = -(1/2pi) <a|P^{eps1+eps2}(x,y) b>_spin."""
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("regularizations must be positive")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    p = kernel.kernel_p(x, y, RegKernelParams(m, eps1 + eps2)).matrix
-    return complex(-(1.0 / TWO_PI) * spinor.spin_product(a, p @ b))
-
-
-def gram_block(x, eps1: float, eps2: float, m: float) -> np.ndarray:
-    """8x8 Gram matrix of {P^{eps1}(.,x) e_mu} u {P^{eps2}(.,x) e_mu};
-    positive semidefinite."""
-    rows = _block((x, x), (eps1, eps2), m).reshape(2, 4, 8)
-    g = ((-(1.0 / TWO_PI) * spinor.GAMMA0) @ rows).reshape(8, 8)
-    g = 0.5 * (g + g.conj().T)
-    ev = np.linalg.eigvalsh(g)
-    if ev.min() < -1e-10 * max(np.trace(g).real, 1.0):
-        raise RuntimeError("Gram matrix indefinite: inner-product bug")
-    return g
 
 
 def op_norm_difference(x, eps1: float, eps2: float, m: float) -> float:
@@ -127,46 +104,3 @@ def holder_sweep(lam_list, params: RegKernelParams, tol: float = 0.005,
         fit = {"alpha": float(coef[0]), "intercept": float(coef[1]),
                "r2": r2}
     return rows, fit
-
-
-def l1_frame_norms(params: RegKernelParams, radius: float = 60.0,
-                   tol: float = 1e-4, max_panels: int = 6000,
-                   normalized: bool = True) -> np.ndarray:
-    """L1(R^3) norms of the time-zero data of the four normalized frame
-    vectors (2 pi / sqrt|nu_mu|) P^eps((0,.), 0) e_mu.
-
-    With normalized=False the raw kernel columns are integrated instead
-    (their L1 norms grow as eps decreases; the unit-norm frame vectors
-    concentrate, so their L1 norms shrink).
-
-    The integrand is azimuthally symmetric, so a 2-D (r, theta)
-    quadrature with weight 2 pi r^2 sin(theta) suffices.
-    """
-    nm, np_ = kernel.nu_pm(params)
-    nus = np.array([nm, nm, np_, np_])
-
-    def integrand(r, th):
-        ct, st = np.cos(th), np.sin(th)
-        xi = np.zeros(r.shape + (4,))
-        xi[..., 1] = r * st
-        xi[..., 3] = r * ct
-        mats = kernel.kernel_matrix_batch(xi, params)
-        colnorm = np.linalg.norm(mats, axis=-2)         # per column mu
-        w = 2.0 * np.pi * r * r * st
-        return w[:, None] * colnorm
-
-    # the capped probe fixes the tolerance scale and shares its panels
-    # with the tolerance pass, which starts with the same splits
-    panels = {}
-    vest, _, _ = gk.integrate_2d(integrand, (0.0, radius, 0.0, np.pi),
-                                 tol_abs=0.0, max_panels=64, cache=panels)
-    scale = float(np.max(np.abs(vest)))
-    v, err, _ = gk.integrate_2d(integrand, (0.0, radius, 0.0, np.pi),
-                                tol_abs=tol * scale, max_panels=max_panels,
-                                cache=panels)
-    if err > 10.0 * tol * scale:
-        raise quadrature.QuadratureError("L1 frame-norm quadrature did not "
-                                         "converge")
-    if not normalized:
-        return np.real(v)
-    return np.real(v) * (TWO_PI / np.sqrt(np.abs(nus)))

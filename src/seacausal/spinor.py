@@ -1,8 +1,7 @@
-"""Minkowski four-vectors, Dirac gamma algebra and spinor-matrix helpers.
+"""Minkowski four-vectors, Dirac gamma algebra and the spin product.
 
 Conventions: metric signature (+,-,-,-); Dirac (standard) representation,
-so gamma^0 = diag(1, 1, -1, -1) and the signature vector is
-s = (1, 1, -1, -1).
+so gamma^0 = diag(1, 1, -1, -1).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-SIGNATURE = np.array([1, 1, -1, -1])
 
 _sig0 = np.array([[0, 1], [1, 0]], dtype=complex)
 _sig1 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,13 +47,6 @@ def neg_minkowski_square(v):
     return out
 
 
-def minkowski_dot(u, v):
-    u = np.asarray(u)
-    v = np.asarray(v)
-    return (u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1]
-            - u[..., 2] * v[..., 2] - u[..., 3] * v[..., 3])
-
-
 def slash(v):
     """v_j gamma^j with index lowering by the metric.
 
@@ -66,19 +57,6 @@ def slash(v):
             - v[..., 1, None, None] * GAMMA[1]
             - v[..., 2, None, None] * GAMMA[2]
             - v[..., 3, None, None] * GAMMA[3])
-
-
-def spin_adjoint(m):
-    """gamma^0 M^dagger gamma^0 (adjoint w.r.t. the spin scalar product)."""
-    m = np.asarray(m, dtype=complex)
-    md = np.conj(np.swapaxes(m, -1, -2))
-    return GAMMA0 @ md @ GAMMA0
-
-
-def spectral_norm(m):
-    """Largest singular value; batched over leading axes."""
-    m = np.asarray(m, dtype=complex)
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def spin_product(a, b):

@@ -357,7 +357,7 @@ def suite_abstract(seed=12345, n_pairs=10000):
                 "max lhs/rhs %.4f over %d/%d pairs"
                 % (ratio, checked, n_pairs)))
 
-    zero = abstract_cfs.make_operator(np.zeros((dim, dim)), n)
+    zero = abstract_cfs.CfsOperator(np.zeros((dim, dim)), n)
     dev = 0.0
     for eps in (0.5, 0.1, 0.01):
         xp = abstract_cfs.regular_perturbation(zero, eps, seed=seed)
@@ -392,6 +392,7 @@ def suite_variation(seed=12345):
     out = []
     m = 1.0
     worst = 0.0
+    # local, so that importing seacausal.cli does not load scipy.optimize
     from scipy.optimize import linear_sum_assignment
     for _ in range(5):
         x = rng.uniform(-1.0, 1.0, 4)

@@ -1,5 +1,6 @@
 """Finite-rank operators with bounded signature: spectra, generalized
-inverse, frames, Lagrangian trichotomy and representation results."""
+inverse, spin kernels, frames, admissibility bounds and representation
+results."""
 
 import numpy as np
 import pytest
@@ -8,16 +9,13 @@ from scipy.optimize import linear_sum_assignment
 from seacausal import verify
 from seacausal.abstract_cfs import (_HERMITIAN_TOL, CfsOperator,
                                     RegularityError, SignatureError,
-                                    abstract_lagrangian,
-                                    admissibility_bounds,
-                                    causal_classify_abstract, chain_spectrum,
-                                    enumeration_match, faithful_frame,
-                                    gen_inverse, indefinite_gram, is_regular,
-                                    local_representation, make_operator,
-                                    minmax_excess, ordered_spectrum,
+                                    admissibility_bounds, chain_spectrum,
+                                    faithful_frame, gen_inverse,
+                                    indefinite_gram, is_regular,
+                                    local_representation, ordered_spectrum,
                                     random_regular_operator, range_projection,
                                     regular_perturbation, signature,
-                                    spin_chain, spin_kernel)
+                                    spin_kernel)
 
 SPECTRUM_TOL = 1e-10
 
@@ -31,35 +29,42 @@ def multiset_close(a, b, tol):
     return float(cost[ri, ci].max()) <= tol
 
 
+def chain_lagrangian(x, y):
+    """L = (1/4n) sum_{i,j} (|lam_i| - |lam_j|)^2 over the 2n-padded chain
+    spectrum of x y."""
+    lam = np.abs(chain_spectrum(x, y))
+    return float(np.sum((lam[:, None] - lam[None, :]) ** 2) / (2.0 * lam.size))
+
+
 class TestConstruction:
     def test_accepts_balanced_signature(self):
-        make_operator(np.diag([1.0, -1.0, 0.0, 0.0]), 1)
+        CfsOperator(np.diag([1.0, -1.0, 0.0, 0.0]), 1)
 
     def test_rejects_excess_positive(self):
         with pytest.raises(SignatureError):
-            make_operator(np.diag([1.0, 2.0, -1.0, 0.0]), 1)
+            CfsOperator(np.diag([1.0, 2.0, -1.0, 0.0]), 1)
 
     def test_accepts_zero(self):
-        op = make_operator(np.zeros((4, 4)), 2)
+        op = CfsOperator(np.zeros((4, 4)), 2)
         assert op.norm() == 0.0
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            make_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+            CfsOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
 class TestOrderedSpectrum:
     def test_example(self):
-        out = ordered_spectrum(make_operator(np.diag([3.0, -1.0]), 1))
+        out = ordered_spectrum(CfsOperator(np.diag([3.0, -1.0]), 1))
         assert np.allclose(out, [-1.0, 3.0])
 
     def test_padding(self):
-        out = ordered_spectrum(make_operator(np.diag([2.0, 0.0, 0.0, 0.0]), 2))
+        out = ordered_spectrum(CfsOperator(np.diag([2.0, 0.0, 0.0, 0.0]), 2))
         assert np.allclose(out, [0.0, 0.0, 0.0, 2.0])
 
     def test_lipschitz_equality_case(self):
-        a = ordered_spectrum(make_operator(np.diag([2.0, -1.0]), 1))
-        b = ordered_spectrum(make_operator(np.diag([3.0, -1.0]), 1))
+        a = ordered_spectrum(CfsOperator(np.diag([2.0, -1.0]), 1))
+        b = ordered_spectrum(CfsOperator(np.diag([3.0, -1.0]), 1))
         assert np.max(np.abs(a - b)) == pytest.approx(1.0)
 
     def test_lipschitz_random_pairs(self):
@@ -69,7 +74,7 @@ class TestOrderedSpectrum:
             d = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             d = 0.05 * (d + d.conj().T)
             try:
-                y = make_operator(x.matrix + d, 2)
+                y = CfsOperator(x.matrix + d, 2)
             except SignatureError:
                 continue
             gap = np.max(np.abs(ordered_spectrum(x) - ordered_spectrum(y)))
@@ -78,13 +83,13 @@ class TestOrderedSpectrum:
 
 class TestSignatureAndPerturbation:
     def test_signature_examples(self):
-        assert signature(make_operator(np.diag([1.0, -1.0]), 1)) == (1, 1)
-        assert is_regular(make_operator(np.diag([1.0, -1.0]), 1))
-        assert signature(make_operator(np.diag([1.0, 0.0]), 1)) == (0, 1)
-        assert not is_regular(make_operator(np.diag([1.0, 0.0]), 1))
+        assert signature(CfsOperator(np.diag([1.0, -1.0]), 1)) == (1, 1)
+        assert is_regular(CfsOperator(np.diag([1.0, -1.0]), 1))
+        assert signature(CfsOperator(np.diag([1.0, 0.0]), 1)) == (0, 1)
+        assert not is_regular(CfsOperator(np.diag([1.0, 0.0]), 1))
 
     def test_perturbation_from_zero(self):
-        x = make_operator(np.zeros((4, 4)), 1)
+        x = CfsOperator(np.zeros((4, 4)), 1)
         y = regular_perturbation(x, 0.5, seed=3)
         assert is_regular(y)
         assert multiset_close(np.sort(y.eigvals), [-0.5, 0.0, 0.0, 0.5],
@@ -92,11 +97,11 @@ class TestSignatureAndPerturbation:
         assert np.linalg.norm(y.matrix - x.matrix, 2) == pytest.approx(0.5)
 
     def test_regular_input_unchanged(self):
-        x = make_operator(np.diag([1.0, -1.0]), 1)
+        x = CfsOperator(np.diag([1.0, -1.0]), 1)
         assert regular_perturbation(x, 0.1) is x
 
     def test_distance_exactly_eps(self):
-        x = make_operator(np.diag([2.0, 0.0, 0.0, 0.0]), 2)
+        x = CfsOperator(np.diag([2.0, 0.0, 0.0, 0.0]), 2)
         for eps in (0.3, 0.01):
             y = regular_perturbation(x, eps, seed=1)
             assert is_regular(y)
@@ -104,15 +109,15 @@ class TestSignatureAndPerturbation:
                 == pytest.approx(eps, rel=1e-10)
 
     def test_too_small_ambient_space(self):
-        x = make_operator(np.diag([1.0, 1.0, -1.0, -1.0]), 3)
+        x = CfsOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 3)
         with pytest.raises(ValueError):
             regular_perturbation(x, 0.1)
 
 
 class TestGenInverse:
     def test_examples(self):
-        assert gen_inverse(make_operator(np.zeros((2, 2)), 1)).norm() == 0.0
-        g = gen_inverse(make_operator(np.diag([2.0, -0.5, 0.0, 0.0]), 1))
+        assert gen_inverse(CfsOperator(np.zeros((2, 2)), 1)).norm() == 0.0
+        g = gen_inverse(CfsOperator(np.diag([2.0, -0.5, 0.0, 0.0]), 1))
         assert np.allclose(g.matrix, np.diag([0.5, -2.0, 0.0, 0.0]))
 
     def test_projector_identities(self):
@@ -127,7 +132,7 @@ class TestGenInverse:
     def test_discontinuity_witness(self):
         # regular perturbations of a rank-deficient point have generalized
         # inverses of norm exactly 1/eps
-        x = make_operator(np.diag([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 2)
+        x = CfsOperator(np.diag([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 2)
         for eps in (0.1, 0.01, 1e-4):
             y = regular_perturbation(x, eps, seed=7)
             assert gen_inverse(y).norm() == pytest.approx(1.0 / eps,
@@ -164,7 +169,7 @@ class TestKernelChainLagrangian:
     def test_kernel_of_zero(self):
         rng = np.random.default_rng(54)
         y = random_regular_operator(2, 6, rng)
-        zero = make_operator(np.zeros((6, 6)), 2)
+        zero = CfsOperator(np.zeros((6, 6)), 2)
         assert np.max(np.abs(spin_kernel(zero, y))) == 0.0
 
     def test_chain_spectrum_matches_product(self):
@@ -172,7 +177,8 @@ class TestKernelChainLagrangian:
         for _ in range(50):
             x = random_regular_operator(2, 6, rng)
             y = random_regular_operator(2, 6, rng)
-            direct = np.linalg.eigvals(spin_chain(x, y))
+            # the chain P(x, y) P(y, x), whose nonzero spectrum is x y's
+            direct = np.linalg.eigvals(spin_kernel(x, y) @ spin_kernel(y, x))
             scale = 1.0 + np.max(np.abs(direct))
             direct = direct[np.abs(direct) > 1e-10 * scale]
             padded = np.zeros(4, dtype=complex)
@@ -181,44 +187,53 @@ class TestKernelChainLagrangian:
                                   padded, SPECTRUM_TOL * scale)
 
     def test_lagrangian_examples(self):
-        x = make_operator(np.diag([np.sqrt(2.0), -np.sqrt(2.0)]), 1)
-        assert abstract_lagrangian(x, x) == pytest.approx(0.0, abs=1e-12)
-        x = make_operator(np.diag([2.0, 0.0]), 1)
-        ident = make_operator(np.diag([1.0, -1.0]), 1)
+        x = CfsOperator(np.diag([np.sqrt(2.0), -np.sqrt(2.0)]), 1)
+        assert np.allclose(chain_spectrum(x, x), [2.0, 2.0])
+        assert chain_lagrangian(x, x) == pytest.approx(0.0, abs=1e-12)
+        x = CfsOperator(np.diag([2.0, 0.0]), 1)
+        ident = CfsOperator(np.diag([1.0, -1.0]), 1)
         # spectrum of x.ident is {2, 0}: L = (1/4)((2-0)^2 + (0-2)^2) = 2
-        assert abstract_lagrangian(x, ident) == pytest.approx(2.0)
+        assert np.allclose(chain_spectrum(x, ident), [2.0, 0.0])
+        assert chain_lagrangian(x, ident) == pytest.approx(2.0)
 
     def test_lagrangian_symmetric_and_nonnegative(self):
+        # x y and y x share their nonzero spectrum, so the Lagrangian read
+        # from it is symmetric
         rng = np.random.default_rng(56)
         for _ in range(30):
             x = random_regular_operator(2, 6, rng)
             y = random_regular_operator(2, 6, rng)
-            lx = abstract_lagrangian(x, y)
+            lxy, lyx = chain_spectrum(x, y), chain_spectrum(y, x)
+            scale = 1.0 + np.max(np.abs(lxy))
+            assert multiset_close(lxy, lyx, SPECTRUM_TOL * scale)
+            lx = chain_lagrangian(x, y)
             assert lx >= 0.0
-            assert lx == pytest.approx(abstract_lagrangian(y, x), rel=1e-8)
+            assert lx == pytest.approx(chain_lagrangian(y, x), rel=1e-8)
 
     def test_trichotomy(self):
-        d = np.diag([2.0, -2.0])
-        ident = make_operator(np.diag([1.0, -1.0]), 1)
-        assert causal_classify_abstract(make_operator(d, 1), ident) == "S"
-        d2 = make_operator(np.diag([2.0, -1.0]), 1)
-        assert causal_classify_abstract(d2, ident) == "T"
+        # the chain spectra of the three causal classes: S has all |lam|
+        # equal, T all lam real with unequal |lam|, L neither
+        ident = CfsOperator(np.diag([1.0, -1.0]), 1)
+        lam = chain_spectrum(CfsOperator(np.diag([2.0, -2.0]), 1), ident)
+        assert np.ptp(np.abs(lam)) <= 1e-12
+        lam = chain_spectrum(CfsOperator(np.diag([2.0, -1.0]), 1), ident)
+        assert np.ptp(np.abs(lam)) > 0.5
+        assert np.max(np.abs(lam.imag)) <= 1e-12
         # product spectrum {i, -i, 3, 0}: complex entries with unequal
         # absolute values
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = make_operator(np.diag([1.0, -1.0, 3.0, 0.0]), 2)
+        x = CfsOperator(np.diag([1.0, -1.0, 3.0, 0.0]), 2)
         y_mat = np.zeros((4, 4))
         y_mat[:2, :2] = swap
         y_mat[2, 2] = 1.0
-        y = make_operator(y_mat, 2)
-        lam = chain_spectrum(x, y)
+        lam = chain_spectrum(x, CfsOperator(y_mat, 2))
+        assert multiset_close(lam, [3.0, 1j, -1j, 0.0], 1e-12)
+        assert np.ptp(np.abs(lam)) > 0.5
         assert np.max(np.abs(lam.imag)) > 0.5
-        assert causal_classify_abstract(x, y) == "L"
-
 
 class TestFramesAndRepresentation:
     def test_frame_example(self):
-        fr = faithful_frame(make_operator(np.diag([1.0, -1.0]), 1))
+        fr = faithful_frame(CfsOperator(np.diag([1.0, -1.0]), 1))
         # columns are the standard basis vectors up to phase and order
         assert np.allclose(np.sort(np.abs(fr.vectors), axis=0),
                            [[0.0, 0.0], [1.0, 1.0]])
@@ -238,7 +253,7 @@ class TestFramesAndRepresentation:
 
     def test_frame_requires_regular(self):
         with pytest.raises(RegularityError):
-            faithful_frame(make_operator(np.diag([1.0, 0.0]), 1))
+            faithful_frame(CfsOperator(np.diag([1.0, 0.0]), 1))
 
     def test_local_representation(self):
         rng = np.random.default_rng(58)
@@ -251,22 +266,22 @@ class TestFramesAndRepresentation:
             assert np.linalg.matrix_rank(psi) == 4
 
     def test_local_representation_two_dim(self):
-        x = make_operator(np.diag([-0.7, 1.3]), 1)
+        x = CfsOperator(np.diag([-0.7, 1.3]), 1)
         psi, signs = local_representation(x)
         recon = -(psi.conj().T * signs) @ psi
         assert np.allclose(recon, x.matrix, atol=1e-12)
 
     def test_local_representation_requires_regular(self):
         with pytest.raises(RegularityError):
-            local_representation(make_operator(np.diag([1.0, 0.0]), 1))
+            local_representation(CfsOperator(np.diag([1.0, 0.0]), 1))
 
 
 class TestBoundsAndMatching:
     def test_admissibility_trivial_cases(self):
-        ident = make_operator(np.diag([1.0, -1.0]), 1)
+        ident = CfsOperator(np.diag([1.0, -1.0]), 1)
         b1, b2 = admissibility_bounds(ident, ident)
         assert b1 == pytest.approx(1.0)
-        zero = make_operator(np.zeros((2, 2)), 1)
+        zero = CfsOperator(np.zeros((2, 2)), 1)
         b1, b2 = admissibility_bounds(ident, zero)
         assert b1 == 0.0 and b2 == 0.0
 
@@ -276,35 +291,6 @@ class TestBoundsAndMatching:
             x = random_regular_operator(2, 6, rng)
             y = random_regular_operator(2, 6, rng)
             admissibility_bounds(x, y)  # raises on violation
-
-    def test_enumeration_identity(self):
-        t = np.diag([1.0, 2.0, 3.0])
-        rows = enumeration_match([t, t], t)
-        assert np.allclose(np.sort(rows.real, axis=1), [[1, 2, 3], [1, 2, 3]])
-
-    def test_enumeration_convergence_rate(self):
-        rng = np.random.default_rng(60)
-        t = rng.normal(size=(6, 6))
-        e = rng.normal(size=(6, 6))
-        ms = np.array([2 ** k for k in range(2, 9)], dtype=float)
-        seq = [t + e / m for m in ms]
-        rows = enumeration_match(seq, t)
-        ref = enumeration_match([t], t)[0]
-        errs = np.max(np.abs(rows - ref[None, :]), axis=1)
-        slope = -np.polyfit(np.log(ms), np.log(errs), 1)[0]
-        assert slope >= 0.9
-
-    def test_minmax_one_sided(self):
-        rng = np.random.default_rng(61)
-        for _ in range(50):
-            a = rng.normal(size=(6, 6))
-            a = 0.5 * (a + a.T)
-            ev = np.sort(np.linalg.eigvalsh(a))
-            m_basis = rng.normal(size=(6, 2))
-            # sup over the complement of a 2-dim subspace dominates the
-            # third-largest eigenvalue
-            assert minmax_excess(a, m_basis) >= ev[-3] - 1e-12
-
 
 class TestStacks:
     """A stack gives bitwise the arrays of per-matrix calls."""
@@ -346,18 +332,16 @@ class TestStacks:
         assert np.array_equal(np.stack(admissibility_bounds(x, y), axis=-1),
                               [admissibility_bounds(*pair)
                                for pair in single])
-        assert np.array_equal(abstract_lagrangian(x, y),
-                              [abstract_lagrangian(*pair) for pair in single])
 
     def test_bad_item_raises(self):
         stack, _ = self.pairs(count=5, dim=4)
         mats = stack.matrix.copy()
         mats[2, 1] = np.diag([1.0, 2.0, 3.0, -1.0])
         with pytest.raises(SignatureError):
-            make_operator(mats, 2)
+            CfsOperator(mats, 2)
         mats[2, 1] = np.triu(np.ones((4, 4)))
         with pytest.raises(ValueError) as err:
-            make_operator(mats, 2)
+            CfsOperator(mats, 2)
         assert not isinstance(err.value, SignatureError)
 
 
@@ -380,9 +364,9 @@ class TestHermitianCheck:
             2, 6, np.random.default_rng(63)).matrix
         # above 1 the scale is ||h||, below it the floor 1
         assert (np.linalg.norm(h, 2) > 1.0) == (size == 1.0)
-        make_operator(_skewed(h, 0.5), 2)
+        CfsOperator(_skewed(h, 0.5), 2)
         with pytest.raises(ValueError) as err:
-            make_operator(_skewed(h, 2.0), 2)
+            CfsOperator(_skewed(h, 2.0), 2)
         assert not isinstance(err.value, SignatureError)
 
     def test_stack_item(self):
@@ -391,16 +375,16 @@ class TestHermitianCheck:
         # the smallest item, so a stack-wide scale would hide it
         i = np.unravel_index(np.argmin(stack.norm()), stack.norm().shape)
         mats[i] = _skewed(mats[i], 0.5)
-        make_operator(mats, 2)
+        CfsOperator(mats, 2)
         mats[i] = _skewed(stack.matrix[i], 2.0)
         with pytest.raises(ValueError) as err:
-            make_operator(mats, 2)
+            CfsOperator(mats, 2)
         assert not isinstance(err.value, SignatureError)
 
     def test_not_finite(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                make_operator(np.diag([1.0, bad]), 1)
+                CfsOperator(np.diag([1.0, bad]), 1)
 
 
 class TestGenInverseEigenData:
@@ -410,14 +394,14 @@ class TestGenInverseEigenData:
     @staticmethod
     def cases():
         stack, _ = TestStacks.pairs()
-        zero = make_operator(np.zeros((6, 6)), 2)
+        zero = CfsOperator(np.zeros((6, 6)), 2)
         yield stack
         yield zero
-        yield make_operator(np.zeros((4, 4)), 1)
+        yield CfsOperator(np.zeros((4, 4)), 1)
         for eps in (0.5, 1e-4):
             yield regular_perturbation(zero, eps, seed=4)
         yield regular_perturbation(
-            make_operator(np.diag([2.0, 0.0, 0.0, -0.5, 0.0]), 2), 0.1,
+            CfsOperator(np.diag([2.0, 0.0, 0.0, -0.5, 0.0]), 2), 0.1,
             seed=5)
 
     def test_matches_eigh(self):
@@ -435,7 +419,7 @@ class TestGenInverseEigenData:
             assert np.all(np.max(resid, axis=(-2, -1)) <= tol)
             assert np.array_equal(signature(g), signature(x))
             assert np.array_equal(signature(g),
-                                  signature(make_operator(g.matrix, x.n)))
+                                  signature(CfsOperator(g.matrix, x.n)))
             assert np.array_equal(is_regular(g), is_regular(x))
 
     def test_stack_matches_items(self):

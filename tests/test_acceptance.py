@@ -1,4 +1,4 @@
-"""End-to-end acceptance: the nine property suites and the CLI contract.
+"""End-to-end acceptance: the eight property suites and the CLI contract.
 
 Each numbered test runs one oracle suite through the library entry point
 used by the ``verify`` subcommand and asserts every property in it, plus

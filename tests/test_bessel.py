@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from seacausal.bessel import (BesselDomainError, bessel_j1, bessel_k,
-                              bessel_k12, bessel_k_derivative, j1_over_x)
+from seacausal.bessel import (BesselDomainError, bessel_k, bessel_k12,
+                              bessel_k_derivative, j1_over_x)
 
 REL_TOL = 1e-10
 FD_TOL = 1e-6
@@ -174,9 +174,10 @@ class TestDomainErrors:
 
 class TestJ1:
     def test_values(self):
-        assert bessel_j1(0.0) == 0.0
-        assert bessel_j1(1.0) == pytest.approx(0.4400505857, rel=1e-9)
-        assert bessel_j1(3.8317059702) == pytest.approx(0.0, abs=1e-8)
+        # J1(1) = 0.4400505857, J1(2) = 0.5767248078, first zero 3.8317
+        assert j1_over_x(1.0) == pytest.approx(0.4400505857, rel=1e-9)
+        assert np.allclose(j1_over_x(np.array([2.0, 3.8317059702])),
+                           [0.5767248078 / 2.0, 0.0], rtol=1e-9, atol=1e-9)
 
     def test_j1_over_x_continuous_at_zero(self):
         assert j1_over_x(0.0) == pytest.approx(0.5, rel=1e-12)
@@ -184,6 +185,6 @@ class TestJ1:
 
     def test_negative_rejected(self):
         with pytest.raises(BesselDomainError):
-            bessel_j1(-1.0)
-        with pytest.raises(BesselDomainError):
             j1_over_x(-0.5)
+        with pytest.raises(BesselDomainError):
+            j1_over_x(np.array([1.0, -1.0]))

@@ -5,14 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seacausal import chain
-from seacausal.chain import (CausalClass, causal_classify, chain_invariants,
-                             classify_invariants, closed_chain,
-                             invariants_from_radial, lagrangian)
+from seacausal import spinor
+from seacausal.chain import (CausalClass, class_codes, closed_chain,
+                             invariants_from_radial, lagrangian_of_b)
 from seacausal.kernel import RegKernelParams
 
 EIG_REL_TOL = 1e-8
 PARAMS = RegKernelParams(1.0, 0.1)
+
+
+def radial(x, y):
+    """(t, r) of the displacement x - y."""
+    xi = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return xi[0], float(np.linalg.norm(xi[1:]))
+
+
+def invariants(x, y, params=PARAMS):
+    """(a, b) of the chain of P^{2eps}(x, y) P^{2eps}(y, x)."""
+    return invariants_from_radial(*radial(x, y), 2.0 * params.eps, params.m)
+
+
+def class_of(x, y, params=PARAMS):
+    return CausalClass(class_codes(*invariants(x, y, params)).item())
+
+
+def lagrangian(x, y, params=PARAMS):
+    return float(lagrangian_of_b(invariants(x, y, params)[1]))
 
 
 def eigensolver_pairs(mat):
@@ -33,20 +51,19 @@ class TestFrozenValues:
         assert val == pytest.approx(4.0428e-9, rel=1e-3)
 
     def test_coincidence_is_timelike(self):
-        assert causal_classify(np.zeros(4), np.zeros(4), PARAMS) \
-            is CausalClass.Timelike
+        assert class_of(np.zeros(4), np.zeros(4)) is CausalClass.Timelike
 
     def test_spacelike_displacement(self):
         y = np.array([0.0, 1.0, 0.0, 0.0])
-        assert causal_classify(np.zeros(4), y, PARAMS) is CausalClass.Spacelike
-        assert lagrangian(np.zeros(4), y, PARAMS) == 0.0
+        assert class_of(np.zeros(4), y) is CausalClass.Spacelike
+        assert lagrangian(np.zeros(4), y) == 0.0
 
     def test_far_spacelike_falls_into_lightlike_band(self):
         # b underflows the classification band far out; the Lagrangian
         # still vanishes identically
         y = np.array([0.0, 5.0, 0.0, 0.0])
-        assert causal_classify(np.zeros(4), y, PARAMS) is CausalClass.Lightlike
-        assert lagrangian(np.zeros(4), y, PARAMS) == 0.0
+        assert class_of(np.zeros(4), y) is CausalClass.Lightlike
+        assert lagrangian(np.zeros(4), y) == 0.0
 
 
 class TestEigenvalueOracle:
@@ -54,11 +71,11 @@ class TestEigenvalueOracle:
         rng = np.random.default_rng(31)
         for _ in range(200):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            inv = chain_invariants(x, y, PARAMS)
+            a, b = invariants(x, y)
             ev = eigensolver_pairs(closed_chain(x, y, PARAMS))
             scale = max(np.max(np.abs(ev)), 1e-300)
             # each closed-form eigenvalue matches two solver eigenvalues
-            for lam in (inv.lam_plus, inv.lam_minus):
+            for lam in (a + np.sqrt(complex(b)), a - np.sqrt(complex(b))):
                 close = np.abs(ev - lam) <= EIG_REL_TOL * scale
                 assert np.sum(close) >= 2
 
@@ -66,18 +83,19 @@ class TestEigenvalueOracle:
         rng = np.random.default_rng(32)
         for _ in range(50):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            inv = chain_invariants(x, y, PARAMS)
+            a, _ = invariants(x, y)
             tr = np.trace(closed_chain(x, y, PARAMS))
-            assert tr == pytest.approx(2.0 * (inv.lam_plus + inv.lam_minus),
-                                       rel=1e-10, abs=1e-300)
+            # lambda_+ + lambda_- = 2a, each with multiplicity two
+            assert tr == pytest.approx(4.0 * a, rel=1e-10, abs=1e-300)
 
     def test_chain_spin_self_adjoint(self):
-        from seacausal import spinor
         rng = np.random.default_rng(33)
         for _ in range(20):
             x, y = rng.normal(size=4), rng.normal(size=4)
             a = closed_chain(x, y, PARAMS)
-            assert np.max(np.abs(spinor.spin_adjoint(a) - a)) \
+            # the spin adjoint gamma^0 A^dagger gamma^0
+            adj = spinor.GAMMA0 @ a.conj().T @ spinor.GAMMA0
+            assert np.max(np.abs(adj - a)) \
                 <= 1e-12 * np.linalg.norm(a)
 
 
@@ -106,20 +124,26 @@ class TestInvariantProperties:
         rng = np.random.default_rng(34)
         for _ in range(20):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            assert lagrangian(x, y, PARAMS) == pytest.approx(
-                lagrangian(y, x, PARAMS), rel=1e-12, abs=1e-300)
+            assert lagrangian(x, y) == pytest.approx(
+                lagrangian(y, x), rel=1e-12, abs=1e-300)
 
     def test_rotation_invariance_of_classification(self):
         xi = np.array([0.4, 0.7, 0.0, 0.0])
         rot = np.array([0.4, 0.0, 0.7, 0.0])  # same t, same |spatial part|
-        assert causal_classify(xi, np.zeros(4), PARAMS) \
-            is causal_classify(rot, np.zeros(4), PARAMS)
+        # off the lightlike band, the matrix route classifies too: a real
+        # eigenvalue pair is timelike, a non-real conjugate pair spacelike
+        for v in (xi, rot):
+            ev = np.linalg.eigvals(closed_chain(v, np.zeros(4), PARAMS))
+            real = np.max(np.abs(ev.imag)) <= EIG_REL_TOL * np.max(np.abs(ev))
+            assert class_of(v, np.zeros(4)) is (
+                CausalClass.Timelike if real else CausalClass.Spacelike)
 
     def test_lightlike_band(self):
-        assert classify_invariants(1.0, 0.0) is CausalClass.Lightlike
-        assert classify_invariants(1.0, 1e-16) is CausalClass.Lightlike
-        assert classify_invariants(1.0, 1e-3) is CausalClass.Timelike
-        assert classify_invariants(1.0, -1e-3) is CausalClass.Spacelike
+        codes = class_codes(np.ones(4), np.array([0.0, 1e-16, 1e-3, -1e-3]))
+        assert codes.tolist() == [CausalClass.Lightlike.value,
+                                  CausalClass.Lightlike.value,
+                                  CausalClass.Timelike.value,
+                                  CausalClass.Spacelike.value]
 
 
 def two_operator_chain(x, y, eps1, eps2):

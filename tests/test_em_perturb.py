@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from seacausal import em_perturb, spinor
 from seacausal.em_perturb import (GreenParams, Potential, convolve_S,
                                   convolve_surface, convolve_volume,
-                                  green_volume_part, psi1_on_frame)
+                                  psi1_on_frame)
 from seacausal.kernel import RegKernelParams
 
 PARAMS = RegKernelParams(1.0, 0.1)
 GP = GreenParams(-0.1593, 0.0812)  # near-calibrated constants
 Z = np.array([-0.3, 0.1, 0.0, -0.2])
-J1_AT_TWO = 0.5767
 
 
 def gaussian_source(center, width):
@@ -23,6 +23,18 @@ def gaussian_source(center, width):
         s = np.sum((y - center) ** 2, axis=-1) / width ** 2
         out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
         out[..., 0] = np.exp(-s)
+        return out
+
+    return g
+
+
+def ball_source(center, radius):
+    """A unit scalar source on the closed 4-ball, zero outside."""
+    center = np.asarray(center, dtype=float)
+
+    def g(y):
+        out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
+        out[..., 0] = np.sum((y - center) ** 2, axis=-1) <= radius ** 2
         return out
 
     return g
@@ -61,20 +73,45 @@ class TestPotential:
 
 
 class TestGreenVolumePart:
+    """The beta-part beta J1(m sqrt(xi^2))/(m sqrt(xi^2)) of the retarded
+    Green's kernel on the forward cone, integrated by convolve_volume."""
+
+    X = np.array([1.5, 0.0, 0.0, 0.0])
+    ORIGIN = np.zeros(4)    # with radius 0.5: the cone times t in [1, 2]
+
+    @staticmethod
+    def cone_integral(m, t_lo, t_hi):
+        """int dt int_0^t 4 pi rho^2 J1(m s)/(m s) drho, s^2 = t^2 - rho^2,
+        by scipy's adaptive quadrature in rho = t u."""
+        def f(u, t):
+            s = m * t * np.sqrt(1.0 - u * u)
+            h = 0.5 if s == 0.0 else special.j1(s) / s
+            return 4.0 * np.pi * t ** 3 * u * u * h
+        return integrate.dblquad(f, t_lo, t_hi, 0.0, 1.0, epsabs=0.0,
+                                 epsrel=1e-13)[0]
+
     def test_outside_cone_zero(self):
-        assert green_volume_part(np.array([0.5, 1.0, 0.0, 0.0]), 1.0, GP) \
-            == 0.0
-        assert green_volume_part(np.array([-2.0, 0.0, 0.0, 0.0]), 1.0, GP) \
-            == 0.0
+        # sources in x's time window but spacelike to it, or in its
+        # future, meet no point of its past cone
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        for c in ([1.0, 3.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]):
+            out = convolve_volume(x, ball_source(c, 0.5), 1.0, GP, c, 0.5)
+            assert np.max(np.abs(out)) == 0.0
 
     def test_interior_value(self):
-        val = green_volume_part(np.array([2.0, 0.0, 0.0, 0.0]), 1.0, GP)
-        assert val == pytest.approx(GP.beta_const * J1_AT_TWO / 2.0, rel=1e-3)
+        out = convolve_volume(self.X, ball_source(self.ORIGIN, np.inf), 1.0,
+                              GP, self.ORIGIN, 0.5)
+        want = GP.beta_const * self.cone_integral(1.0, 1.0, 2.0)
+        assert out[0] == pytest.approx(want, rel=1e-10)
+        assert np.all(out[1:] == 0.0)
 
     def test_continuous_limit_on_cone(self):
-        gp = GreenParams(0.0, 1.0)
-        near = green_volume_part(np.array([1.0, 0.999, 0.0, 0.0]), 1.0, gp)
-        assert near == pytest.approx(0.5, rel=1e-2)
+        # as m -> 0 every xi^2 approaches the kernel's value beta/2 on the
+        # cone, and the volume part that of beta/2 times the cone volume
+        out = convolve_volume(self.X, ball_source(self.ORIGIN, np.inf), 1e-4,
+                              GP, self.ORIGIN, 0.5)
+        want = GP.beta_const * 0.5 * np.pi / 3.0 * (2.0 ** 4 - 1.0)
+        assert out[0].real == pytest.approx(want, rel=1e-7)
 
 
 class TestGreenConstants:

@@ -2,9 +2,7 @@
 
 The reference loops below evaluate one panel per integrand call; the
 batched integrators must replay them exactly: value, error and panel
-count bitwise equal.  In 2-D the reference also takes per-column error
-weights: a panel's error is the max over the columns of nonzero weight
-of weight * |Kronrod - Gauss|.
+count bitwise equal.
 """
 
 import heapq
@@ -51,7 +49,7 @@ def ref_integrate_1d(f, a, b, tol_abs, max_panels=4000):
     return value, err, count
 
 
-def ref_panel_2d(f, box, weights=None):
+def ref_panel_2d(f, box):
     t0, t1, r0, r1 = box
     tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
     rm, rh = 0.5 * (r0 + r1), 0.5 * (r1 - r0)
@@ -60,16 +58,11 @@ def ref_panel_2d(f, box, weights=None):
     kk = th * rh * np.einsum("i,j,ijk->k", WK, WK, vals)
     gk_ = th * rh * np.einsum("i,j,ijk->k", WG7, WK, vals[G7_IDX, :, :])
     kg = th * rh * np.einsum("i,j,ijk->k", WK, WG7, vals[:, G7_IDX, :])
-    et, er = np.abs(kk - gk_), np.abs(kk - kg)
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        keep = w > 0
-        et, er = w[keep] * et[keep], w[keep] * er[keep]
-    return kk, float(np.max(et)), float(np.max(er))
+    return kk, float(np.max(np.abs(kk - gk_))), float(np.max(np.abs(kk - kg)))
 
 
-def ref_integrate_2d(f, box, tol_abs, max_panels=20000, weights=None):
-    val, et, er = ref_panel_2d(f, box, weights)
+def ref_integrate_2d(f, box, tol_abs, max_panels=20000):
+    val, et, er = ref_panel_2d(f, box)
     heap = [(-(et + er), 0, box, val, et, er)]
     count = 1
     total = et + er
@@ -85,8 +78,8 @@ def ref_integrate_2d(f, box, tol_abs, max_panels=20000, weights=None):
         else:
             m = 0.5 * (r0 + r1)
             b1, b2 = (t0, t1, r0, m), (t0, t1, m, r1)
-        v1, e1t, e1r = ref_panel_2d(f, b1, weights)
-        v2, e2t, e2r = ref_panel_2d(f, b2, weights)
+        v1, e1t, e1r = ref_panel_2d(f, b1)
+        v2, e2t, e2r = ref_panel_2d(f, b2)
         total += e1t + e1r + e2t + e2r - (pet + per)
         heapq.heappush(heap, (-(e1t + e1r), count, b1, v1, e1t, e1r))
         heapq.heappush(heap, (-(e2t + e2r), count + 1, b2, v2, e2t, e2r))
@@ -143,12 +136,6 @@ CASES_2D = [
      dict(tol_abs=0.0, max_panels=40)),
     ("max_panels", lambda t, r: np.abs(t - r) ** 0.3, (0.0, 1.0, 0.0, 1.0),
      dict(tol_abs=1e-14, max_panels=301)),
-    ("ride_along", smooth_2d, (0.0, 2.0, 0.0, 3.0),
-     dict(tol_abs=1e-11, weights=(1.0, 0.0, 0.0))),
-    ("weighted", smooth_2d, (0.0, 2.0, 0.0, 3.0),
-     dict(tol_abs=1e-11, weights=(0.0, 2.5, 0.125))),
-    ("weighted_capped", smooth_2d, (0.0, 2.0, 0.0, 3.0),
-     dict(tol_abs=0.0, max_panels=64, weights=(0.5, 0.0, 3.0))),
 ]
 
 
@@ -180,102 +167,29 @@ class TestExactReplay:
                            ref_integrate_2d(g, box, **kw))
 
     def test_tail_cross_section(self):
-        fs = quadrature._scalar_integrand(
-            quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1)))
+        f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
 
         def q(t):
-            return fs(t, np.full_like(t, 192.0))
+            return f(t, np.full_like(t, 192.0))[:, 0]
         kw = dict(tol_abs=0.0, max_panels=40)
         assert_bitwise(gk.integrate_1d(q, 0.0, 160.0, **kw),
                        ref_integrate_1d(q, 0.0, 160.0, **kw))
 
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     def test_certified_interior(self, kind):
-        # with the error weights the certified integrals use
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, 0.1))
         box = (0.0, 40.0, 0.0, 48.0)
-        w = quadrature._INTERIOR_WEIGHTS.get(kind)
-        probe = ref_integrate_2d(f, box, tol_abs=0.0, max_panels=64,
-                                 weights=w)
+        probe = ref_integrate_2d(f, box, tol_abs=0.0, max_panels=64)
         tol_abs = 0.5 * 0.005 * abs(float(probe[0][0]))
-        want = ref_integrate_2d(f, box, tol_abs=tol_abs, weights=w)
-        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs, weights=w),
-                       want)
+        want = ref_integrate_2d(f, box, tol_abs=tol_abs)
+        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs), want)
         # the probe's panels shared with the tolerance pass
         cache = {}
         assert_bitwise(gk.integrate_2d(f, box, tol_abs=0.0, max_panels=64,
-                                       cache=cache, weights=w), probe)
-        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs, cache=cache,
-                                       weights=w), want)
+                                       cache=cache), probe)
+        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs, cache=cache),
+                       want)
 
-
-UNWEIGHTED_2D = [c for c in CASES_2D if "weights" not in c[3]]
-
-
-class TestWeights:
-    @pytest.mark.parametrize("name,f,box,kw", UNWEIGHTED_2D,
-                             ids=[c[0] for c in UNWEIGHTED_2D])
-    def test_all_ones_is_default(self, name, f, box, kw):
-        k = np.asarray(f(np.array([0.5]), np.array([0.5]))).shape[-1]
-        assert_bitwise(gk.integrate_2d(f, box, weights=np.ones(k), **kw),
-                       gk.integrate_2d(f, box, **kw))
-
-    def test_ride_along_invariance(self):
-        # [L] alone and [L, |lambda+|^2, |lambda-|^2] at weights (1, 0, 0)
-        # refine the same mesh: error and count bitwise equal.  numpy sums
-        # the (n, 1) stack of panel values pairwise and an (n, 3) stack row
-        # by row, so value[0] is compared bitwise against [L, 0, 0], whose
-        # unweighted error is L's own
-        f = quadrature._integrand_factory("lagrangian",
-                                          RegKernelParams(1.0, 0.1))
-
-        def alone(t, r):
-            return f(t, r)[:, :1]
-
-        def zeroed(t, r):
-            v = f(t, r)
-            v[:, 1:] = 0.0
-            return v
-        box, tol_abs = (0.0, 40.0, 0.0, 48.0), 1e-9
-        va, ea, na = gk.integrate_2d(alone, box, tol_abs=tol_abs)
-        vr, er, nr = gk.integrate_2d(f, box, tol_abs=tol_abs,
-                                     weights=(1.0, 0.0, 0.0))
-        assert (np.float64(er).tobytes(), nr) \
-            == (np.float64(ea).tobytes(), na)
-        assert vr[0] == pytest.approx(va[0], rel=1e-15, abs=0.0)
-        vz, ez, nz = gk.integrate_2d(zeroed, box, tol_abs=tol_abs)
-        assert_bitwise((vr[:1], er, nr), (vz[:1], ez, nz))
-        # the ride-along columns would have steered it to a finer mesh
-        assert gk.integrate_2d(f, box, tol_abs=tol_abs)[2] > na
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_ride_along_column(self, bad):
-        def zeroed(t, r):
-            v = smooth_2d(t, r)
-            v[:, 1:] = 0.0
-            return v
-
-        def with_bad(t, r):
-            v = smooth_2d(t, r)
-            v[:, 1] = bad
-            return v
-        box, tol_abs = (0.0, 2.0, 0.0, 3.0), 1e-11
-        want = gk.integrate_2d(zeroed, box, tol_abs=tol_abs)
-        got = gk.integrate_2d(with_bad, box, tol_abs=tol_abs,
-                              weights=(1.0, 0.0, 0.0))
-        assert_bitwise((got[0][:1], got[1], got[2]),
-                       (want[0][:1], want[1], want[2]))
-        assert not np.isfinite(got[0][1])
-        assert got[2] == gk.integrate_2d(
-            lambda t, r: smooth_2d(t, r)[:, :1], box, tol_abs=tol_abs)[2]
-
-    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
-                                         (0.0, 0.0, 0.0), (1.0, -1.0, 0.0),
-                                         (1.0, np.nan, 0.0), [[1.0, 0.0, 0.0]]])
-    def test_bad_weights(self, weights):
-        with pytest.raises(ValueError):
-            gk.integrate_2d(smooth_2d, (0.0, 2.0, 0.0, 3.0), tol_abs=1e-6,
-                            weights=weights)
 
 
 class _Recorder:

@@ -6,8 +6,7 @@ import pytest
 from seacausal import kernel, spinor
 from seacausal.kernel import (RegKernelParams, TWO_PI_CUBED,
                               kernel_column_partial, kernel_matrix_batch,
-                              kernel_p, kernel_p_momentum_oracle, nu_pm,
-                              scalar_FG)
+                              kernel_p, kernel_p_momentum_oracle, scalar_FG)
 
 ORACLE_ABS_TOL = 1e-6
 RECON_REL_TOL = 1e-12
@@ -112,7 +111,9 @@ class TestClosedForm:
             x, y = rng.normal(size=4), rng.normal(size=4)
             pxy = kernel_p(x, y, params).matrix
             pyx = kernel_p(y, x, params).matrix
-            assert np.max(np.abs(spinor.spin_adjoint(pxy) - pyx)) \
+            # P(y, x) = gamma^0 P(x, y)^dagger gamma^0
+            adj = spinor.GAMMA0 @ pxy.conj().T @ spinor.GAMMA0
+            assert np.max(np.abs(adj - pyx)) \
                 <= 1e-12 * np.linalg.norm(pxy)
 
     def test_translation_invariance_exact(self):
@@ -137,8 +138,8 @@ class TestClosedForm:
         params = RegKernelParams(1.0, 0.1)
         for ray in ([1.0, 0, 0, 0], [1.0, 1.0, 0, 0], [0.3, 1.0, 0, 0]):
             ray = np.asarray(ray)
-            norms = [spinor.spectral_norm(
-                kernel_p(np.zeros(4), s * ray, params).matrix)
+            norms = [np.linalg.norm(
+                kernel_p(np.zeros(4), s * ray, params).matrix, 2)
                 for s in (5.0, 15.0, 45.0)]
             assert norms[0] > norms[1] > norms[2]
             assert norms[2] < 0.1 * norms[0]
@@ -166,6 +167,14 @@ class TestMomentumOracle:
             assert np.max(np.abs(closed - mom)) <= ORACLE_ABS_TOL + err
 
 
+def nu_pm(params):
+    """(nu_minus, nu_plus): 2 pi times the first and last diagonal entry
+    of the doubled-regularization kernel at coincidence."""
+    doubled = RegKernelParams(params.m, 2.0 * params.eps)
+    d = np.real(np.diag(kernel_p(np.zeros(4), np.zeros(4), doubled).matrix))
+    return 2.0 * np.pi * d[0], 2.0 * np.pi * d[3]
+
+
 class TestCoincidenceEigenvalues:
     def test_frozen_values(self):
         nm, np_ = nu_pm(RegKernelParams(1.0, 0.5))
@@ -181,6 +190,7 @@ class TestCoincidenceEigenvalues:
 
     def test_growth_as_regularization_shrinks(self):
         vals = [nu_pm(RegKernelParams(1.0, e)) for e in (1.0, 0.5, 0.25)]
+        assert all(nm < 0.0 < np_ for nm, np_ in vals)
         mags = [max(abs(a), abs(b)) for a, b in vals]
         assert mags[0] < mags[1] < mags[2]
 

@@ -10,8 +10,7 @@ from seacausal.kernel import RegKernelParams, kernel_p
 from seacausal.quadrature import (RegionTag, decay_lower_bound, ell_varied,
                                   exponent_exact, integrate_lagrangian,
                                   integrate_p4, mc_p4_at_x, p_norm_radial,
-                                  region_classify, region_classify_radial)
-from seacausal.spinor import spectral_norm
+                                  region_classify_radial)
 
 INTEGRAL_TOL = 0.005
 PARAMS = RegKernelParams(1.0, 0.1)
@@ -23,6 +22,8 @@ FROZEN_P4 = 0.00426548270550622
 # and panel count
 FROZEN_P4_EXACT = 0.004265482705506221
 FROZEN_P4_PANELS = 143
+# the Lagrangian's interior panel count at eps = 0.1
+FROZEN_LAGRANGIAN_PANELS = 313
 # with the interior error controlled on L's own column; the independent
 # "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
 # value -1.65e-3 from it), and its tight [0, 40] x [0, 48] box alone
@@ -60,10 +61,6 @@ class TestRegions:
         assert region_classify_radial(0.5, 0.4, 0.8) is RegionTag.C1plus
         assert region_classify_radial(1.0, 10.0, 0.8) is RegionTag.C2
         assert region_classify_radial(2.0, 2.2, 0.9) is RegionTag.C1minus
-
-    def test_four_vector_entry_point(self):
-        tag = region_classify(np.array([2.0, 0.0, 0.0, 0.0]), 0.8)
-        assert tag is RegionTag.C0
 
     def test_time_slice_rejected(self):
         with pytest.raises(ValueError):
@@ -150,7 +147,7 @@ class TestKernelNormClosedForm:
             mat = kernel_p(np.array([t, r, 0.0, 0.0]), np.zeros(4),
                            RegKernelParams(1.0, ec)).matrix
             assert float(p_norm_radial(t, r, ec, 1.0)) == pytest.approx(
-                float(spectral_norm(mat)), rel=1e-12)
+                np.linalg.norm(mat, 2), rel=1e-12)
 
 
 class TestCertifiedIntegrals:
@@ -170,30 +167,12 @@ class TestCertifiedIntegrals:
     def test_lagrangian_frozen_and_bounded(self):
         rep = integrate_lagrangian(PARAMS, tol=INTEGRAL_TOL)
         assert rep.value == pytest.approx(FROZEN_LAGRANGIAN, rel=1e-9)
-        lp2 = rep.extras["int_lambda_plus_sq"]
-        lm2 = rep.extras["int_lambda_minus_sq"]
-        assert lp2 > 0 and lm2 > 0
-        # the Lagrangian integrand is dominated by the eigenvalue squares
-        assert rep.value <= 4.0 * (lp2 + lm2)
-        # |lambda_pm|^2 ride along without steering the mesh: 641 panels
-        # when they were controlled to L's budget, 313 without
-        assert rep.regions_evaluated <= 400
+        assert rep.abs_error_estimate + rep.tail_bound \
+            <= INTEGRAL_TOL * rep.value
 
-    def test_lagrangian_error_is_its_own_column(self):
-        # the reported interior error is L's own estimate: a run on the L
-        # column alone refines the same mesh to the same error
+    def test_lagrangian_refinement_pinned(self):
         rep = integrate_lagrangian(PARAMS, tol=INTEGRAL_TOL)
-        f = quadrature._integrand_factory("lagrangian", PARAMS)
-
-        def alone(t, r):
-            return f(t, r)[:, :1]
-        box = (0.0, rep.truncation_T, 0.0, rep.truncation_R)
-        vest, _, _ = gk.integrate_2d(alone, box, tol_abs=0.0, max_panels=64)
-        v, err, n = gk.integrate_2d(
-            alone, box, tol_abs=0.5 * INTEGRAL_TOL * abs(float(vest[0])))
-        assert rep.abs_error_estimate == 2.0 * err
-        assert rep.regions_evaluated == n
-        assert rep.value == pytest.approx(2.0 * float(v[0]), rel=1e-15)
+        assert rep.regions_evaluated == FROZEN_LAGRANGIAN_PANELS
 
     def test_lagrangian_small_eps_grows_domain(self):
         # needs a larger box than the default T = 40: every retry of the

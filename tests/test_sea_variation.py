@@ -1,5 +1,6 @@
 """Local correlation operators realized through Gram data: correlations,
-operator-norm distances and frame L1 norms."""
+the joint-frame Gram matrix, operator-norm distances and the product
+spectrum."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from seacausal import chain, kernel, sea_variation, spinor
 from seacausal.kernel import RegKernelParams
-from seacausal.sea_variation import (gram_block, l1_frame_norms,
-                                     mixed_correlation, op_norm_difference,
+from seacausal.sea_variation import (op_norm_difference,
                                      product_coefficient_matrix)
 
 M = 1.0
@@ -16,8 +16,19 @@ PRODUCT_SPEC_TOL = 1e-7
 ORACLE_REL_TOL = 1e-6
 I4 = np.eye(4)
 
-# frozen from runs of this deterministic code path (m = 1, eps = 0.1)
-FROZEN_L1_NORMALIZED = [0.70675924, 0.70675924, 0.69160788, 0.69160788]
+
+def mixed_correlation(x, y, eps1, eps2, a, b, m):
+    """<P^{eps1}(.,x) a | P^{eps2}(.,y) b> by the correlation identity,
+    -(1/2pi) <a | P^{eps1+eps2}(x,y) b>_spin."""
+    p = kernel.kernel_p(x, y, RegKernelParams(m, eps1 + eps2)).matrix
+    return complex(-spinor.spin_product(a, p @ b) / (2.0 * np.pi))
+
+
+def gram_block(x, eps1, eps2, m):
+    """8x8 Gram matrix of {P^{eps1}(.,x) e_mu} u {P^{eps2}(.,x) e_mu}."""
+    frame = [(eps, mu) for eps in (eps1, eps2) for mu in range(4)]
+    return np.array([[mixed_correlation(x, x, ek, el, I4[mk], I4[ml], m)
+                      for el, ml in frame] for ek, mk in frame])
 
 
 def pencil_norm_oracle(x, eps1, eps2, m):
@@ -71,25 +82,34 @@ class TestMixedCorrelation:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_same_point_diagonal(self):
-        # the diagonal reproduces the coincidence eigenvalues over 2 pi
-        nm, np_ = kernel.nu_pm(RegKernelParams(M, 0.1))
+        # the diagonal is -(1/2pi) gamma^0 times the diagonal of the
+        # doubled-regularization kernel at coincidence, whose entries are
+        # the coincidence eigenvalues (nu_-, nu_-, nu_+, nu_+) over 2 pi
+        d = np.real(np.diag(kernel.kernel_p(
+            np.zeros(4), np.zeros(4), RegKernelParams(M, 0.2)).matrix))
+        assert d[0] < 0.0 < d[3]
         vals = [mixed_correlation(np.zeros(4), np.zeros(4), 0.1, 0.1,
                                   I4[mu], I4[mu], M).real
                 for mu in range(4)]
-        want = -np.array([nm, nm, -np_, -np_]) / (2.0 * np.pi) ** 2
+        want = -np.array([d[0], d[0], -d[3], -d[3]]) / (2.0 * np.pi)
         assert np.allclose(vals, want, rtol=1e-12)
 
     def test_positive_regularizations_required(self):
-        with pytest.raises(ValueError):
-            mixed_correlation(np.zeros(4), np.zeros(4), 0.0, 0.1,
-                              I4[0], I4[0], M)
+        # the correlation identity needs both regularizations positive
+        for eps1, eps2 in ((0.0, 0.1), (0.1, -0.1)):
+            with pytest.raises(ValueError):
+                op_norm_difference(np.zeros(4), eps1, eps2, M)
+            with pytest.raises(ValueError):
+                product_coefficient_matrix(np.zeros(4), np.zeros(4), eps1,
+                                           eps2, M)
 
 
 class TestGramBlock:
     def test_hermitian_and_psd(self):
         for x in (np.zeros(4), np.array([0.7, -0.3, 0.2, 0.1])):
             g = gram_block(x, 0.1, 0.3, M)
-            assert np.allclose(g, g.conj().T)
+            assert np.allclose(g, g.conj().T, rtol=0.0,
+                               atol=1e-14 * np.trace(g).real)
             assert np.linalg.eigvalsh(g).min() >= -1e-10 * np.trace(g).real
 
     def test_translation_invariance(self):
@@ -141,18 +161,3 @@ class TestProductSpectrumOracle:
             ri, ci = linear_sum_assignment(cost)
             assert cost[ri, ci].max() <= PRODUCT_SPEC_TOL * scale
 
-
-class TestFrameL1Norms:
-    def test_frozen_normalized_values(self):
-        vals = l1_frame_norms(RegKernelParams(M, 0.1))
-        assert np.allclose(vals, FROZEN_L1_NORMALIZED, rtol=1e-4)
-
-    def test_raw_norms_grow_as_regularization_shrinks(self):
-        fine = l1_frame_norms(RegKernelParams(M, 0.1), normalized=False)
-        coarse = l1_frame_norms(RegKernelParams(M, 0.2), normalized=False)
-        assert np.all(fine > coarse)
-
-    def test_stable_under_domain_growth(self):
-        base = l1_frame_norms(RegKernelParams(M, 0.2), radius=40.0)
-        big = l1_frame_norms(RegKernelParams(M, 0.2), radius=80.0)
-        assert np.max(np.abs(big - base) / base) <= 0.01
