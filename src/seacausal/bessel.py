@@ -65,16 +65,6 @@ def bessel_k12(z):
     return (k1[0], k2[0]) if scalar else (k1, k2)
 
 
-def bessel_k_derivative(n: int, z):
-    """K_n'(z) from the two-sided identity K_n' = -(K_{n-1} + K_{n+1})/2."""
-    if n != 1:
-        raise ValueError("derivative implemented for order 1 only")
-    zarr, scalar = _cut_plane_array(z)
-    k0, _, k2 = _k012(zarr)
-    out = -0.5 * (k0 + k2)
-    return out[0] if scalar else out
-
-
 def j1_over_x(x):
     """J1(x)/x with the continuous value 1/2 at x = 0."""
     xarr = np.asarray(x, dtype=float)

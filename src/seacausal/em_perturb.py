@@ -8,9 +8,8 @@ part (J1(m sqrt(xi^2)) / (m sqrt(xi^2)) inside the forward cone):
 
 For the sign convention (box + m^2) phi = -g of phi = S * g the constants
 have the closed form alpha = -1/(2 pi), beta = m^2/(4 pi)
-(green_constants).  calibrate_green fits them instead, by demanding
-that the convolved field solve the inhomogeneous Klein-Gordon equation
-on a test grid; it serves as an oracle for the closed form.
+(green_constants).  verify em checks them against an exact retarded
+solution of the inhomogeneous Klein-Gordon equation.
 
 The first-order perturbation field on a frame vector is
 
@@ -95,8 +94,7 @@ def green_constants(m: float) -> GreenParams:
 
 
 # fixed Gauss-Legendre orders for the convolution quadratures; sized so
-# the quadrature-error field stays below the finite-difference
-# calibration tolerance
+# the quadrature error stays far below the bounds of verify em
 _N_RHO = 48
 _N_CT = 32
 _N_PH = 32
@@ -129,8 +127,8 @@ def convolve_surface(x, g, gp: GreenParams, supp_center,
     4-ball (supp_center, supp_radius).
 
     t_window = (t_lo, t_hi): widen the radial interval as if x0 ranged
-    over [t_lo, t_hi].  Finite-difference stencils (the Green calibration
-    and its oracles) pass a common window so every stencil point shares
+    over [t_lo, t_hi].  Finite-difference stencils (the Dirac-factor
+    oracle of verify em) pass a common window so every stencil point shares
     identical quadrature nodes and the quadrature error cancels in the
     differences (the integrand vanishes on the added margin, so the value
     is unchanged).
@@ -253,68 +251,3 @@ def f1_matrix_element(x, z1, mu: int, z2, nu: int, a: Potential,
     p1 = psi1_on_frame(x, z1, mu, a, params, gp)
     p2 = psi1_on_frame(x, z2, nu, a, params, gp)
     return complex(-spinor.spin_product(r1, p2) - spinor.spin_product(p1, r2))
-
-
-def _box_plus_m2(phi_of_x, x, m: float, h: float) -> np.ndarray:
-    """(d_t^2 - Laplacian + m^2) phi at x by central second differences.
-
-    The step is kept moderately large: the quadrature noise of phi is
-    amplified by 1/h^2, while the truncation error O((m h)^2) stays
-    far below the calibration tolerance.
-    """
-    x = np.asarray(x, dtype=float)
-    win = (x[0] - h, x[0] + h)
-    center = phi_of_x(x, win)
-    out = m * m * center
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        second = (phi_of_x(x + e, win) - 2.0 * center
-                  + phi_of_x(x - e, win)) / (h * h)
-        out = out + (second if j == 0 else -second)
-    return out
-
-
-# test points of calibrate_green (offsets from the potential's center) and
-# the step of its second differences
-_CALIB_OFFSETS = np.array([[0.00, 0.15, 0.0, 0.0], [0.10, -0.1, 0.1, 0.0],
-                           [-0.1, 0.0, -0.15, 0.1], [0.20, 0.05, 0.0, -0.1]])
-_CALIB_STEP = 2e-2
-
-
-def calibrate_green(params: RegKernelParams):
-    """Fit (alpha_const, beta_const) by least squares so that the
-    convolved field phi = S * g solves (box + m^2) phi = -g on a test
-    grid; returns (GreenParams, relative_residual).
-    """
-    m = params.m
-    a = Potential()
-    z = np.array([-0.3, 0.1, 0.0, -0.2])
-    mu = 1
-    src = _frame_source(a, z, mu, params)
-    # unit constants: each basis field is one part of S at weight 1
-    unit = GreenParams(1.0, 1.0)
-
-    cols_a, cols_b, rhs = [], [], []
-    for x in a.center + _CALIB_OFFSETS:
-        def phi_a(pt, win=None):
-            return convolve_surface(pt, src, unit, a.center, a.radius, win)
-
-        def phi_b(pt, win=None):
-            return convolve_volume(pt, src, m, unit, a.center, a.radius,
-                                   win)
-
-        cols_a.append(_box_plus_m2(phi_a, x, m, _CALIB_STEP))
-        cols_b.append(_box_plus_m2(phi_b, x, m, _CALIB_STEP))
-        rhs.append(src(x[None, :])[0])
-    la = np.concatenate(cols_a)
-    lb = np.concatenate(cols_b)
-    g = np.concatenate(rhs)
-    # solve real (alpha, beta): [La Lb][alpha beta]^T = -g, stacked re/im
-    mat = np.stack([np.concatenate([la.real, la.imag]),
-                    np.concatenate([lb.real, lb.imag])], axis=1)
-    vec = -np.concatenate([g.real, g.imag])
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    alpha, beta = float(sol[0]), float(sol[1])
-    resid = np.linalg.norm(mat @ sol - vec) / max(np.linalg.norm(vec), 1e-300)
-    return GreenParams(alpha, beta), float(resid)

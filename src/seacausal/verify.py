@@ -47,13 +47,6 @@ def suite_bessel(seed=12345):
     dev = float(np.max(np.abs(k2 - ref) / np.abs(ref)))
     out.append(("k2_complex_integral", dev <= 1e-10, "max rel %.2e" % dev))
 
-    dk = bessel.bessel_k_derivative(1, z)
-    h = 1e-6 * np.abs(z)
-    fd = (bessel.bessel_k(1, z + h) - bessel.bessel_k(1, z - h)) / (2.0 * h)
-    dev = np.max(np.abs(dk - fd) / np.abs(dk))
-    out.append(("derivative_identity_fd", dev <= 1e-6,
-                "max rel %.2e (fd step limited)" % dev))
-
     xs = np.exp(np.linspace(np.log(0.1), np.log(30.0), 20))
     worst = 0.0
     for x in xs:
@@ -111,7 +104,8 @@ def suite_kernel(seed=12345):
             d_j = (gp_ - gm_) / (2.0 * h)
             d_up = d_j if j == 0 else -d_j
             fd = (1j / p.m) * d_up
-            worst = max(worst, abs(fd - v[j]) / max(abs(v[j]), 1e-12))
+            worst = max(worst,
+                        float(abs(fd - v[j]) / max(abs(v[j]), 1e-12)))
     out.append(("vector_gradient_identity", worst <= 1e-5,
                 "max rel %.2e" % worst))
 
@@ -135,10 +129,27 @@ def suite_kernel(seed=12345):
         r1 = dirac_resid(2e-3)
         r2 = dirac_resid(1e-3)
         r = (4.0 * r2 - r1) / 3.0
-        scale = p.m * np.max(np.abs(pmat(xi)))
+        scale = float(p.m * np.max(np.abs(pmat(xi))))
         worst = max(worst, float(np.max(np.abs(r))) / scale)
     out.append(("dirac_equation_residual", worst <= 1e-4,
                 "max rel %.2e" % worst))
+
+    # the closed-form d_k P e_mu of kernel_column_partial, which the EM
+    # source uses, against central differences of kernel_matrix_batch
+    # columns, for all 16 (mu, k) pairs; relative to the largest partial
+    # at each point
+    h = 1e-5
+    xi = rng.uniform(-1.0, 1.0, (10, 4))
+    steps = h * np.eye(4)
+    fd = (kernel.kernel_matrix_batch(xi[:, None] + steps, p)
+          - kernel.kernel_matrix_batch(xi[:, None] - steps, p)) / (2.0 * h)
+    # axes (mu, k, point, spinor), as fd.transpose(3, 1, 0, 2)
+    closed = np.array([[kernel.kernel_column_partial(xi, mu, k, p)[1]
+                        for k in range(4)] for mu in range(4)])
+    dev = np.abs(closed - fd.transpose(3, 1, 0, 2))
+    worst = float(np.max(np.max(dev, axis=(0, 1, 3))
+                         / np.max(np.abs(closed), axis=(0, 1, 3))))
+    out.append(("column_partial_fd", worst <= 1e-6, "max rel %.2e" % worst))
     return out
 
 
@@ -178,7 +189,8 @@ def suite_spectral(seed=12345, n_trials=1000):
 
     lag = chain.lagrangian_of_b(b)
     alt = (np.abs(lam_p) - np.abs(lam_m)) ** 2
-    dev = np.max(np.abs(lag - alt) / (np.abs(lag) + np.abs(alt) + 1e-300))
+    dev = float(np.max(np.abs(lag - alt)
+                       / (np.abs(lag) + np.abs(alt) + 1e-300)))
     out.append(("lagrangian_identity", dev <= 1e-8, "max rel %.2e" % dev))
 
     space = b < 0
@@ -220,7 +232,7 @@ def suite_integrability(seed=12345):
                                     n_samples=60000, seed=seed)
     combined = np.sqrt(se ** 2 + r2.abs_error_estimate ** 2
                        + r2.tail_bound ** 2)
-    z = abs(est - r2.value) / combined
+    z = float(abs(est - r2.value) / combined)
     out.append(("mc_x_independence", z <= 3.0, "z = %.2f" % z))
     return out
 
@@ -234,7 +246,7 @@ def suite_geometry(seed=12345, n=10000):
     zeta = -((t + 1j * eps) ** 2) + r * r
     direct = np.real(np.sqrt(zeta))
     ours = quadrature.exponent_exact(t, r, eps)
-    dev = np.max(np.abs(direct - ours) / (np.abs(direct) + 1e-30))
+    dev = float(np.max(np.abs(direct - ours) / (np.abs(direct) + 1e-30)))
     out.append(("exponent_identity", dev <= 1e-12, "max rel %.2e" % dev))
 
     lam = 0.85
@@ -438,6 +450,43 @@ def suite_variation(seed=12345):
 # step of the central differences in the Dirac-factor oracle of suite_em
 _EM_FD_STEP = 1e-3
 
+# the Green's-kernel oracle of suite_em: test points (offsets from the
+# default potential's center), the power n of its test field and its bound
+_GREEN_OFFSETS = np.array([[0.00, 0.15, 0.0, 0.0], [0.10, -0.1, 0.1, 0.0],
+                           [-0.1, 0.0, -0.15, 0.1], [0.20, 0.05, 0.0, -0.1]])
+_GREEN_POWER = 8
+_GREEN_BOUND = 1e-6
+
+
+def _green_closed_form(m):
+    """Max |S * g - phi| at the test points, S at green_constants(m), for
+    the exact solution phi = (1 - s)^n, s = |y - c|^2/r^2 < 1 (zero
+    outside), on the default potential's ball (c, r).  phi vanishes before
+    the initial time, so it is the retarded solution of (box + m^2) phi = -g
+    for g = -(box + m^2) phi, which has the closed form below; S * g must
+    return phi in spinor component 0 and zero in the others."""
+    a = em_perturb.Potential()
+    n, r2 = _GREEN_POWER, a.radius ** 2
+
+    def source(y):
+        d = y - a.center
+        q = np.maximum(1.0 - np.sum(d * d, axis=-1) / r2, 0.0)
+        box = (4.0 * n * (n - 1) * q ** (n - 2)
+               * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1)) / r2
+               + 4.0 * n * q ** (n - 1)) / r2
+        out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
+        out[..., 0] = -(box + m * m * q ** n)
+        return out
+
+    gp = em_perturb.green_constants(m)
+    worst = 0.0
+    for x in a.center + _GREEN_OFFSETS:
+        phi = np.zeros(4)
+        phi[0] = (1.0 - np.sum((x - a.center) ** 2) / r2) ** n
+        got = em_perturb.convolve_S(x, source, m, gp, a.center, a.radius)
+        worst = max(worst, float(np.max(np.abs(got - phi))))
+    return worst
+
 
 def _dirac_factor_fd(x, z, mu, a, p, gp):
     """Psi1 = -(i gamma^j d_j + m)(S * g) at x, g the frame source, by
@@ -465,10 +514,12 @@ def suite_em(seed=12345):
     out = []
     p = RegKernelParams(1.0, 0.1)
     a = em_perturb.Potential()
-    gp, resid = em_perturb.calibrate_green(p)
-    out.append(("green_calibration", resid <= 1e-3,
-                "alpha %.4f beta %.4f resid %.2e"
-                % (gp.alpha_const, gp.beta_const, resid)))
+    gp = em_perturb.green_constants(p.m)
+    errs = [_green_closed_form(m) for m in (1.0, 2.0)]
+    out.append(("green_closed_form", max(errs) <= _GREEN_BOUND,
+                "max |S*g - phi| %.2e at m = 1, %.2e at m = 2, bound %.1e "
+                "(margin x%.0f)" % (*errs, _GREEN_BOUND,
+                                    _GREEN_BOUND / max(*errs, 1e-300))))
 
     z1 = np.array([-0.3, 0.1, 0.0, -0.2])
     z2 = np.array([-0.2, -0.1, 0.2, 0.0])

@@ -31,6 +31,8 @@ def assert_all_pass(results):
     failures = ["%s: %s" % (name, detail)
                 for name, ok, detail in results if not ok]
     assert not failures, "failed checks:\n" + "\n".join(failures)
+    not_bool = [name for name, ok, _ in results if type(ok) is not bool]
+    assert not not_bool, "verdicts that are not a bool: " + ", ".join(not_bool)
 
 
 def run_cli(*args):

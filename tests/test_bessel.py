@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from seacausal.bessel import (BesselDomainError, bessel_k, bessel_k12,
-                              bessel_k_derivative, j1_over_x)
+from seacausal.bessel import BesselDomainError, bessel_k, bessel_k12, j1_over_x
 
 REL_TOL = 1e-10
-FD_TOL = 1e-6
 ORACLE_REL_TOL = 1e-10
 MPMATH_REL_TOL = 1e-13
 
@@ -42,10 +40,6 @@ class TestFrozenValues:
     def test_k2_at_one(self):
         # K2 = K0 + 2 K1 at z = 1
         assert bessel_k(2, 1.0) == pytest.approx(1.6248388986, rel=1e-9)
-
-    def test_k1_derivative_at_one(self):
-        assert bessel_k_derivative(1, 1.0) == pytest.approx(
-            -1.0229316684, rel=1e-9)
 
     def test_large_argument_envelope(self):
         # K1(10) within 5% of sqrt(pi/20) e^{-10}
@@ -138,12 +132,6 @@ class TestIdentities:
         xs = np.linspace(0.1, 40.0, 400)
         vals = np.real(bessel_k(1, xs)) * np.exp(xs)
         assert np.all(np.diff(vals) < 0)
-
-    @pytest.mark.parametrize("z", [0.7, 3.0 + 1.5j, 2.0 + 1.0j, 20.0 - 8.0j])
-    def test_derivative_matches_finite_differences(self, z):
-        h = 1e-6
-        fd = (bessel_k(1, z + h) - bessel_k(1, z - h)) / (2.0 * h)
-        assert bessel_k_derivative(1, z) == pytest.approx(fd, rel=FD_TOL)
 
     def test_asymptotic_envelope_far_out(self):
         rng = np.random.default_rng(7)

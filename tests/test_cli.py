@@ -259,16 +259,22 @@ class TestEmCommand:
         assert float(row["re_value"]) == 0.0
         assert float(row["im_value"]) == 0.0
 
-    def test_closed_form_default_skips_calibration(self, monkeypatch,
-                                                   tmp_path):
-        def calibrate(*args, **kwargs):
-            raise AssertionError("calibrate_green must not run")
+    def test_closed_form_default_and_overrides(self, monkeypatch, tmp_path):
+        seen = []
 
-        monkeypatch.setattr(em_perturb, "calibrate_green", calibrate)
-        path = tmp_path / "em.csv"
-        assert cli.main(["em", "--x", "0.2,0,0,0", "-o", str(path)]) == 0
-        header, rows = parse_csv(path.read_text())
-        assert dict(zip(header, rows[0]))["causal_flag"] == "causal_exterior"
+        def element(x, z1, mu, z2, nu, a, params, gp):
+            seen.append(gp)
+            return 0j
+
+        monkeypatch.setattr(em_perturb, "f1_matrix_element", element)
+        argv = ["em", "--mass", "2", "--x", "1.6,0.35,0.1,0.35",
+                "-o", str(tmp_path / "em.csv")]
+        for extra in ([], ["--alpha", "-0.2"], ["--beta", "0.3"]):
+            assert cli.main(argv + extra) == 0
+        closed = em_perturb.green_constants(2.0)
+        assert seen == [closed,
+                        em_perturb.GreenParams(-0.2, closed.beta_const),
+                        em_perturb.GreenParams(closed.alpha_const, 0.3)]
 
     @pytest.mark.parametrize("flag, value", [
         ("--x", "nan,0,0,0"), ("--x", "0.2,inf,0,0"), ("--z1", "0,0,inf,0"),

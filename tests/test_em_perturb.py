@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from seacausal import em_perturb, spinor
+from seacausal import em_perturb, spinor, verify
 from seacausal.em_perturb import (GreenParams, Potential, convolve_S,
                                   convolve_surface, convolve_volume,
                                   psi1_on_frame)
 from seacausal.kernel import RegKernelParams
 
 PARAMS = RegKernelParams(1.0, 0.1)
-GP = GreenParams(-0.1593, 0.0812)  # near-calibrated constants
+GP = GreenParams(-0.1593, 0.0812)  # near green_constants(1.0)
 Z = np.array([-0.3, 0.1, 0.0, -0.2])
 
 
@@ -122,6 +122,23 @@ class TestGreenConstants:
         assert gp.beta_const == pytest.approx(1.0 / np.pi, rel=1e-15)
         assert em_perturb.green_constants(1.0).beta_const \
             == pytest.approx(0.25 * gp.beta_const, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha_factor, beta_factor, passes", [
+        (1.0, 1.0, True), (1.0, 1.005, False), (1.001, 1.0, False)])
+    def test_exact_solution_oracle_detects_wrong_constants(
+            self, monkeypatch, alpha_factor, beta_factor, passes):
+        # verify em's green_closed_form check, at m = 1 with each constant
+        # of the convolution's Green's kernel scaled
+        closed = em_perturb.green_constants
+
+        def scaled(m):
+            gp = closed(m)
+            return GreenParams(alpha_factor * gp.alpha_const,
+                               beta_factor * gp.beta_const)
+
+        monkeypatch.setattr(em_perturb, "green_constants", scaled)
+        err = verify._green_closed_form(1.0)
+        assert (err <= verify._GREEN_BOUND) is passes
 
 
 class TestConvolution:
