@@ -24,10 +24,21 @@ With the Dirac equation (i d-slash - m) P = 0 of the kernel,
 and Psi1 is one convolution of this closed-form source (_dirac_source).
 Matrix elements of the first-order correlation correction combine Psi1
 with closed-form kernel evaluations only.
+
+The convolutions put every node where the source's support, a 4-ball
+around c of radius R, meets the past cone of x.  With tau = x0 - c0 and
+d = xvec - cvec, the ball's t-slice is the 3-ball of radius
+r = sqrt(R^2 - (t - tau)^2) around d, so the radius rho = |xi| runs over
+[max(0, |d| - r), min(t, |d| + r)] and the direction over the cap around
+d-hat where |d - rho omega| < r (the surface part is the same on
+t = rho).  Gauss-Legendre panels end at every kink of these limits, and
+when the ball and the cone do not meet the node set is empty and the
+convolution is zero.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +88,6 @@ class Potential:
             * d[inside]
         return out
 
-    def in_support(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.sum((y - self.center) ** 2, axis=-1) < self.radius ** 2
-
 
 @dataclass(frozen=True)
 class GreenParams:
@@ -93,111 +100,163 @@ def green_constants(m: float) -> GreenParams:
     return GreenParams(-1.0 / (2.0 * np.pi), m * m / (4.0 * np.pi))
 
 
-# fixed Gauss-Legendre orders for the convolution quadratures; sized so
-# the quadrature error stays far below the bounds of verify em
-_N_RHO = 48
-_N_CT = 32
-_N_PH = 32
-_N_T = 36
-_N_U = 28
+# Orders of the convolution quadratures.  psi parametrizes the ball's
+# time axis and rho = |xi| the radius: each runs on a composite
+# Gauss-Legendre rule whose panels get nodes in proportion to their length
+# (_N_PSI over [0, pi], _N_RHO over the ball's diameter 2 R), at least
+# _N_MIN each.  cos theta runs on _N_CT Gauss-Legendre nodes over the cap
+# of directions around d, and the azimuth about d, which is periodic, on
+# _N_PH points of the trapezoid rule.  The steep edge of Potential.bump's
+# gradient sets these orders: at twice them, the matrix elements at the
+# four EM points of bench/refs.json, at (1.6, 0.1, 0, 0.2) and at verify
+# em's x_in move by at most 8e-5 (relative), and verify em's
+# dirac_factor_fd, whose stencil points each get their own nodes, keeps
+# its margin.
+_N_PSI = 56
+_N_RHO = 24
+_N_MIN = 4
+_N_CT = 16
+_N_PH = 8
 
 
-def _gl(n, a, b):
-    x, w = leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+@functools.lru_cache(maxsize=None)
+def _leggauss(n):
+    return leggauss(n)
 
 
-def _sphere_nodes(n_ct, n_ph):
-    ct, wct = leggauss(n_ct)
-    ph, wph = _gl(n_ph, 0.0, 2.0 * np.pi)
-    st = np.sqrt(1.0 - ct * ct)
-    omega = np.empty((n_ct * n_ph, 3))
-    omega[:, 0] = np.outer(st, np.cos(ph)).ravel()
-    omega[:, 1] = np.outer(st, np.sin(ph)).ravel()
-    omega[:, 2] = np.repeat(ct, n_ph)
-    w = np.outer(wct, wph).ravel()
-    return omega, w
+def _composite(edges, n, span):
+    """Composite Gauss-Legendre nodes and weights on the panels between
+    the sorted edges: ceil(n * length / span) nodes per panel, at least
+    _N_MIN."""
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = _leggauss(max(_N_MIN, int(np.ceil(n * (b - a) / span))))
+        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _offset(x, supp_center):
+    """tau = x0 - c0, |d| for the spatial offset d = xvec - cvec, and an
+    orthonormal frame (d-hat, e1, e2); d-hat = e3 when d = 0."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(supp_center, dtype=float)
+    d = x[1:] - c[1:]
+    dn = float(np.linalg.norm(d))
+    u = d / dn if dn > 0.0 else np.array([0.0, 0.0, 1.0])
+    e1 = np.cross(u, np.eye(3)[int(np.argmin(np.abs(u)))])
+    e1 /= np.linalg.norm(e1)
+    return x[0] - c[0], dn, np.stack([u, e1, np.cross(u, e1)])
+
+
+def _psi_nodes(tau, radius, dn, keep):
+    """Nodes of the ball's time axis, t = tau - R cos psi for psi in
+    [0, pi]: the t-slice of the ball is the 3-ball of radius r = R sin psi
+    around d, and dt = R sin psi dpsi is smooth at both poles.  Panel
+    edges sit where t = 0, t + r = |d| (the support starts), t - r = +-|d|
+    (the cone edge rho = t starts clipping the slice; the whole sphere
+    rho <= r - |d| reaches the cone edge) and r = |d|, so every kink of
+    the rho and cap limits is a panel edge.  The panels whose middle
+    satisfies t > 0 and keep(t, r) form an interval.  Returns t, r and
+    the weights of dt, or empty arrays."""
+    # each edge solves a cos psi + b sin psi = k, i.e.
+    # cos(psi - phase) = k / hypot(a, b)
+    a = np.array([-1.0, -1.0, -1.0, -1.0, 0.0])
+    b = np.array([0.0, 1.0, -1.0, -1.0, 1.0])
+    k = np.array([-tau, dn - tau, dn - tau, -dn - tau, dn]) / radius
+    amp, phase = np.hypot(a, b), np.arctan2(b, a)
+    ok = np.abs(k) <= amp
+    dev = np.arccos(k[ok] / amp[ok])
+    roots = np.mod(np.concatenate([phase[ok] + dev, phase[ok] - dev]),
+                   2.0 * np.pi)
+    edges = np.unique(np.concatenate([[0.0, np.pi], roots[roots < np.pi]]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    t_mid, r_mid = tau - radius * np.cos(mid), radius * np.sin(mid)
+    inside = np.flatnonzero((t_mid > 0.0) & keep(t_mid, r_mid))
+    if inside.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    psi, w = _composite(edges[inside[0]:inside[-1] + 2], _N_PSI, np.pi)
+    r = radius * np.sin(psi)
+    return tau - radius * np.cos(psi), r, w * r
+
+
+def _cap_points(x, t, rho, r, dn, frame):
+    """Source points y = (x0 - t, xvec - rho omega) for omega on the cap
+    |d - rho omega| < r around d-hat (the whole sphere where
+    rho <= r - |d|), and the cap's weights of dOmega: (K, n, 4), (K, n)."""
+    x = np.asarray(x, dtype=float)
+    if dn > 0.0:
+        c_lo = np.clip((dn * dn + rho * rho - r * r) / (2.0 * rho * dn),
+                       -1.0, 1.0)
+    else:
+        c_lo = np.full(rho.shape, -1.0)
+    g, wg = _leggauss(_N_CT)
+    half = 0.5 * (1.0 - c_lo)[:, None]
+    ct = c_lo[:, None] + half * (g + 1.0)                  # (K, n_ct)
+    st = np.sqrt(np.maximum(1.0 - ct * ct, 0.0))
+    ph = 2.0 * np.pi * (np.arange(_N_PH) + 0.5) / _N_PH
+    omega = (ct[:, :, None, None] * frame[0]
+             + (st[:, :, None] * np.cos(ph))[..., None] * frame[1]
+             + (st[:, :, None] * np.sin(ph))[..., None] * frame[2])
+    n = _N_CT * _N_PH
+    pts = np.empty((rho.size, n, 4))
+    pts[..., 0] = (x[0] - t)[:, None]
+    pts[..., 1:] = x[1:] - rho[:, None, None] * omega.reshape(-1, n, 3)
+    w = np.repeat(half * wg, _N_PH, axis=1) * (2.0 * np.pi / _N_PH)
+    return pts, w
+
+
+def _apply(g, pts, w):
+    return w.ravel() @ g(pts.reshape(-1, 4))
 
 
 def convolve_surface(x, g, gp: GreenParams, supp_center,
-                     supp_radius: float, t_window=None) -> np.ndarray:
+                     supp_radius: float) -> np.ndarray:
     """alpha-part: int drho (rho/2) int dOmega g(x0 - rho, xvec - rho w).
 
     g maps batched points (..., 4) to spinors (..., 4); supported in the
-    4-ball (supp_center, supp_radius).
-
-    t_window = (t_lo, t_hi): widen the radial interval as if x0 ranged
-    over [t_lo, t_hi].  Finite-difference stencils (the Dirac-factor
-    oracle of verify em) pass a common window so every stencil point shares
-    identical quadrature nodes and the quadrature error cancels in the
-    differences (the integrand vanishes on the added margin, so the value
-    is unchanged).
-    """
-    x = np.asarray(x, dtype=float)
-    supp_center = np.asarray(supp_center, dtype=float)
-    t_lo, t_hi = (x[0], x[0]) if t_window is None else t_window
-    rho_lo = max(t_lo - supp_center[0] - supp_radius, 0.0)
-    rho_hi = t_hi - supp_center[0] + supp_radius
-    if rho_hi <= rho_lo:
+    4-ball (supp_center, supp_radius).  Every node lies in that ball: on
+    the cone t = rho, the sphere of radius rho around xvec meets the
+    slice's 3-ball where |rho - |d|| < r."""
+    tau, dn, frame = _offset(x, supp_center)
+    rho, r, wr = _psi_nodes(tau, supp_radius, dn,
+                            lambda t, r: abs(t - dn) < r)
+    if rho.size == 0:
         return np.zeros(4, dtype=complex)
-    rho, wr = _gl(_N_RHO, rho_lo, rho_hi)
-    omega, wo = _sphere_nodes(_N_CT, _N_PH)
-    pts = np.empty((_N_RHO, omega.shape[0], 4))
-    pts[..., 0] = x[0] - rho[:, None]
-    pts[..., 1:] = x[1:] - rho[:, None, None] * omega[None, :, :]
-    vals = g(pts.reshape(-1, 4)).reshape(_N_RHO, omega.shape[0], 4)
-    acc = np.einsum("r,o,rok->k", wr * 0.5 * rho, wo, vals)
-    return gp.alpha_const * acc
+    pts, w = _cap_points(x, rho, rho, r, dn, frame)
+    return gp.alpha_const * _apply(g, pts, (wr * 0.5 * rho)[:, None] * w)
 
 
 def convolve_volume(x, g, m: float, gp: GreenParams, supp_center,
-                    supp_radius: float, t_window=None) -> np.ndarray:
-    """beta-part: 4-D integral of h(xi^2) g(x - xi) over the forward cone,
-    in cone-adapted coordinates (xi0, rho = u xi0, angles).
-
-    t_window: common-node widening as in convolve_surface."""
-    x = np.asarray(x, dtype=float)
-    supp_center = np.asarray(supp_center, dtype=float)
-    w_lo, w_hi = (x[0], x[0]) if t_window is None else t_window
-    t_lo = max(w_lo - supp_center[0] - supp_radius, 0.0)
-    t_hi = w_hi - supp_center[0] + supp_radius
-    if t_hi <= t_lo:
+                    supp_radius: float) -> np.ndarray:
+    """beta-part: int d^4 xi h(xi^2) g(x - xi) over the forward cone,
+    d^4 xi = rho^2 drho dOmega dt, on the nodes of the ball: per t-slice,
+    rho runs over [max(0, |d| - r), min(t, |d| + r)], split where the
+    cap around d-hat becomes the whole sphere (rho = r - |d|)."""
+    tau, dn, frame = _offset(x, supp_center)
+    t, r, wt = _psi_nodes(tau, supp_radius, dn,
+                          lambda t, r: t + r > dn)
+    if t.size == 0:
         return np.zeros(4, dtype=complex)
-    t, wt = _gl(_N_T, t_lo, t_hi)
-    u, wu = _gl(_N_U, 0.0, 1.0)
-    omega, wo = _sphere_nodes(_N_CT, _N_PH)
-    rho = t[:, None] * u[None, :]                       # (_N_T, _N_U)
-    sq = t[:, None] ** 2 - rho ** 2                     # xi^2 >= 0
-    h = bessel.j1_over_x(m * np.sqrt(np.maximum(sq, 0.0)))
-    pts = np.empty((_N_T, _N_U, omega.shape[0], 4))
-    pts[..., 0] = (x[0] - t)[:, None, None]
-    pts[..., 1:] = x[1:] - rho[..., None, None] * omega[None, None, :, :]
-    vals = g(pts.reshape(-1, 4)).reshape(_N_T, _N_U, omega.shape[0], 4)
-    # d^4 xi = rho^2 drho dOmega dxi0 = t u^2 t^2 du dOmega dxi0
-    wgt = (wt[:, None] * wu[None, :]) * h * rho * rho * t[:, None]
-    acc = np.einsum("tu,o,tuok->k", wgt, wo, vals)
-    return gp.beta_const * acc
+    tk, rk, rho, wk = [], [], [], []
+    for ti, ri, wi in zip(t, r, wt):
+        lo, hi, cut = max(dn - ri, 0.0), min(ti, dn + ri), ri - dn
+        p, w = _composite([lo, cut, hi] if lo < cut < hi else [lo, hi],
+                          _N_RHO, 2.0 * supp_radius)
+        tk.append(np.full(p.size, ti))
+        rk.append(np.full(p.size, ri))
+        rho.append(p)
+        wk.append(wi * w)
+    tk, rk, rho, wk = map(np.concatenate, (tk, rk, rho, wk))
+    h = bessel.j1_over_x(m * np.sqrt(np.maximum(tk * tk - rho * rho, 0.0)))
+    pts, w = _cap_points(x, tk, rho, rk, dn, frame)
+    return gp.beta_const * _apply(g, pts, (wk * h * rho * rho)[:, None] * w)
 
 
 def convolve_S(x, g, m: float, gp: GreenParams, supp_center,
-               supp_radius: float, t_window=None) -> np.ndarray:
-    return (convolve_surface(x, g, gp, supp_center, supp_radius, t_window)
-            + convolve_volume(x, g, m, gp, supp_center, supp_radius,
-                              t_window))
-
-
-def _on_support(a: Potential, values):
-    """Batched source y -> (..., 4) spinors: values(ys) on the points ys
-    inside the support of a, zero elsewhere."""
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (4,), dtype=complex)
-        mask = a.in_support(y)
-        if np.any(mask):
-            out[mask] = values(y[mask])
-        return out
-
-    return g
+               supp_radius: float) -> np.ndarray:
+    return (convolve_surface(x, g, gp, supp_center, supp_radius)
+            + convolve_volume(x, g, m, gp, supp_center, supp_radius))
 
 
 def _frame_source(a: Potential, z, mu: int, params: RegKernelParams):
@@ -211,7 +270,7 @@ def _frame_source(a: Potential, z, mu: int, params: RegKernelParams):
                                               doubled)
         return a.bump(ys)[:, None] * (col @ slashed_e.T)
 
-    return _on_support(a, values)
+    return values
 
 
 def _dirac_source(a: Potential, z, mu: int, params: RegKernelParams):
@@ -220,17 +279,18 @@ def _dirac_source(a: Potential, z, mu: int, params: RegKernelParams):
     with A = b e_c (b the bump, c the potential's component)."""
     z = np.asarray(z, dtype=float)
     doubled = RegKernelParams(params.m, 2.0 * params.eps)
-    slashed_e = spinor.slash(np.eye(4)[a.component])
+    # d-slash slashed A = sum_j (d_j b) gamma^j slashed e_c
+    gamma_e = spinor.GAMMA @ spinor.slash(np.eye(4)[a.component])
 
     def values(ys):
         col, dcol = kernel.kernel_column_partial(ys - z, mu, a.component,
                                                  doubled)
-        # d-slash slashed A = sum_j (d_j b) gamma^j slashed e_c
-        dslash_a = np.einsum("nj,jab,nb->na", a.bump_gradient(ys),
-                             spinor.GAMMA, col @ slashed_e.T)
+        grad = a.bump_gradient(ys)
+        dslash_a = sum(grad[:, j, None] * (col @ gamma_e[j].T)
+                       for j in range(4))
         return 1j * (dslash_a + 2.0 * a.bump(ys)[:, None] * dcol)
 
-    return _on_support(a, values)
+    return values
 
 
 def psi1_on_frame(x, z, mu: int, a: Potential, params: RegKernelParams,

@@ -490,15 +490,14 @@ def _green_closed_form(m):
 
 def _dirac_factor_fd(x, z, mu, a, p, gp):
     """Psi1 = -(i gamma^j d_j + m)(S * g) at x, g the frame source, by
-    central differences of convolve_S on a common t_window, so every
-    stencil point shares its quadrature nodes and their error cancels."""
+    central differences of convolve_S.  Each stencil point has its own
+    support-adapted nodes; they move smoothly with x, and so does their
+    error."""
     src = em_perturb._frame_source(a, z, mu, p)
     h = _EM_FD_STEP
-    win = (x[0] - h, x[0] + h)
 
     def phi(pt):
-        return em_perturb.convolve_S(pt, src, p.m, gp, a.center, a.radius,
-                                     win)
+        return em_perturb.convolve_S(pt, src, p.m, gp, a.center, a.radius)
 
     out = -p.m * phi(x)
     for j in range(4):

@@ -94,7 +94,8 @@ class TestAcceptance:
              "--quad-rel-tol", "0.02"),
             ("holder", "--lambda-list", "0,0.02", "--quad-rel-tol", "0.02"),
             ("em", "--alpha", "-0.1593", "--beta", "0.0812",
-             "--x", "0.2,0,0,0", "--x", "0.1,3,0,0"),
+             "--x", "0.2,0,0,0", "--x", "0.1,3,0,0",
+             "--x", "1.6,0.35,0.1,0.35"),
         ]
         for args in deterministic_invocations:
             first, second = run_cli(*args), run_cli(*args)
