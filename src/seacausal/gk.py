@@ -17,10 +17,16 @@ then takes every panel from a cache keyed by its interval or box.  A
 panel's value and error come from the same per-point values and the same
 per-panel reductions as a one-panel call, so the refinement replays the
 one-panel-per-call loop exactly: the final panels, value, error and
-count are bitwise the same.  A capped probe pass and a tolerance pass on
-the same integrand and domain take the same first splits, so they can
-share one cache (``integrate_2d(..., cache=)``) and the probe costs no
-extra evaluations.
+count are bitwise the same.
+
+Resumed refinement.  ``integrate_2d(..., cache=)`` keeps the evaluated
+panels and, under ``_RESUME``, the panels where the call stopped.  A
+later call on the same integrand, domain and cache resumes from there
+instead of from the root box.  A capped probe pass followed by a
+tolerance pass thus costs no extra evaluations.  The tolerance pass
+never stops on a mesh coarser than the probe's.  Where it would have
+needed more panels than the probe anyway, it takes the same splits as a
+fresh pass and returns the same result bitwise.
 
 Integrand contract: f must be pure and pointwise (a point's value may not
 depend on the other points in the call), and defined on the whole
@@ -68,6 +74,10 @@ _WG7_ROW = _WG7.reshape(1, 7)
 # ran a round in 1.06, 1.04, 1.08 and 1.17 s, and peak memory grew with
 # the cap.  One call carries at most 8 * 2 * 225 = 3600 points in 2-D.
 _MAX_SPECULATION = 8
+
+# cache key of the refinement state (heap, count, error total) a call left;
+# every panel key is an interval or box tuple, so it cannot collide
+_RESUME = "resume"
 
 
 def _panels_1d(f, intervals):
@@ -143,14 +153,17 @@ def _refine(f, panels, split, root, tol_abs, max_panels, cache):
     Heap entries are (-err, tie_break, key, value, errs), key the interval
     or box and errs its error parts.  Panels come from `cache`; a miss
     evaluates, in one call of `panels`, the missing children of the
-    popped panel and those of the next best heap panels.
+    popped panel and those of the next best heap panels.  The loop starts
+    from the state an earlier call left in `cache`, if any, and leaves its
+    own there.
     """
-    if root not in cache:
-        cache[root] = panels(f, [root])[0]
-    val, errs = cache[root]
-    total = _err_sum(errs)
-    heap = [(-total, 0, root, val, errs)]
-    count = 1
+    if _RESUME in cache:
+        heap, count, total = cache[_RESUME]
+    else:
+        val, errs = panels(f, [root])[0]
+        total = _err_sum(errs)
+        heap = [(-total, 0, root, val, errs)]
+        count = 1
     while heap and total > tol_abs:
         entry = heapq.heappop(heap)
         if count >= max_panels:
@@ -173,6 +186,7 @@ def _refine(f, panels, split, root, tol_abs, max_panels, cache):
         heapq.heappush(heap, (-_err_sum(e1), count, k1, v1, e1))
         heapq.heappush(heap, (-_err_sum(e2), count + 1, k2, v2, e2))
         count += 2
+    cache[_RESUME] = heap, count, total
     return heap, count
 
 
@@ -195,8 +209,9 @@ def integrate_2d(f, box, tol_abs: float, max_panels: int = 20000,
     panel's error is the max over columns of |Kronrod - Gauss|, and the
     refinement and the returned error follow it.  Deterministic: panels
     are accumulated in a fixed geometric order at the end.  `cache` holds
-    the panels of earlier calls on the same f and box and receives this
-    call's; the result does not depend on it.
+    the panels of earlier calls on the same f and box and where the last
+    of them stopped; this call resumes from there and leaves its own
+    panels and stopping point in it.
     """
     heap, count = _refine(f, _panels_2d, _split_2d, tuple(box), tol_abs,
                           max_panels, {} if cache is None else cache)

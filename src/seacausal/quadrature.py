@@ -7,16 +7,22 @@ All integrands depend on the displacement only through (t, r) =
 adaptive Gauss-Kronrod panels.  Each integrand is the one certified
 column, 4 pi r^2 |P|^4 or 4 pi r^2 L.
 
+The tolerance pass resumes from the panels of a capped 64-panel probe
+(which fixes the tolerance scale), so it never stops on a coarser mesh:
+at small eps the root box's nodes miss the ridge and its error estimate
+reads small.
+
 The exterior is two extension zones out to (4T, Rbig) plus exponential
 closures beyond them.  The integrands decay away from a ridge of width
 about eps along the light cone r = t, so each zone is integrated in
 light-cone coordinates (t, u = r - t), with u-breakpoints at 0 and
 +-delta (delta proportional to T): the ridge lies along a panel edge,
 where a (t, r) panel would straddle it with its sparse nodes.  Each zone
-runs tolerance-driven on a fixed private share of the budget, and its
-error estimate is counted into the tail bound with its value.  The
+runs tolerance-driven on a fixed private share of the budget; its value
+goes into `value` and its error estimate into `tail_bound`.  The
 closures are fitted to sampled cross-sections and inflated 2x (their
-constants are recorded in the report); they are estimates, not proofs.
+constants are recorded in the report); they are estimates, not proofs,
+so `tail_bound` is an estimate as long as it rests on them.
 All tail geometry scales with T, so the integrals are covariant under
 the mass scaling (m, eps, T, R) -> (s m, eps / s, T / s, R / s).
 
@@ -189,13 +195,15 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     rectangle, with r outside the rectangle masked to 0, split at the
     breakpoints u = -delta, 0, +delta (delta = T/40) that fall inside
     it, so the ridge along the cone is a strip edge.  Each zone gets the
-    absolute tolerance tol_abs, shared evenly among its strips, and
-    contributes value + error estimate.  Beyond the zones, fitted
-    exponential envelopes (inflated 2x) close the ends.
+    absolute tolerance tol_abs, shared evenly among its strips.  Beyond
+    the zones, fitted exponential envelopes (inflated 2x) close the ends.
 
     Every length (Rbig, the sample ranges, delta) scales with T.
-    Returns (tail, info_dict); info carries each zone's value and error,
-    the fitted closures and the 2-D and 1-D panel counts.
+    Returns (bound, info_dict).  The bound is the zones' error estimates
+    plus the inflated closures; the closures are fitted, so it is an
+    estimate.  info carries each zone's value (which belongs to the
+    integral, not to the bound) and error, the fitted closures and the
+    2-D and 1-D panel counts.
     """
     def fs(t, r):
         return f(t, r)[:, 0]
@@ -257,8 +265,7 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     else:
         rem_r = np.inf
 
-    tail = sum(zone_val.values()) + sum(zone_err.values()) \
-        + 2.0 * (rem_t + rem_r)
+    bound = zone_err["t"] + zone_err["r"] + 2.0 * (rem_t + rem_r)
     info = {"tail_zone_t": zone_val["t"], "tail_zone_r": zone_val["r"],
             "tail_zone_err_t": zone_err["t"],
             "tail_zone_err_r": zone_err["r"],
@@ -266,7 +273,7 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
             "tail_fit_logA_r": c_r, "tail_fit_k_r": k_r,
             "tail_rem_t": 2.0 * rem_t, "tail_rem_r": 2.0 * rem_r,
             "tail_panels_2d": panels_2d, "tail_panels_1d": panels_1d}
-    return tail, info
+    return bound, info
 
 
 def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
@@ -281,8 +288,8 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     value = None
     tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
-        # the capped probe fixes the tolerance scale; its splits are the
-        # tolerance pass's first, so the two share their panels
+        # the capped probe fixes the tolerance scale, and the tolerance
+        # pass resumes from its panels
         panels = {}
         vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
                                      max_panels=64, cache=panels)
@@ -294,7 +301,8 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                                          _TAIL_ZONE_SHARE * tol * scale)
         for key in tail_panels:
             tail_panels[key] += tail_info[key]
-        value = 2.0 * float(np.real(vvec[0]))
+        value = 2.0 * (float(np.real(vvec[0])) + tail_info["tail_zone_t"]
+                       + tail_info["tail_zone_r"])
         err_total = 2.0 * float(err)
         tail_total = 2.0 * float(tail)
         if not np.isfinite(tail_total):

@@ -16,19 +16,20 @@ INTEGRAL_TOL = 0.005
 PARAMS = RegKernelParams(1.0, 0.1)
 
 # values fixed from runs of this deterministic code path; any drift in
-# the quadrature chain shows up here
-FROZEN_P4 = 0.00426548270550622
+# the quadrature chain shows up here.  Each is the interior plus the two
+# tail zones' values.  The independent "p4@0.1" of bench/refs.json reads
+# 0.004268224431688537 (this value -1.64e-4 from it)
+FROZEN_P4 = 0.0042675255998571434
 # the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
 # and panel count
-FROZEN_P4_EXACT = 0.004265482705506221
+FROZEN_P4_EXACT = 0.0042675255998571434
 FROZEN_P4_PANELS = 143
 # the Lagrangian's interior panel count at eps = 0.1
 FROZEN_LAGRANGIAN_PANELS = 313
 # with the interior error controlled on L's own column; the independent
 # "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
-# value -1.65e-3 from it), and its tight [0, 40] x [0, 48] box alone
-# 6.128294758500441e-07 (+1.3e-4, inside the interior estimate 2.5e-3)
-FROZEN_LAGRANGIAN = 6.12911501647975e-07
+# value +2.0e-5 from it)
+FROZEN_LAGRANGIAN = 6.139364842274197e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -175,14 +176,39 @@ class TestCertifiedIntegrals:
         assert rep.regions_evaluated == FROZEN_LAGRANGIAN_PANELS
 
     def test_lagrangian_small_eps_grows_domain(self):
-        # needs a larger box than the default T = 40: every retry of the
-        # certified loop must grow the domain for this one to converge
+        # the box [0, 12] x [0, 14.4] is too small at eps = 0.05: every
+        # retry of the certified loop must grow the domain to converge
         rep = integrate_lagrangian(RegKernelParams(1.0, 0.05),
-                                   tol=INTEGRAL_TOL)
-        assert rep.truncation_T > 40.0
+                                   tol=INTEGRAL_TOL, T=12.0, R=14.4)
+        assert rep.extras["attempts"] == 2
+        assert rep.truncation_T > 12.0
         assert rep.abs_error_estimate + rep.tail_bound \
             <= INTEGRAL_TOL * rep.value
         assert rep.value == pytest.approx(REF_LAGRANGIAN_EPS005, rel=0.005)
+
+    def test_lagrangian_small_eps_default_domain_one_attempt(self):
+        rep = integrate_lagrangian(RegKernelParams(1.0, 0.05),
+                                   tol=INTEGRAL_TOL)
+        assert rep.extras["attempts"] == 1
+        assert rep.truncation_T == 40.0
+        assert rep.value == pytest.approx(REF_LAGRANGIAN_EPS005, rel=0.005)
+
+    def test_p4_small_eps_refines_past_probe(self):
+        # at eps = 0.0125 the root box's nodes miss the ridge along r = t,
+        # so a tolerance pass restarted from the root stopped after 3
+        # panels with a value about 1e4 times too small, and every attempt
+        # failed
+        eps = 0.0125
+        rep = integrate_p4(RegKernelParams(1.0, eps), tol=INTEGRAL_TOL)
+        assert rep.extras["attempts"] == 1
+        assert rep.regions_evaluated > 64
+        assert rep.abs_error_estimate + rep.tail_bound \
+            <= INTEGRAL_TOL * rep.value
+        # eps^8 int |P^{2 eps}|^4 is the integral at mass eps and
+        # regularization 1, so it barely moves between small eps
+        near = integrate_p4(RegKernelParams(1.0, 0.025), tol=INTEGRAL_TOL)
+        assert eps ** 8 * rep.value == pytest.approx(0.025 ** 8 * near.value,
+                                                     rel=0.01)
 
     def test_ell_at_zero_shift_reduces(self):
         rep0 = ell_varied(0.0, PARAMS, tol=INTEGRAL_TOL)
@@ -199,12 +225,24 @@ class TestCertifiedIntegrals:
         # two extension zones in light-cone strips, not two 800-panel caps
         assert rep.extras["tail_panels_2d"] < 50
         assert rep.extras["tail_panels_1d"] > 0
-        # the zones' error estimates count in the bound with their values
-        parts = sum(rep.extras[k] for k in (
-            "tail_zone_t", "tail_zone_r", "tail_zone_err_t",
-            "tail_zone_err_r", "tail_rem_t", "tail_rem_r"))
+        # the zones' error estimates and the closures count in the bound
+        errs = sum(rep.extras[k] for k in (
+            "tail_zone_err_t", "tail_zone_err_r", "tail_rem_t",
+            "tail_rem_r"))
         assert rep.extras["tail_zone_err_t"] > 0.0
-        assert rep.tail_bound == pytest.approx(2.0 * parts, rel=1e-12)
+        assert rep.tail_bound == pytest.approx(2.0 * errs, rel=1e-12)
+        # and the zones' values in the value, next to the interior's
+        f = quadrature._integrand_factory("p4", PARAMS)
+        box, cache = (0.0, 40.0, 0.0, 48.0), {}
+        probe, _, _ = gk.integrate_2d(f, box, tol_abs=0.0, max_panels=64,
+                                      cache=cache)
+        interior, _, _ = gk.integrate_2d(
+            f, box, tol_abs=0.5 * INTEGRAL_TOL * float(probe[0]),
+            cache=cache)
+        zones = rep.extras["tail_zone_t"] + rep.extras["tail_zone_r"]
+        assert zones > 0.0
+        assert rep.value == pytest.approx(2.0 * (float(interior[0]) + zones),
+                                          rel=1e-12)
 
     @pytest.mark.parametrize("integrate", [integrate_p4,
                                            integrate_lagrangian])
