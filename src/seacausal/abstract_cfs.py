@@ -8,11 +8,20 @@ regular perturbations, the generalized inverse, spin kernels and the
 chain spectrum, admissibility bounds, faithful spin frames and a local
 representation x = -Psi* Psi.
 
+Kernels and chains live on the spin spaces S_x = x(H), of dimension at
+most 2n, not on the ambient space of dimension d.  The spin frame U_x
+holds the 2n eigenvectors of x that can carry a nonzero eigenvalue (the
+first n and the last n in ascending order), those of zero eigenvalue
+zeroed.  P(x, y) = pi_x y|_{S_y} is the 2n x 2n matrix U_x^dag y U_y,
+the closed chain P(x, y) P(y, x) is 2n x 2n, and its nonzero spectrum
+is that of x y.  An `indefinite_gram` operator -B^dag J B gets its eigen
+data from a QR decomposition of its factor B^dag and one 2n x 2n `eigh`.
+
 A `CfsOperator` holds one matrix or a stack of shape (..., d, d).
 `ordered_spectrum`, `signature`, `is_regular`, `gen_inverse`,
-`range_projection`, `spin_kernel`, `chain_spectrum`,
-`admissibility_bounds` and `random_regular_operator` work item by item
-on stacks: a 2-D matrix is the one-item case of the same code, and gives
+`spin_kernel`, `chain_spectrum`, `admissibility_bounds`,
+`indefinite_gram` and `random_regular_operator` work item by item on
+stacks: a 2-D matrix is the one-item case of the same code, and gives
 the same bits as the item of a stack.  Perturbations, frames and the
 local representation take one matrix.
 """
@@ -41,8 +50,10 @@ def _adjoint(a):
 
 
 def _op_norm(a):
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.norm(a, 2, axis=(-2, -1))
+    """Spectral norm of each matrix of a stack: the square root of the
+    largest eigenvalue of the smaller Gram matrix, a a^dag or a^dag a."""
+    g = a @ _adjoint(a) if a.shape[-2] <= a.shape[-1] else _adjoint(a) @ a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0))
 
 
 def _unstack(a):
@@ -75,6 +86,12 @@ class CfsOperator:
         asym = np.max(np.abs(matrix - _adjoint(matrix)), axis=(-2, -1))
         if np.any(asym > _HERMITIAN_TOL * scale):
             raise ValueError("matrix not Hermitian")
+        self._check_signature()
+
+    def _check_signature(self) -> None:
+        """Count the signs of `eigvals`; SignatureError if any item has
+        more than n of one sign."""
+        n = self.n
         self._count_signs()
         bad = (self._n_neg > n) | (self._n_pos > n)
         if np.any(bad):
@@ -193,19 +210,33 @@ def gen_inverse(x: CfsOperator) -> CfsOperator:
     return out
 
 
-def range_projection(x: CfsOperator) -> np.ndarray:
-    return (x.eigvecs * _nonzero(x)[..., None, :]) @ _adjoint(x.eigvecs)
+def _spin_frame(x: CfsOperator):
+    """(U_x, lam): x's eigenvectors that can carry a nonzero eigenvalue,
+    the first n and the last n of `eigh`'s ascending order (all d when
+    d <= 2n), with those of zero eigenvalue zeroed, and their
+    eigenvalues (zero where zeroed).  x U_x = U_x diag(lam)."""
+    n, d = x.n, x.dim
+    cols = np.r_[:n, d - n:d] if d > 2 * n else np.arange(d)
+    keep = _nonzero(x)[..., cols]
+    return (x.eigvecs[..., cols] * keep[..., None, :],
+            x.eigvals[..., cols] * keep)
 
 
 def spin_kernel(x: CfsOperator, y: CfsOperator) -> np.ndarray:
-    """P(x, y) = pi_x y as an ambient matrix."""
-    return range_projection(x) @ y.matrix
+    """P(x, y) = pi_x y|_{S_y} : S_y -> S_x in the spin frames, the
+    2n x 2n matrix U_x^dag y U_y = (U_x^dag U_y) diag(lam_y).  Its norm
+    is ||pi_x y||, as y = y pi_y."""
+    ux, _ = _spin_frame(x)
+    uy, ly = _spin_frame(y)
+    return (_adjoint(ux) @ uy) * ly[..., None, :]
 
 
 def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
-    """Nonzero-padded spectrum of x y, ordered to 2n entries: by
-    decreasing absolute value, padded with zeros."""
-    ev = np.linalg.eigvals(x.matrix @ y.matrix)
+    """Spectrum of the closed chain A_xy = P(x, y) P(y, x) on S_x, 2n
+    entries by decreasing absolute value, padded with zeros.  Its
+    nonzero part is the nonzero spectrum of x y: AB and BA share their
+    nonzero eigenvalues, and x pi_x = x."""
+    ev = np.linalg.eigvals(spin_kernel(x, y) @ spin_kernel(y, x))
     tol = _EIG_ZERO_TOL * (
         1.0 + np.max(np.abs(ev), axis=-1, keepdims=True, initial=0.0))
     # zeroed entries sort last; the stable sort keeps the order of ties
@@ -282,16 +313,44 @@ def local_representation(x: CfsOperator):
     abs_nu = 1.0 / np.linalg.norm(fr.vectors, axis=0) ** 2
     psi = fr.hilbert_vectors.conj().T * np.sqrt(abs_nu)[:, None]
     recon = -(psi.conj().T * fr.signs) @ psi
-    if np.linalg.norm(recon - x.matrix, 2) > _IDENTITY_TOL * max(x.norm(), 1.0):
+    if _op_norm(recon - x.matrix) > _IDENTITY_TOL * max(x.norm(), 1.0):
         raise AssertionError("local representation reconstruction failed")
     return psi, fr.signs
 
 
 def indefinite_gram(b, n: int) -> CfsOperator:
     """x = -B^dag J B with J = diag(1_n, -1_n), for B of shape
-    (..., 2n, dim): signature exactly (n, n) when B has full rank 2n."""
-    j = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return CfsOperator(-_adjoint(b) @ j @ b, n)
+    (..., 2n, dim): signature exactly (n, n) when B has full rank 2n.
+
+    The eigen data come from the factor, with no dim x dim `eigh`: the
+    complete QR decomposition B^dag = Q R gives x = Q (-R J R^dag) Q^dag,
+    where only the leading k x k block of -R J R^dag, k = min(2n, dim),
+    is nonzero.  Its `eigh` W diag(mu) W^dag gives the eigenpairs
+    (mu, Q[:, :k] W); the other dim - k eigenvalues are exact zeros with
+    eigenvectors Q[:, k:].  All are sorted ascending, as `eigh` returns
+    them."""
+    j = np.concatenate([np.ones(n), -np.ones(n)])
+    b = np.asarray(b, dtype=complex)
+    bh = _adjoint(b)
+    matrix = -(bh * j) @ b
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix not finite")
+    dim = matrix.shape[-1]
+    k = min(2 * n, dim)
+    q, r = np.linalg.qr(bh, mode="complete")
+    rk = r[..., :k, :]
+    mu, w = np.linalg.eigh(-(rk * j) @ _adjoint(rk))
+    q[..., :k] = q[..., :k] @ w
+    vals = np.zeros(q.shape[:-1])
+    vals[..., :k] = mu
+    order = np.argsort(vals, axis=-1, kind="stable")
+    out = object.__new__(CfsOperator)
+    out.n, out.dim = n, dim
+    out.matrix = 0.5 * (matrix + _adjoint(matrix))
+    out.eigvals = np.take_along_axis(vals, order, axis=-1)
+    out.eigvecs = np.take_along_axis(q, order[..., None, :], axis=-1)
+    out._check_signature()
+    return out
 
 
 def random_regular_operator(n: int, dim: int, rng,

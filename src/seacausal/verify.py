@@ -269,8 +269,9 @@ def suite_geometry(seed=12345, n=10000):
 
 
 # pairs per stacked block in suite_abstract.  The block bounds peak RSS:
-# at seed 1 the suite peaks at about 320 MB with all 10^4 pairs in one
-# stack and at about 105 MB with blocks of 1000, at about the same speed.
+# at seed 1 the process running the suite peaks at about 330 MB with all
+# 10^4 pairs in one stack and at about 86 MB with blocks of 1000 (55 MB
+# of it the imports), at about the same speed.
 _ABSTRACT_BLOCK = 1000
 
 
@@ -332,7 +333,7 @@ def suite_abstract(seed=12345, n_pairs=10000):
         st = g[:, :, 0] + 1j * g[:, :, 1]          # pairs (s, t)
         near += _near_equal(st, rng)
         sv = np.linalg.svd(st, compute_uv=False)
-        d = np.linalg.norm(st[:, 0] - st[:, 1], 2, axis=(-2, -1))
+        d = abstract_cfs._op_norm(st[:, 0] - st[:, 1])
         gap = np.max(np.abs(sv[:, 0] - sv[:, 1]), axis=-1)
         worst = max(worst, float(np.max(gap - d)))
         ratio = max(ratio, float(np.max(gap / d)))
@@ -354,9 +355,9 @@ def suite_abstract(seed=12345, n_pairs=10000):
         # ||delta|| <= 2 ||B|| ||E|| + ||E||^2, so E of norm
         # s / (||B|| + sqrt(||B||^2 + s)) keeps ||delta|| <= s <= radius
         s = rng.uniform(0.0, 1.0, k) / (4.0 * gx.norm())
-        nb = np.linalg.norm(b, 2, axis=(-2, -1))
+        nb = abstract_cfs._op_norm(b)
         e *= (s / (nb + np.sqrt(nb * nb + s))
-              / np.linalg.norm(e, 2, axis=(-2, -1)))[:, None, None]
+              / abstract_cfs._op_norm(e))[:, None, None]
         y = abstract_cfs.indefinite_gram(b + e, n)
         regular = abstract_cfs.is_regular(y)
         lhs = _hermitian_norm(abstract_cfs.gen_inverse(y).matrix - gx.matrix)
@@ -387,13 +388,14 @@ def suite_abstract(seed=12345, n_pairs=10000):
             break
     out.append(("admissibility_chains", ok, "%d pairs" % n_pairs))
 
-    worst = 0.0
-    for _ in range(200):
-        x = abstract_cfs.random_regular_operator(n, dim, rng)
-        psi, signs = abstract_cfs.local_representation(x)
-        recon = -(psi.conj().T * signs) @ psi
-        worst = max(worst, np.linalg.norm(recon - x.matrix, 2)
-                    / max(x.norm(), 1e-300))
+    # one stack, the operators that 200 one-item draws give in turn
+    xs = abstract_cfs.random_regular_operator(n, dim, rng, (200,))
+    psi, signs = zip(*(abstract_cfs.local_representation(xs[i])
+                       for i in range(200)))
+    psi, signs = np.stack(psi), np.stack(signs)
+    recon = -(abstract_cfs._adjoint(psi) * signs[:, None, :]) @ psi
+    worst = float(np.max(abstract_cfs._op_norm(recon - xs.matrix)
+                         / np.maximum(xs.norm(), 1e-300)))
     out.append(("local_representation", bool(worst <= 1e-10),
                 "max rel resid %.2e" % worst))
     return out

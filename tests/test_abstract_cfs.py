@@ -13,7 +13,7 @@ from seacausal.abstract_cfs import (_HERMITIAN_TOL, CfsOperator,
                                     faithful_frame, gen_inverse,
                                     indefinite_gram, is_regular,
                                     local_representation, ordered_spectrum,
-                                    random_regular_operator, range_projection,
+                                    random_regular_operator,
                                     regular_perturbation, signature,
                                     spin_kernel)
 
@@ -27,6 +27,25 @@ def multiset_close(a, b, tol):
     cost = np.abs(a[:, None] - b[None, :])
     ri, ci = linear_sum_assignment(cost)
     return float(cost[ri, ci].max()) <= tol
+
+
+def ambient_projection(x):
+    """pi_x, the orthogonal projection onto the range of x, from its
+    eigenvectors of nonzero eigenvalue."""
+    keep = np.abs(x.eigvals) > x._zero_tol[..., None]
+    vecs = x.eigvecs * keep[..., None, :]
+    return vecs @ vecs.conj().swapaxes(-1, -2)
+
+
+def ambient_chain(x, y):
+    """The nonzero spectrum of the ambient product x y, by decreasing
+    absolute value and padded to 2n entries, for one pair."""
+    ev = np.linalg.eigvals(x.matrix @ y.matrix)
+    ev = ev[np.argsort(-np.abs(ev), kind="stable")][:2 * x.n]
+    ev[np.abs(ev) <= 1e-10 * (1.0 + np.max(np.abs(ev)))] = 0.0
+    out = np.zeros(2 * x.n, dtype=complex)
+    out[:ev.size] = ev
+    return out
 
 
 def chain_lagrangian(x, y):
@@ -125,7 +144,7 @@ class TestGenInverse:
         for _ in range(50):
             x = random_regular_operator(2, 6, rng)
             g = gen_inverse(x)
-            pi = range_projection(x)
+            pi = ambient_projection(x)
             assert np.allclose(g.matrix @ x.matrix, pi, atol=1e-10)
             assert np.allclose(x.matrix @ g.matrix, pi, atol=1e-10)
 
@@ -186,6 +205,18 @@ class TestKernelChainLagrangian:
             assert multiset_close(chain_spectrum(x, y),
                                   padded, SPECTRUM_TOL * scale)
 
+    @pytest.mark.parametrize("dim", [3, 4, 6, 8])
+    def test_chain_spectrum_matches_ambient_product(self, dim):
+        # the 2n x 2n chain on the spin spaces against the d x d product
+        stack = random_regular_operator(2, dim, np.random.default_rng(dim),
+                                        (40, 2))
+        lam = chain_spectrum(stack[:, 0], stack[:, 1])
+        for i in range(40):
+            x, y = stack[i, 0], stack[i, 1]
+            scale = 1.0 + np.max(np.abs(lam[i]))
+            assert multiset_close(lam[i], ambient_chain(x, y),
+                                  SPECTRUM_TOL * scale)
+
     def test_lagrangian_examples(self):
         x = CfsOperator(np.diag([np.sqrt(2.0), -np.sqrt(2.0)]), 1)
         assert np.allclose(chain_spectrum(x, x), [2.0, 2.0])
@@ -230,6 +261,19 @@ class TestKernelChainLagrangian:
         assert multiset_close(lam, [3.0, 1j, -1j, 0.0], 1e-12)
         assert np.ptp(np.abs(lam)) > 0.5
         assert np.max(np.abs(lam.imag)) > 0.5
+
+    def test_trichotomy_matches_ambient_product(self):
+        ident = CfsOperator(np.diag([1.0, -1.0]), 1)
+        y_mat = np.zeros((4, 4))
+        y_mat[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        y_mat[2, 2] = 1.0
+        for x, y in ((CfsOperator(np.diag([2.0, -2.0]), 1), ident),
+                     (CfsOperator(np.diag([2.0, -1.0]), 1), ident),
+                     (CfsOperator(np.diag([1.0, -1.0, 3.0, 0.0]), 2),
+                      CfsOperator(y_mat, 2))):
+            assert multiset_close(chain_spectrum(x, y), ambient_chain(x, y),
+                                  1e-12)
+
 
 class TestFramesAndRepresentation:
     def test_frame_example(self):
@@ -292,6 +336,70 @@ class TestBoundsAndMatching:
             y = random_regular_operator(2, 6, rng)
             admissibility_bounds(x, y)  # raises on violation
 
+    def test_admissibility_matches_ambient_norms(self):
+        # ||P(x, y)|| on the spin spaces is the ambient ||pi_x y||
+        stack = random_regular_operator(2, 8, np.random.default_rng(60),
+                                        (200, 2))
+        x, y = stack[:, 0], stack[:, 1]
+        npxy = np.linalg.norm(ambient_projection(x) @ y.matrix, 2,
+                              axis=(-2, -1))
+        npyx = np.linalg.norm(ambient_projection(y) @ x.matrix, 2,
+                              axis=(-2, -1))
+        bound_i, bound_ii = admissibility_bounds(x, y)
+        np.testing.assert_allclose(bound_i, npxy * npyx, rtol=1e-12)
+        np.testing.assert_allclose(
+            bound_ii, x.norm() * gen_inverse(y).norm() * npxy, rtol=1e-12)
+        np.testing.assert_allclose(
+            np.linalg.norm(spin_kernel(x, y), 2, axis=(-2, -1)), npxy,
+            rtol=1e-12)
+
+
+class TestIndefiniteGram:
+    """indefinite_gram's eigen data, from the QR decomposition of its
+    factor, against eigh of its matrix."""
+
+    @staticmethod
+    def factors():
+        rng = np.random.default_rng(64)
+        for dim in (3, 4, 6, 8):
+            g = rng.normal(size=(2, 20, 4, dim))
+            yield g[0] + 1j * g[1]
+        # two equal rows in the +1 block of J: rank 3, signature (1, 2)
+        g = rng.normal(size=(2, 20, 4, 8))
+        b = g[0] + 1j * g[1]
+        b[:, 1] = b[:, 0]
+        yield b
+
+    def test_matches_eigh(self):
+        for b in self.factors():
+            x = indefinite_gram(b, 2)
+            ref = CfsOperator(x.matrix, 2)
+            scale = 1e-12 * (1.0 + x.norm())
+            assert np.all(np.max(np.abs(x.eigvals - ref.eigvals), axis=-1)
+                          <= scale)
+            assert np.array_equal(signature(x), signature(ref))
+            vecs = x.eigvecs
+            eye = np.eye(x.dim)
+            unitary = np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - eye)
+            assert np.all(np.max(unitary, axis=(-2, -1)) <= 1e-12)
+            resid = np.abs(x.matrix @ vecs - vecs * x.eigvals[..., None, :])
+            assert np.all(np.max(resid, axis=(-2, -1)) <= scale)
+
+    def test_signatures(self):
+        sigs = [signature(indefinite_gram(b, 2)) for b in self.factors()]
+        # full rank min(4, dim): (n, n) whenever dim >= 2n
+        assert [np.unique(neg).tolist() for neg, _ in sigs] \
+            == [[1, 2], [2], [2], [2], [1]]
+        assert [np.unique(pos).tolist() for _, pos in sigs] \
+            == [[1, 2], [2], [2], [2], [2]]
+
+    def test_not_finite(self):
+        b = np.ones((4, 6))
+        b[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            indefinite_gram(b, 2)
+
+
 class TestStacks:
     """A stack gives bitwise the arrays of per-matrix calls."""
 
@@ -329,9 +437,19 @@ class TestStacks:
             [[gen_inverse(op).matrix for op in pair] for pair in single])
         assert np.array_equal(chain_spectrum(x, y),
                               [chain_spectrum(*pair) for pair in single])
+        assert np.array_equal(spin_kernel(x, y),
+                              [spin_kernel(*pair) for pair in single])
         assert np.array_equal(np.stack(admissibility_bounds(x, y), axis=-1),
                               [admissibility_bounds(*pair)
                                for pair in single])
+
+    def test_indefinite_gram_items(self):
+        # every dim, and rank-deficient factors
+        for b in TestIndefiniteGram.factors():
+            x = indefinite_gram(b, 2)
+            for name in ("matrix", "eigvals", "eigvecs"):
+                ref = [getattr(indefinite_gram(item, 2), name) for item in b]
+                assert np.array_equal(getattr(x, name), ref)
 
     def test_bad_item_raises(self):
         stack, _ = self.pairs(count=5, dim=4)
