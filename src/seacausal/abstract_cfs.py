@@ -5,8 +5,8 @@ An operator x is admissible when it is Hermitian with at most n positive
 and at most n negative eigenvalues.  The module provides what `verify
 abstract` checks: the ordered spectrum, signature and regularity tests,
 regular perturbations, the generalized inverse, spin kernels and the
-chain spectrum, admissibility bounds, faithful spin frames and a local
-representation x = -Psi* Psi.
+chain spectrum, admissibility bounds and the local representation
+x = -Psi* Psi.
 
 Kernels and chains live on the spin spaces S_x = x(H), of dimension at
 most 2n, not on the ambient space of dimension d.  The spin frame U_x
@@ -20,15 +20,13 @@ data from a QR decomposition of its factor B^dag and one 2n x 2n `eigh`.
 A `CfsOperator` holds one matrix or a stack of shape (..., d, d).
 `ordered_spectrum`, `signature`, `is_regular`, `gen_inverse`,
 `spin_kernel`, `chain_spectrum`, `admissibility_bounds`,
-`indefinite_gram` and `random_regular_operator` work item by item on
-stacks: a 2-D matrix is the one-item case of the same code, and gives
-the same bits as the item of a stack.  Perturbations, frames and the
-local representation take one matrix.
+`local_representation`, `indefinite_gram` and `random_regular_operator`
+work item by item on stacks: a 2-D matrix is the one-item case of the
+same code, and gives the same bits as the item of a stack.
+`regular_perturbation` takes one matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,18 +107,31 @@ class CfsOperator:
         self._n_neg = np.sum(self.eigvals < -tol, axis=-1)
         self._n_pos = np.sum(self.eigvals > tol, axis=-1)
 
+    @classmethod
+    def _from_eigen(cls, matrix, n: int, eigvals, eigvecs) -> CfsOperator:
+        """The operator of `matrix` with known eigen data, sorted
+        ascending as `eigh` returns them, so no decomposition runs.
+        SignatureError as from __init__."""
+        order = np.argsort(eigvals, axis=-1, kind="stable")
+        out = object.__new__(cls)
+        out.n, out.dim = n, matrix.shape[-1]
+        out.matrix = 0.5 * (matrix + _adjoint(matrix))
+        out.eigvals = np.take_along_axis(eigvals, order, axis=-1)
+        out.eigvecs = np.take_along_axis(eigvecs, order[..., None, :],
+                                         axis=-1)
+        out._check_signature()
+        return out
+
     def __getitem__(self, index) -> CfsOperator:
         """The operators at `index` of the stack dimensions."""
-        items = np.arange(self._zero_tol.size).reshape(
-            self._zero_tol.shape)[index]
-        out = object.__new__(CfsOperator)
-        out.n, out.dim = self.n, self.dim
-        for name in ("matrix", "eigvals", "eigvecs", "_zero_tol", "_n_neg",
-                     "_n_pos"):
-            a = getattr(self, name)
-            flat = a.reshape((-1,) + a.shape[self._zero_tol.ndim:])
-            setattr(out, name, np.asarray(flat[items]))
-        return out
+        stack = self._zero_tol.shape
+        items = np.arange(self._zero_tol.size).reshape(stack)[index]
+
+        def pick(a):
+            return a.reshape((-1,) + a.shape[len(stack):])[items]
+
+        return CfsOperator._from_eigen(pick(self.matrix), self.n,
+                                       pick(self.eigvals), pick(self.eigvecs))
 
     def norm(self):
         """Largest |eigenvalue|: a float, or an array over the stack."""
@@ -176,15 +187,9 @@ def regular_perturbation(x: CfsOperator, eps: float,
     q, _ = np.linalg.qr(rng.normal(size=(kern.shape[1], kern.shape[1]))
                         + 1j * rng.normal(size=(kern.shape[1],
                                                 kern.shape[1])))
-    basis = kern @ q
-    delta = np.zeros_like(x.matrix)
-    for j in range(need_pos):
-        v = basis[:, j]
-        delta += eps * np.outer(v, v.conj())
-    for j in range(need_pos, need_pos + need_neg):
-        v = basis[:, j]
-        delta -= eps * np.outer(v, v.conj())
-    return CfsOperator(x.matrix + delta, x.n)
+    basis = (kern @ q)[:, :need_pos + need_neg]
+    weights = np.r_[np.full(need_pos, eps), np.full(need_neg, -eps)]
+    return CfsOperator(x.matrix + (basis * weights) @ basis.conj().T, x.n)
 
 
 def _nonzero(x: CfsOperator) -> np.ndarray:
@@ -200,14 +205,7 @@ def gen_inverse(x: CfsOperator) -> CfsOperator:
     nonzero = _nonzero(x)
     inv = np.where(nonzero, 1.0 / np.where(nonzero, x.eigvals, 1.0), 0.0)
     g = (x.eigvecs * inv[..., None, :]) @ _adjoint(x.eigvecs)
-    order = np.argsort(inv, axis=-1, kind="stable")
-    out = object.__new__(CfsOperator)
-    out.n, out.dim = x.n, x.dim
-    out.matrix = 0.5 * (g + _adjoint(g))
-    out.eigvals = np.take_along_axis(inv, order, axis=-1)
-    out.eigvecs = np.take_along_axis(x.eigvecs, order[..., None, :], axis=-1)
-    out._count_signs()
-    return out
+    return CfsOperator._from_eigen(g, x.n, inv, x.eigvecs)
 
 
 def _spin_frame(x: CfsOperator):
@@ -249,35 +247,6 @@ def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     return out
 
 
-@dataclass
-class SpinFrame:
-    vectors: np.ndarray      # dim x 2n, columns e_j
-    signs: np.ndarray        # length 2n, +-1; spin product <e_i|e_j> = s_i d_ij
-    hilbert_vectors: np.ndarray  # columns sqrt|x| e_j, orthonormal
-
-
-def faithful_frame(x: CfsOperator) -> SpinFrame:
-    """Pseudo-orthonormal basis of the range: first n columns span the
-    negative spectral subspace, last n the positive one.  The spin product
-    on the range is <u|v>_x = -<u, x v>."""
-    if not is_regular(x):
-        raise RegularityError("faithful frame requires a regular operator")
-    tol = x._zero_tol
-    neg_idx = np.where(x.eigvals < -tol)[0]
-    pos_idx = np.where(x.eigvals > tol)[0]
-    cols = []
-    signs = []
-    for i in neg_idx:
-        cols.append(x.eigvecs[:, i] / np.sqrt(-x.eigvals[i]))
-        signs.append(1)       # -<e, x e> = +1 on the negative subspace
-    for i in pos_idx:
-        cols.append(x.eigvecs[:, i] / np.sqrt(x.eigvals[i]))
-        signs.append(-1)
-    e = np.stack(cols, axis=1)
-    hil = e * np.sqrt(np.abs(x.eigvals[np.concatenate([neg_idx, pos_idx])]))
-    return SpinFrame(vectors=e, signs=np.array(signs), hilbert_vectors=hil)
-
-
 def admissibility_bounds(x: CfsOperator, y: CfsOperator):
     """(||P(x,y)|| ||P(y,x)||, ||x|| ||g(y)|| ||P(x,y)||), asserting the
     two inequality chains they bound for every item."""
@@ -300,22 +269,23 @@ def admissibility_bounds(x: CfsOperator, y: CfsOperator):
 
 def local_representation(x: CfsOperator):
     """Psi: ambient -> C^{2n} with x = -Psi* Psi, where the adjoint is
-    taken w.r.t. the indefinite product a^dag S b on C^{2n}
-    (S = diag(signs), +1 on the image of the negative subspace).
+    taken w.r.t. the indefinite product a^dag S b on C^{2n}.  On the spin
+    frame (U_x, lam), Psi = diag(sqrt|lam|) U_x^dag and S = -sign lam,
+    +1 on the image of the negative subspace.
 
-    Returns (psi, signs); psi is the 2n x dim matrix of the map.
+    Returns (psi, signs) of shapes (..., 2n, dim) and (..., 2n).
+    RegularityError if any item is not regular.
     """
-    if not is_regular(x):
+    if not np.all(is_regular(x)):
         raise RegularityError("local representation requires regularity")
-    fr = faithful_frame(x)
-    # hilbert_vectors columns are orthonormal eigenvectors; scaling row j
-    # by sqrt|nu_j| makes -Psi^dag S Psi reproduce x (s_j = -sign nu_j)
-    abs_nu = 1.0 / np.linalg.norm(fr.vectors, axis=0) ** 2
-    psi = fr.hilbert_vectors.conj().T * np.sqrt(abs_nu)[:, None]
-    recon = -(psi.conj().T * fr.signs) @ psi
-    if _op_norm(recon - x.matrix) > _IDENTITY_TOL * max(x.norm(), 1.0):
+    u, lam = _spin_frame(x)
+    psi = np.sqrt(np.abs(lam))[..., None] * _adjoint(u)
+    signs = -np.sign(lam)
+    recon = -(_adjoint(psi) * signs[..., None, :]) @ psi
+    if np.any(_op_norm(recon - x.matrix)
+              > _IDENTITY_TOL * np.maximum(x.norm(), 1.0)):
         raise AssertionError("local representation reconstruction failed")
-    return psi, fr.signs
+    return psi, signs
 
 
 def indefinite_gram(b, n: int) -> CfsOperator:
@@ -343,14 +313,7 @@ def indefinite_gram(b, n: int) -> CfsOperator:
     q[..., :k] = q[..., :k] @ w
     vals = np.zeros(q.shape[:-1])
     vals[..., :k] = mu
-    order = np.argsort(vals, axis=-1, kind="stable")
-    out = object.__new__(CfsOperator)
-    out.n, out.dim = n, dim
-    out.matrix = 0.5 * (matrix + _adjoint(matrix))
-    out.eigvals = np.take_along_axis(vals, order, axis=-1)
-    out.eigvecs = np.take_along_axis(q, order[..., None, :], axis=-1)
-    out._check_signature()
-    return out
+    return CfsOperator._from_eigen(matrix, n, vals, q)
 
 
 def random_regular_operator(n: int, dim: int, rng,

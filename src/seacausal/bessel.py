@@ -1,4 +1,4 @@
-"""Modified Bessel functions K0, K1, K2 on the cut complex plane, plus
+"""Modified Bessel functions K1, K2 on the cut complex plane, plus
 J1(x)/x.
 
 K_n is evaluated on the cut plane Omega_pi = {z != 0, arg z in (-pi, pi)}
@@ -7,10 +7,10 @@ Amos, ACM TOMS Algorithm 644, 1986).  Arguments at z = 0 or on the
 negative real axis raise BesselDomainError instead of returning a value
 of either side of the cut.
 
-Only K0 and K1 are evaluated; K2 always comes from the forward
-recurrence K2 = K0 + (2/z) K1, which is stable for K.  ``bessel_k12``
-returns the pair (K1, K2) that the kernel scalars F and G need, from one
-K0/K1 evaluation per point.
+The public pair is ``bessel_k12``: (K1, K2), what the kernel scalars F
+and G need.  Only K0 and K1 are evaluated; K2 comes from the forward
+recurrence K2 = K0 + (2/z) K1, which is stable for K, so one K0/K1
+evaluation per point gives both.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import j1 as _scipy_j1
 from scipy.special import kv as _scipy_kv
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class BesselDomainError(ValueError):
@@ -47,15 +45,6 @@ def _cut_plane_array(z):
     zarr = np.atleast_1d(zarr)
     _check_cut_plane(zarr)
     return zarr, scalar
-
-
-def bessel_k(n: int, z):
-    """K_n(z) for n in {0, 1, 2} on the cut plane Omega_pi."""
-    if n not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    zarr, scalar = _cut_plane_array(z)
-    out = _k012(zarr)[2] if n == 2 else _scipy_kv(n, zarr)
-    return out[0] if scalar else out
 
 
 def bessel_k12(z):

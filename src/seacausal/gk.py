@@ -139,14 +139,6 @@ def _split_2d(box, errs):
     return (t0, t1, r0, m), (t0, t1, m, r1)
 
 
-def _err_sum(errs):
-    """Left-to-right sum, the order the error totals have always used."""
-    s = errs[0]
-    for e in errs[1:]:
-        s = s + e
-    return s
-
-
 def _refine(f, panels, split, root, tol_abs, max_panels, cache):
     """The adaptive loop shared by both dimensions; returns (heap, count).
 
@@ -161,7 +153,7 @@ def _refine(f, panels, split, root, tol_abs, max_panels, cache):
         heap, count, total = cache[_RESUME]
     else:
         val, errs = panels(f, [root])[0]
-        total = _err_sum(errs)
+        total = sum(errs)
         heap = [(-total, 0, root, val, errs)]
         count = 1
     while heap and total > tol_abs:
@@ -182,9 +174,9 @@ def _refine(f, panels, split, root, tol_abs, max_panels, cache):
             cache.update(zip(todo, panels(f, todo)))
         v1, e1 = cache[k1]
         v2, e2 = cache[k2]
-        total += _err_sum(e1 + e2) - _err_sum(errs)
-        heapq.heappush(heap, (-_err_sum(e1), count, k1, v1, e1))
-        heapq.heappush(heap, (-_err_sum(e2), count + 1, k2, v2, e2))
+        total += sum(e1 + e2) - sum(errs)
+        heapq.heappush(heap, (-sum(e1), count, k1, v1, e1))
+        heapq.heappush(heap, (-sum(e2), count + 1, k2, v2, e2))
         count += 2
     cache[_RESUME] = heap, count, total
     return heap, count

@@ -1,6 +1,6 @@
 """Finite-rank operators with bounded signature: spectra, generalized
-inverse, spin kernels, frames, admissibility bounds and representation
-results."""
+inverse, spin kernels, admissibility bounds and the local
+representation."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from seacausal import verify
 from seacausal.abstract_cfs import (_HERMITIAN_TOL, CfsOperator,
                                     RegularityError, SignatureError,
                                     admissibility_bounds, chain_spectrum,
-                                    faithful_frame, gen_inverse,
-                                    indefinite_gram, is_regular,
-                                    local_representation, ordered_spectrum,
-                                    random_regular_operator,
+                                    gen_inverse, indefinite_gram,
+                                    is_regular, local_representation,
+                                    ordered_spectrum, random_regular_operator,
                                     regular_perturbation, signature,
                                     spin_kernel)
 
@@ -276,28 +275,36 @@ class TestKernelChainLagrangian:
 
 
 class TestFramesAndRepresentation:
+    """local_representation on the spin frame: the rows of Psi are the
+    frame vectors scaled by sqrt|lam|, and S = -sign lam."""
+
     def test_frame_example(self):
-        fr = faithful_frame(CfsOperator(np.diag([1.0, -1.0]), 1))
-        # columns are the standard basis vectors up to phase and order
-        assert np.allclose(np.sort(np.abs(fr.vectors), axis=0),
+        psi, signs = local_representation(
+            CfsOperator(np.diag([1.0, -1.0]), 1))
+        # rows are the standard basis vectors up to phase and order
+        assert np.allclose(np.sort(np.abs(psi), axis=0),
                            [[0.0, 0.0], [1.0, 1.0]])
-        assert set(fr.signs.tolist()) == {1, -1}
+        # +1 on the negative eigenvalue, which eigh puts first
+        assert signs.tolist() == [1.0, -1.0]
 
     def test_frame_orthonormality(self):
-        rng = np.random.default_rng(57)
-        for _ in range(30):
-            x = random_regular_operator(2, 6, rng)
-            fr = faithful_frame(x)
-            hil = fr.hilbert_vectors
-            assert np.allclose(hil.conj().T @ hil, np.eye(4), atol=1e-12)
-            # spin product -<u, x v> is s_i delta_ij on the frame
-            gram = -fr.vectors.conj().T @ x.matrix @ fr.vectors
-            assert np.allclose(gram, np.diag(fr.signs.astype(float)),
-                               atol=1e-10)
+        x = random_regular_operator(2, 6, np.random.default_rng(57), (30,))
+        psi, signs = local_representation(x)
+        lam = x.eigvals[:, [0, 1, 4, 5]]
+        # rows orthogonal with squared norms |lam|: Psi Psi^dag = diag|lam|
+        gram = psi @ psi.conj().swapaxes(-1, -2)
+        assert np.allclose(gram, np.abs(lam)[:, :, None] * np.eye(4),
+                           atol=1e-12)
+        assert np.array_equal(signs, -np.sign(lam))
+        assert np.all(signs[:, :2] == 1.0) and np.all(signs[:, 2:] == -1.0)
 
     def test_frame_requires_regular(self):
+        # one item of a stack with signature (1, 2) spoils the stack
+        mats = random_regular_operator(
+            2, 6, np.random.default_rng(57), (5,)).matrix.copy()
+        mats[3] = np.diag([1.0, 2.0, -1.0, 0.0, 0.0, 0.0])
         with pytest.raises(RegularityError):
-            faithful_frame(CfsOperator(np.diag([1.0, 0.0]), 1))
+            local_representation(CfsOperator(mats, 2))
 
     def test_local_representation(self):
         rng = np.random.default_rng(58)
@@ -442,6 +449,10 @@ class TestStacks:
         assert np.array_equal(np.stack(admissibility_bounds(x, y), axis=-1),
                               [admissibility_bounds(*pair)
                                for pair in single])
+        psi, signs = local_representation(stack)
+        items = [[local_representation(op) for op in pair] for pair in single]
+        assert np.array_equal(psi, [[p for p, _ in pair] for pair in items])
+        assert np.array_equal(signs, [[s for _, s in pair] for pair in items])
 
     def test_indefinite_gram_items(self):
         # every dim, and rank-deficient factors

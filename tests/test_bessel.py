@@ -1,4 +1,4 @@
-"""Modified Bessel functions K0, K1, K2 on the cut plane."""
+"""The pair (K1, K2) on the cut plane, and the K0 inside K2."""
 
 import mpmath
 import numpy as np
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import kv
 
-from seacausal.bessel import BesselDomainError, bessel_k, bessel_k12, j1_over_x
+from seacausal.bessel import BesselDomainError, bessel_k12, j1_over_x
 
 REL_TOL = 1e-10
 ORACLE_REL_TOL = 1e-10
@@ -30,43 +31,47 @@ def cut_plane_points():
     )
 
 
+def k_n(n, z):
+    """K_n(z) for n in {1, 2} from the public pair."""
+    return bessel_k12(z)[n - 1]
+
+
 class TestFrozenValues:
     def test_k1_at_one(self):
-        assert bessel_k(1, 1.0) == pytest.approx(0.6019072302, rel=1e-9)
-
-    def test_k0_at_one(self):
-        assert bessel_k(0, 1.0) == pytest.approx(0.4210244382, rel=1e-9)
+        assert k_n(1, 1.0) == pytest.approx(0.6019072302, rel=1e-9)
 
     def test_k2_at_one(self):
         # K2 = K0 + 2 K1 at z = 1
-        assert bessel_k(2, 1.0) == pytest.approx(1.6248388986, rel=1e-9)
+        assert k_n(2, 1.0) == pytest.approx(1.6248388986, rel=1e-9)
 
     def test_large_argument_envelope(self):
         # K1(10) within 5% of sqrt(pi/20) e^{-10}
         ref = np.sqrt(np.pi / 20.0) * np.exp(-10.0)
-        assert bessel_k(1, 10.0) == pytest.approx(ref, rel=0.05)
+        assert k_n(1, 10.0) == pytest.approx(ref, rel=0.05)
 
     def test_small_argument_law(self):
         # K1(z) ~ 1/z and K2(z) ~ 2/z^2 as z -> 0
-        assert bessel_k(1, 1e-3) == pytest.approx(1000.0, rel=1e-3)
-        assert bessel_k(2, 1e-3) == pytest.approx(2e6, rel=1e-3)
+        assert k_n(1, 1e-3) == pytest.approx(1000.0, rel=1e-3)
+        assert k_n(2, 1e-3) == pytest.approx(2e6, rel=1e-3)
 
 
 class TestIntegralOracle:
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 3.0, 7.5, 15.0, 30.0])
     def test_positive_axis(self, n, x):
-        want = k_integral_oracle(n, x)
-        assert complex(bessel_k(n, x)).imag == pytest.approx(0.0, abs=1e-300)
-        assert complex(bessel_k(n, x)).real == pytest.approx(
-            want, rel=ORACLE_REL_TOL)
+        # n = 0 checks the K0 that K2 is built from: K2 - (2/z) K1
+        k1, k2 = bessel_k12(x)
+        got = complex(k2 - (2.0 / x) * k1 if n == 0 else (k1, k2)[n - 1])
+        assert got.imag == pytest.approx(0.0, abs=1e-300)
+        assert got.real == pytest.approx(k_integral_oracle(n, x),
+                                         rel=ORACLE_REL_TOL)
 
 
-def mpmath_k012(z):
-    """K0, K1, K2 at 40 significant digits, rounded to complex."""
+def mpmath_k12(z):
+    """K1, K2 at 40 significant digits, rounded to complex."""
     with mpmath.workdps(40):
         w = mpmath.mpc(z.real, z.imag)
-        return np.array([complex(mpmath.besselk(n, w)) for n in (0, 1, 2)])
+        return np.array([complex(mpmath.besselk(n, w)) for n in (1, 2)])
 
 
 def kernel_domain_points(eps, n, rng):
@@ -82,12 +87,8 @@ def kernel_domain_points(eps, n, rng):
 
 class TestMpmathOracle:
     def check(self, z):
-        k0 = bessel_k(0, z)
-        k1, k2 = bessel_k12(z)
-        assert np.array_equal(k1, bessel_k(1, z))
-        assert np.array_equal(k2, bessel_k(2, z))
-        got = np.stack([k0, k1, k2], axis=-1)
-        want = np.array([mpmath_k012(zz) for zz in z])
+        got = np.stack(bessel_k12(z), axis=-1)
+        want = np.array([mpmath_k12(zz) for zz in z])
         rel = np.abs(got - want) / np.abs(want)
         assert float(np.max(rel)) <= MPMATH_REL_TOL
 
@@ -108,29 +109,30 @@ class TestIdentities:
     @settings(max_examples=200, deadline=None)
     @given(z=cut_plane_points())
     def test_recurrence(self, z):
-        k0, k1, k2 = (bessel_k(n, z) for n in (0, 1, 2))
-        assert abs(k2 - k0 - (2.0 / z) * k1) <= 1e-10 * (1.0 + abs(k2))
+        # K2 from the recurrence K0 + (2/z) K1 against AMOS's direct K2
+        k2 = k_n(2, z)
+        assert abs(k2 - kv(2, z)) <= 1e-10 * (1.0 + abs(k2))
 
     @settings(max_examples=100, deadline=None)
     @given(z=cut_plane_points())
     def test_conjugation_symmetry(self, z):
-        assert bessel_k(1, np.conj(z)) == pytest.approx(
-            np.conj(bessel_k(1, z)), rel=1e-12)
+        assert k_n(1, np.conj(z)) == pytest.approx(
+            np.conj(k_n(1, z)), rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
         r=st.floats(min_value=0.05, max_value=40.0),
         frac=st.floats(min_value=-0.49, max_value=0.49),
-        n=st.integers(min_value=0, max_value=2),
+        n=st.integers(min_value=1, max_value=2),
     )
     def test_magnitude_bounded_by_real_axis_value(self, r, frac, n):
         # |K_n(w)| <= K_n(Re w) in the right half plane
         w = r * np.exp(1j * frac * np.pi)
-        assert abs(bessel_k(n, w)) <= abs(bessel_k(n, w.real)) * (1 + 1e-10)
+        assert abs(k_n(n, w)) <= abs(k_n(n, w.real)) * (1 + 1e-10)
 
     def test_exponentially_weighted_monotone(self):
         xs = np.linspace(0.1, 40.0, 400)
-        vals = np.real(bessel_k(1, xs)) * np.exp(xs)
+        vals = np.real(k_n(1, xs)) * np.exp(xs)
         assert np.all(np.diff(vals) < 0)
 
     def test_asymptotic_envelope_far_out(self):
@@ -138,8 +140,8 @@ class TestIdentities:
         r = rng.uniform(20.0, 60.0, 200)
         ph = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 200)
         z = r * np.exp(1j * ph)
-        for n in (0, 1, 2):
-            ratio = bessel_k(n, z) * np.sqrt(2.0 * z / np.pi) * np.exp(z)
+        for n in (1, 2):
+            ratio = k_n(n, z) * np.sqrt(2.0 * z / np.pi) * np.exp(z)
             # the leading correction (4n^2 - 1)/(8z) is itself ~9% for
             # n = 2 at |z| = 20, so divide it out before bounding
             ratio = ratio / (1.0 + (4.0 * n * n - 1.0) / (8.0 * z))
@@ -149,15 +151,11 @@ class TestIdentities:
 class TestDomainErrors:
     def test_zero_rejected(self):
         with pytest.raises(BesselDomainError):
-            bessel_k(1, 0.0)
+            bessel_k12(0.0)
 
     def test_negative_axis_rejected(self):
         with pytest.raises(BesselDomainError):
-            bessel_k(0, -2.0)
-
-    def test_order_restricted(self):
-        with pytest.raises(ValueError):
-            bessel_k(3, 1.0)
+            bessel_k12(-2.0)
 
 
 class TestJ1:
