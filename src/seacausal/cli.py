@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -124,21 +125,40 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _scan_lines(ts, rs, a, b, cls, lag):
-    """cone-scan CSV lines, t outer and r inner, streamed.
+# grid points per chain.invariants_from_radial call in cone-scan.  The
+# last block also takes the remainder, so a block holds _SCAN_BLOCK to
+# 2 _SCAN_BLOCK - 1 points, or the whole grid when that is smaller.  A
+# block must not hold fewer than 16 384 points: from that size on numpy's
+# temporary elision reuses complex buffers, and below it b changes in its
+# last bits.  The block bounds the working set: a 501 x 501 scan peaks at
+# about 106 MB in one call and at about 61 MB in blocks of 16 384 (55 MB
+# of it the imports), at the same speed.
+_SCAN_BLOCK = 16384
 
-    Each distinct t and r is formatted once.  No field can need quoting
-    (floats by repr, one-letter class codes), so the joined lines are the
-    bytes `csv.writer` would write."""
-    r_txt = [repr(r) for r in rs.tolist()]
+
+def _scan_blocks(n):
+    """(start, stop) of the blocks of n grid points."""
+    starts = [i * _SCAN_BLOCK for i in range(max(1, n // _SCAN_BLOCK))]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _scan_lines(ts, r_txt, start, a, b, cls, lag):
+    """cone-scan CSV lines of the grid points start, start + 1, ... in the
+    order t outer and r inner; r_txt holds the formatted r values.
+
+    No field can need quoting (floats by repr, one-letter class codes), so
+    the joined lines are the bytes `csv.writer` would write."""
     cells = zip(map(repr, a.tolist()), map(repr, b.tolist()), cls.tolist(),
                 map(repr, lag.tolist()))
-    for t in ts.tolist():
+    row, col = divmod(start, len(r_txt))
+    stop_row = (start + a.size - 1) // len(r_txt) + 1
+    for t in ts[row:stop_row].tolist():
         lead = "%s,%r," % (SCHEMA_VERSION, t)
         # zip asks r_txt first, so it stops without taking the next row's
         # cells
-        for r, cell in zip(r_txt, cells):
+        for r, cell in zip(itertools.islice(r_txt, col, None), cells):
             yield lead + r + ",%s,%s,%s,%s\n" % cell
+        col = 0
 
 
 def cmd_cone_scan(args) -> int:
@@ -150,15 +170,18 @@ def cmd_cone_scan(args) -> int:
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
     if ts.size * rs.size > 10 ** 7:
         raise ConfigError("grid too large (> 1e7 points)")
-    tt, rr = np.meshgrid(ts, rs, indexing="ij")
-    a, b = chain.invariants_from_radial(
-        tt.ravel(), rr.ravel(), 2.0 * cfg.epsilon, cfg.mass)
+    r_txt = [repr(r) for r in rs.tolist()]
     header = ["schema_version", "t", "r", "a", "b", "class", "lagrangian"]
     fh, close = _open_output(cfg.output_path)
     try:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_scan_lines(ts, rs, a, b, chain.class_codes(a, b),
-                                  chain.lagrangian_of_b(b)))
+        for start, stop in _scan_blocks(ts.size * rs.size):
+            row, col = np.divmod(np.arange(start, stop), rs.size)
+            a, b = chain.invariants_from_radial(
+                ts[row], rs[col], 2.0 * cfg.epsilon, cfg.mass)
+            fh.writelines(_scan_lines(ts, r_txt, start, a, b,
+                                      chain.class_codes(a, b),
+                                      chain.lagrangian_of_b(b)))
     finally:
         if close:
             fh.close()

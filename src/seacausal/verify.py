@@ -267,9 +267,11 @@ def suite_geometry(seed=12345, n=10000):
 
 # pairs per stacked block in suite_abstract.  The block bounds peak RSS:
 # at seed 1 the process running the suite peaks at about 330 MB with all
-# 10^4 pairs in one stack and at about 86 MB with blocks of 1000 (55 MB
-# of it the imports), at about the same speed.
-_ABSTRACT_BLOCK = 1000
+# 10^4 pairs in one stack, 87 MB with blocks of 1000, 73 MB with 500,
+# 65 MB with 250 and 61 MB with 125 (55 MB of it the imports), at about
+# the same speed.  The near-equal pairs are drawn per block, so the
+# printed margins move with the block size; the verdicts do not.
+_ABSTRACT_BLOCK = 250
 
 
 def _blocks(n_pairs):

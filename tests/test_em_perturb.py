@@ -284,3 +284,40 @@ class TestFirstOrderField:
             x, Z, 1, z2, nu, Potential(), PARAMS,
             em_perturb.green_constants(PARAMS.m))
         assert abs(val - ref) <= 2e-4 * abs(ref)
+
+
+class TestSourceBlocks:
+    """The source is evaluated in blocks of at most _SOURCE_BLOCK points
+    and gathered before the one weighted sum."""
+
+    Z2 = np.array([-0.2, -0.1, 0.2, 0.0])
+    # verify em's point and the benchmark's
+    POINTS = ((2.0, 0.2, -0.1, 0.3), (1.6, 0.35, 0.1, 0.35))
+
+    def element(self, x):
+        return em_perturb.f1_matrix_element(
+            np.array(x), Z, 1, self.Z2, 2, Potential(), PARAMS,
+            em_perturb.green_constants(PARAMS.m))
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_blocks_match_one_call(self, x, monkeypatch):
+        blocked = self.element(x)
+        monkeypatch.setattr(em_perturb, "_SOURCE_BLOCK", 10 ** 7)
+        assert blocked == self.element(x)
+
+    def test_block_sizes(self, monkeypatch):
+        sizes = []
+        dirac_source = em_perturb._dirac_source
+
+        def counted(*args):
+            src = dirac_source(*args)
+
+            def values(ys):
+                sizes.append(len(ys))
+                return src(ys)
+            return values
+
+        monkeypatch.setattr(em_perturb, "_dirac_source", counted)
+        self.element(self.POINTS[1])
+        assert max(sizes) <= em_perturb._SOURCE_BLOCK
+        assert sum(sizes) > 4 * em_perturb._SOURCE_BLOCK
