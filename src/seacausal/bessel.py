@@ -5,7 +5,9 @@ K_n is evaluated on the cut plane Omega_pi = {z != 0, arg z in (-pi, pi)}
 with the principal branch, by scipy's ``kv``: the AMOS routines (D. E.
 Amos, ACM TOMS Algorithm 644, 1986).  Arguments at z = 0 or on the
 negative real axis raise BesselDomainError instead of returning a value
-of either side of the cut.
+of either side of the cut.  So do arguments on which ``kv`` returns nan:
+AMOS gives up beyond |z| of about 1e9 (``kv(1, 2e9 + 0.1j)`` is nan),
+also where K is far from negligible, as at z = 0.1 - 5e9 i.
 
 The public pair is ``bessel_k12``: (K1, K2), what the kernel scalars F
 and G need.  Only K0 and K1 are evaluated; K2 comes from the forward
@@ -21,7 +23,8 @@ from scipy.special import kv as _scipy_kv
 
 
 class BesselDomainError(ValueError):
-    """Argument outside the domain of validity (z = 0 or on the cut)."""
+    """Argument outside the domain of validity (z = 0, on the cut, or
+    beyond the range where K_n can be computed)."""
 
 
 def _check_cut_plane(z: np.ndarray) -> None:
@@ -36,6 +39,10 @@ def _k012(z):
     """K0, K1, K2 on the cut plane; z is a checked complex array."""
     k0 = _scipy_kv(0, z)
     k1 = _scipy_kv(1, z)
+    bad = np.isnan(k0) | np.isnan(k1)
+    if np.any(bad):
+        raise BesselDomainError("K_n not computable at z = %r"
+                                % complex(z[bad][0]))
     return k0, k1, k0 + (2.0 / z) * k1
 
 

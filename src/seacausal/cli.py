@@ -20,22 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import chain, em_perturb, kernel, quadrature, sea_variation, verify
-from .bessel import BesselDomainError
-from .config import ConfigError, load_config
-from .kernel import RegKernelParams
-from .quadrature import QuadratureError
-
-SCHEMA_VERSION = "1"
-
-EXIT_OK = 0
-EXIT_INVARIANT = 1
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
-EXIT_NONCONV = 4
-
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("CFS_THREADS")
@@ -44,6 +28,29 @@ def _apply_thread_cap() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, cap)
+
+
+# BLAS reads its thread count once, when numpy loads it, so the cap must
+# be in the environment before numpy is imported (in a process that has
+# imported numpy already, it changes nothing)
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
+
+from . import (chain, em_perturb, kernel, quadrature,  # noqa: E402
+               sea_variation, verify)
+from .bessel import BesselDomainError  # noqa: E402
+from .config import ConfigError, load_config  # noqa: E402
+from .kernel import RegKernelParams  # noqa: E402
+from .quadrature import QuadratureError  # noqa: E402
+
+SCHEMA_VERSION = "1"
+
+EXIT_OK = 0
+EXIT_INVARIANT = 1
+EXIT_CONFIG = 2
+EXIT_DOMAIN = 3
+EXIT_NONCONV = 4
 
 
 def _open_output(path: str):
@@ -371,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

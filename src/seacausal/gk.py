@@ -4,29 +4,28 @@ Panels use the QUADPACK 15-point Kronrod rule with its embedded 7-point
 Gauss rule (tensor 15x15 in 2-D).  The refinement is sequential: pop the
 panel with the largest error estimate, bisect it (in 2-D on the axis
 with the larger error), and stop when the running error total reaches
-tol_abs or the panel count reaches max_panels.
+the tolerance or the panel count reaches max_panels.  The tolerance is
+tol_abs, or in 2-D max(tol_abs, tol_rel |running value|), the running
+value being the sum of the current panels' values.
 
 A vector integrand is integrated column by column on one mesh.  A
-panel's error estimate is the max over columns of |Kronrod - Gauss|.
+panel's error estimate is the max over columns of |Kronrod - Gauss|, and
+|running value| the max over columns.
+
+Several roots.  The 2-D domain may be a list of roots, each a box with
+a chart that maps the box's coordinates (x, y) to the integrand's
+(t, r) and gives the Jacobian.  All roots are refined from one heap, so
+the error budget goes wherever the largest panel error is.
 
 Batched evaluation.  The integrand is not called once per panel.  When
-the popped panel's children have not been evaluated yet, one call
-evaluates them together with the children of the next best panels on
-the heap, which the refinement will most likely split soon.  The loop
-then takes every panel from a cache keyed by its interval or box.  A
-panel's value and error come from the same per-point values and the same
-per-panel reductions as a one-panel call, so the refinement replays the
-one-panel-per-call loop exactly: the final panels, value, error and
-count are bitwise the same.
-
-Resumed refinement.  ``integrate_2d(..., cache=)`` keeps the evaluated
-panels and, under ``_RESUME``, the panels where the call stopped.  A
-later call on the same integrand, domain and cache resumes from there
-instead of from the root box.  A capped probe pass followed by a
-tolerance pass thus costs no extra evaluations.  The tolerance pass
-never stops on a mesh coarser than the probe's.  Where it would have
-needed more panels than the probe anyway, it takes the same splits as a
-fresh pass and returns the same result bitwise.
+the popped panel's children have not been evaluated yet, one call per
+root evaluates them together with the children of the next best panels
+on the heap, which the refinement will most likely split soon.  The loop
+then takes every panel from a cache keyed by its root and interval or
+box.  A panel's value and error come from the same per-point values and
+the same per-panel reductions as a one-panel call, so the refinement
+replays the one-panel-per-call loop exactly: the final panels, value,
+error and count are bitwise the same.
 
 Integrand contract: f must be pure and pointwise (a point's value may not
 depend on the other points in the call), and defined on the whole
@@ -75,10 +74,6 @@ _WG7_ROW = _WG7.reshape(1, 7)
 # the cap.  One call carries at most 8 * 2 * 225 = 3600 points in 2-D.
 _MAX_SPECULATION = 8
 
-# cache key of the refinement state (heap, count, error total) a call left;
-# every panel key is an interval or box tuple, so it cannot collide
-_RESUME = "resume"
-
 
 def _panels_1d(f, intervals):
     """15/7 panels on intervals [(a, b), ...] from one call of f; returns
@@ -99,27 +94,40 @@ def _panels_1d(f, intervals):
     return out
 
 
-def _panels_2d(f, boxes):
-    """Tensor 15x15 Kronrod panels on boxes [(t0, t1, r0, r1), ...] from one
-    call of f; returns [(value_vec, (err_t, err_r)), ...], the per-axis
-    error estimates obtained by downgrading one axis to the embedded
-    7-point rule.  An estimate is the max over columns of |Kronrod - Gauss|."""
-    bx = np.array(boxes, dtype=float)
-    th = 0.5 * (bx[:, 1] - bx[:, 0])
-    rh = 0.5 * (bx[:, 3] - bx[:, 2])
-    tt = (0.5 * (bx[:, 0] + bx[:, 1]))[:, None] + th[:, None] * _XK
-    rr = (0.5 * (bx[:, 2] + bx[:, 3]))[:, None] + rh[:, None] * _XK
-    # point (i, j) of a panel is (tt[i], rr[j]), i-major as in meshgrid "ij"
-    ft = np.asarray(f(np.repeat(tt, 15, axis=1).ravel(),
-                      np.tile(rr, 15).ravel()))
-    vals = ft.reshape(len(bx), 15, 15, -1)
-    out = []
-    for w, v in zip(th * rh, vals):
-        kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
-        gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
-        kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
-        out.append((kk, (float(np.max(np.abs(kk - gk))),
-                         float(np.max(np.abs(kk - kg))))))
+def _panels_2d(f, charts, keys):
+    """Tensor 15x15 Kronrod panels on keys [(root, (x0, x1, y0, y1)), ...]
+    from one call of f per root; returns [(value_vec, (err_x, err_y)), ...]
+    in the order of keys, the per-axis error estimates obtained by
+    downgrading one axis to the embedded 7-point rule.  An estimate is
+    the max over columns of |Kronrod - Gauss|.  charts[root] maps the
+    nodes (x, y) to f's (t, r) and returns the Jacobian; None is the
+    identity."""
+    out = [None] * len(keys)
+    by_root = {}
+    for n, (root, _) in enumerate(keys):
+        by_root.setdefault(root, []).append(n)
+    for root, idx in by_root.items():
+        bx = np.array([keys[n][1] for n in idx], dtype=float)
+        xh = 0.5 * (bx[:, 1] - bx[:, 0])
+        yh = 0.5 * (bx[:, 3] - bx[:, 2])
+        xx = (0.5 * (bx[:, 0] + bx[:, 1]))[:, None] + xh[:, None] * _XK
+        yy = (0.5 * (bx[:, 2] + bx[:, 3]))[:, None] + yh[:, None] * _XK
+        # point (i, j) of a panel is (xx[i], yy[j]), i-major as in
+        # meshgrid "ij"
+        x = np.repeat(xx, 15, axis=1).ravel()
+        y = np.tile(yy, 15).ravel()
+        if charts[root] is None:
+            ft = np.asarray(f(x, y))
+        else:
+            t, r, jac = charts[root](x, y)
+            ft = np.asarray(f(t, r)) * jac[:, None]
+        vals = ft.reshape(len(bx), 15, 15, -1)
+        for n, w, v in zip(idx, xh * yh, vals):
+            kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
+            gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
+            kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
+            out[n] = (kk, (float(np.max(np.abs(kk - gk))),
+                           float(np.max(np.abs(kk - kg)))))
     return out
 
 
@@ -129,39 +137,42 @@ def _split_1d(ab, errs):
     return (a, m), (m, b)
 
 
-def _split_2d(box, errs):
+def _split_2d(key, errs):
     """Bisect on the axis with the larger error estimate."""
-    t0, t1, r0, r1 = box
+    root, (x0, x1, y0, y1) = key
     if errs[0] >= errs[1]:
-        m = 0.5 * (t0 + t1)
-        return (t0, m, r0, r1), (m, t1, r0, r1)
-    m = 0.5 * (r0 + r1)
-    return (t0, t1, r0, m), (t0, t1, m, r1)
+        m = 0.5 * (x0 + x1)
+        return (root, (x0, m, y0, y1)), (root, (m, x1, y0, y1))
+    m = 0.5 * (y0 + y1)
+    return (root, (x0, x1, y0, m)), (root, (x0, x1, m, y1))
 
 
-def _refine(f, panels, split, root, tol_abs, max_panels, cache):
+def _refine(panels, split, roots, tol_abs, tol_rel, max_panels):
     """The adaptive loop shared by both dimensions; returns (heap, count).
 
     Heap entries are (-err, tie_break, key, value, errs), key the interval
-    or box and errs its error parts.  Panels come from `cache`; a miss
-    evaluates, in one call of `panels`, the missing children of the
-    popped panel and those of the next best heap panels.  The loop starts
-    from the state an earlier call left in `cache`, if any, and leaves its
-    own there.
+    or (root, box) and errs its error parts.  `panels(keys)` evaluates
+    panels; the roots are evaluated first, in one call.  Later panels
+    come from a cache; a miss evaluates the missing children of the
+    popped panel and those of the next best heap panels together.  The
+    loop stops when the error total is at most
+    max(tol_abs, tol_rel |running value|).
     """
-    if _RESUME in cache:
-        heap, count, total = cache[_RESUME]
-    else:
-        val, errs = panels(f, [root])[0]
-        total = sum(errs)
-        heap = [(-total, 0, root, val, errs)]
-        count = 1
-    while heap and total > tol_abs:
+    heap, cache = [], {}
+    total = value = 0.0
+    for n, (key, (val, errs)) in enumerate(zip(roots, panels(roots))):
+        heap.append((-sum(errs), n, key, val, errs))
+        total += sum(errs)
+        value = value + val
+    heapq.heapify(heap)
+    count = len(heap)
+    while heap and total > max(tol_abs,
+                               tol_rel * float(np.max(np.abs(value)))):
         entry = heapq.heappop(heap)
         if count >= max_panels:
             heapq.heappush(heap, entry)
             break
-        key, errs = entry[2], entry[4]
+        key, val, errs = entry[2], entry[3], entry[4]
         k1, k2 = split(key, errs)
         if k1 not in cache or k2 not in cache:
             # splits left before max_panels stops the loop, this one included
@@ -171,43 +182,50 @@ def _refine(f, panels, split, root, tol_abs, max_panels, cache):
             for other in heapq.nsmallest(width - 1, heap):
                 todo.extend(k for k in split(other[2], other[4])
                             if k not in cache)
-            cache.update(zip(todo, panels(f, todo)))
-        v1, e1 = cache[k1]
-        v2, e2 = cache[k2]
+            cache.update(zip(todo, panels(todo)))
+        v1, e1 = cache.pop(k1)
+        v2, e2 = cache.pop(k2)
         total += sum(e1 + e2) - sum(errs)
+        value = value + v1 + v2 - val
         heapq.heappush(heap, (-sum(e1), count, k1, v1, e1))
         heapq.heappush(heap, (-sum(e2), count + 1, k2, v2, e2))
         count += 2
-    cache[_RESUME] = heap, count, total
     return heap, count
 
 
 def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000):
     """Adaptive 1-D integration of a vectorized (complex, possibly
     array-valued) integrand."""
-    heap, count = _refine(f, _panels_1d, _split_1d, (a, b), tol_abs,
-                          max_panels, {})
+    heap, count = _refine(lambda keys: _panels_1d(f, keys), _split_1d,
+                          [(a, b)], tol_abs, 0.0, max_panels)
     panels = sorted(heap, key=lambda p: p[2])   # deterministic order
     value = sum(p[3] for p in panels)
     err = float(sum(p[4][0] for p in panels))
     return value, err, count
 
 
-def integrate_2d(f, box, tol_abs: float, max_panels: int = 20000,
-                 cache: dict | None = None):
+def integrate_2d(f, domain, tol_abs: float, max_panels: int = 20000,
+                 tol_rel: float = 0.0):
     """Adaptive 2-D integration with bisection on the larger-error axis.
 
-    f maps (t_array, r_array) -> array (npts, k) of k integrands.  A
-    panel's error is the max over columns of |Kronrod - Gauss|, and the
-    refinement and the returned error follow it.  Deterministic: panels
-    are accumulated in a fixed geometric order at the end.  `cache` holds
-    the panels of earlier calls on the same f and box and where the last
-    of them stopped; this call resumes from there and leaves its own
-    panels and stopping point in it.
+    f maps (t_array, r_array) -> array (npts, k) of k integrands.  The
+    domain is one box (t0, t1, r0, r1), or a list of roots (box, chart)
+    refined from one heap: chart(x, y) -> (t, r, jacobian) maps the box's
+    coordinates to f's, and a chart of None is the identity.  A panel's
+    error is the max over columns of |Kronrod - Gauss|, and the
+    refinement and the returned error follow it.  The refinement stops
+    when the error is at most max(tol_abs, tol_rel |value|), |value| the
+    max over columns of the running value.  Deterministic: panels are
+    accumulated in a fixed order (root, then geometry) at the end.
     """
-    heap, count = _refine(f, _panels_2d, _split_2d, tuple(box), tol_abs,
-                          max_panels, {} if cache is None else cache)
-    panels = sorted(heap, key=lambda p: (p[2][0], p[2][2], p[2][1], p[2][3]))
+    if np.isscalar(domain[0]):
+        domain = [(domain, None)]
+    charts = [chart for _, chart in domain]
+    roots = [(n, tuple(box)) for n, (box, _) in enumerate(domain)]
+    heap, count = _refine(lambda keys: _panels_2d(f, charts, keys),
+                          _split_2d, roots, tol_abs, tol_rel, max_panels)
+    panels = sorted(heap, key=lambda p: (p[2][0], p[2][1][0], p[2][1][2],
+                                         p[2][1][1], p[2][1][3]))
     value = np.sum([p[3] for p in panels], axis=0)
     err = float(sum(p[4][0] + p[4][1] for p in panels))
     return value, err, count

@@ -2,15 +2,21 @@
 
 All integrands depend on the displacement only through (t, r) =
 (xi^0, |xi_vec|) and are even in t, so integrals over R^4 reduce to
-2 * int dt int dr 4 pi r^2 (...) on the quarter plane.  The interior
-[0, T] x [0, R] takes half the tolerance budget tol * |value| in
-adaptive Gauss-Kronrod panels.  Each integrand is the one certified
-column, 4 pi r^2 |P|^4 or 4 pi r^2 L.
+2 * int dt int dr 4 pi r^2 (...) on the quarter plane.  Each integrand
+is the one certified column, 4 pi r^2 |P|^4 or 4 pi r^2 L.
 
-The tolerance pass resumes from the panels of a capped 64-panel probe
-(which fixes the tolerance scale), so it never stops on a coarser mesh:
-at small eps the root box's nodes miss the ridge and its error estimate
-reads small.
+The integrands have two features at the scale of the chain's
+regularization eps_c (2 eps, or 2 eps + lambda for `ell_varied`): a
+ridge of width about eps_c along the light cone r = t, and a blob of
+size about eps_c at the origin, which carries most of L at small eps.
+The interior [0, T] x [0, R] therefore starts from a fixed partition
+aligned with the cone (`_interior_roots`): a corner box around the
+origin, the strip above it, a band of half-width 2.5 eps_c around
+r = t, and the timelike and spacelike sides of the band.  All its roots
+are refined from one heap of adaptive Gauss-Kronrod panels, until the
+error total is at most tol/2 * |running value|: the interior takes half
+the tolerance budget, and its mesh is never coarser than the partition,
+whose nodes see the ridge and the blob at every eps.
 
 The exterior is two extension zones out to (4T, Rbig) plus exponential
 closures beyond them.  The integrands decay away from a ridge of width
@@ -44,9 +50,20 @@ from . import chain, gk, kernel
 
 # tail samples below this are numerically extinguished (near-subnormal)
 _TAIL_FLOOR = 1e-280
-# share of the certified budget tol * |value| given to each tail extension
-# zone as its absolute tolerance (the interior takes half the budget)
+# share of tol * |interior value| given to each tail extension zone as its
+# absolute tolerance (the interior takes half the budget)
 _TAIL_ZONE_SHARE = 0.01
+# the interior partition: a band of half-width delta = _BAND eps_chain
+# around the cone r = t, and a corner box out to t_c = _CORNER delta.
+# Measured against rel-2e-6 runs on this partition and on (4 eps_chain,
+# 2 delta), which agree within 1.2e-5 at eps from 0.2 to 0.00625 (p4 and
+# L): the default-tolerance interior lies within 7.4e-4 of them, against
+# estimates of 1.8e-3 to 2.5e-3.  Bands of 2 to 4 eps_chain with t_c of
+# 2 to 4 delta all stayed within their estimates at eps = 0.1, 0.05 and
+# 0.0125; a band of eps_chain did not: with t_c = 2 delta it read p4 at
+# eps = 0.05 low by 4.6e-3 against an estimate of 2.4e-3
+_BAND = 2.5
+_CORNER = 3.0
 
 
 class QuadratureError(RuntimeError):
@@ -185,6 +202,53 @@ def _cone_coordinates(f, r_lo: float, r_hi: float):
     return g
 
 
+def _between(lo, hi):
+    """Chart of the region lo(t) <= r <= hi(t) on (t, s) in [t0, t1] x
+    [0, 1], for lines lo = (c0, c1) and hi meaning c0 + c1 t: r = lo +
+    s (hi - lo), with Jacobian hi - lo."""
+    (l0, l1), (h0, h1) = lo, hi
+
+    def chart(t, s):
+        width = (h0 - l0) + (h1 - l1) * t
+        return t, (l0 + l1 * t) + s * width, width
+    return chart
+
+
+def _interior_roots(T: float, R: float, eps_chain: float,
+                    band: float = _BAND, corner: float = _CORNER):
+    """The interior [0, T] x [0, R] as gk roots aligned with the cone.
+
+    The corner [0, t_c] x [0, t_c + delta] holds the blob at the origin
+    and the strip [0, t_c] x [t_c + delta, R] lies above it.  For t >= t_c
+    the lines r = t - delta, t, t + delta cut [0, R] into the timelike
+    side, the two halves of the band around the ridge along r = t, and
+    the spacelike side.  A line above R is clipped to r = R, so the
+    t-range is also cut where a line meets r = R, and a region of zero
+    width is dropped: the roots tile the box exactly for every T, R > 0.
+    Every length scales with eps_chain, T and R: delta = band eps_chain
+    and t_c = corner delta, at most T.
+    """
+    delta = band * eps_chain
+    tc = min(corner * delta, T)
+    zero, top = (0.0, 0.0), (R, 0.0)
+    edge = min(tc + delta, R)
+    regions = [(0.0, tc, zero, (edge, 0.0))]
+    if edge < R:
+        regions.append((0.0, tc, (edge, 0.0), top))
+    cuts = [tc] + sorted(c for c in (R - delta, R, R + delta)
+                         if tc < c < T) + [T]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        if t1 <= t0:
+            continue
+        mid = 0.5 * (t0 + t1)
+        lines = [zero] + [(d, 1.0) if mid + d < R else top
+                          for d in (-delta, 0.0, delta)] + [top]
+        regions.extend((t0, t1, lo, hi)
+                       for lo, hi in zip(lines[:-1], lines[1:]) if lo != hi)
+    return [((t0, t1, 0.0, 1.0), _between(lo, hi))
+            for t0, t1, lo, hi in regions]
+
+
 def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
                    max_panels: int = 800):
     """Integral of f over the exterior of [0,T]x[0,R] (t >= 0 quarter).
@@ -283,25 +347,21 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
         raise ValueError("tolerance must be positive")
     check_region_lambda(lam)
     start = time.perf_counter()
-    f = _integrand_factory(kind, params, eps_chain)
+    ec = 2.0 * params.eps if eps_chain is None else eps_chain
+    f = _integrand_factory(kind, params, ec)
 
     value = None
     tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
-        # the capped probe fixes the tolerance scale, and the tolerance
-        # pass resumes from its panels
-        panels = {}
-        vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
-                                     max_panels=64, cache=panels)
-        scale = max(abs(float(np.real(vest[0]))), 1e-300)
         vvec, err, count = gk.integrate_2d(
-            f, (0.0, T, 0.0, R), tol_abs=0.5 * tol * scale,
-            max_panels=max_panels, cache=panels)
-        tail, tail_info = _tail_estimate(f, T, R, lam,
-                                         _TAIL_ZONE_SHARE * tol * scale)
+            f, _interior_roots(T, R, ec), tol_abs=0.0,
+            max_panels=max_panels, tol_rel=0.5 * tol)
+        interior = float(np.real(vvec[0]))
+        tail, tail_info = _tail_estimate(
+            f, T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300))
         for key in tail_panels:
             tail_panels[key] += tail_info[key]
-        value = 2.0 * (float(np.real(vvec[0])) + tail_info["tail_zone_t"]
+        value = 2.0 * (interior + tail_info["tail_zone_t"]
                        + tail_info["tail_zone_r"])
         err_total = 2.0 * float(err)
         tail_total = 2.0 * float(tail)

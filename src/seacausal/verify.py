@@ -225,6 +225,29 @@ def suite_integrability(seed=12345):
                        % (t0, change, ra.tail_bound))
     out.append(("tail_bound_soundness", sound, "; ".join(details)))
 
+    # the reported interior against the interior on a second partition
+    # (band 4 eps_chain, corner 2 delta) at a 10x tighter tolerance
+    ratios = []
+    for kind, eps in (("p4", 0.1), ("p4", 0.0125), ("lagrangian", 0.1),
+                      ("lagrangian", 0.0125)):
+        pe = RegKernelParams(1.0, eps)
+        integrate = quadrature.integrate_p4 if kind == "p4" \
+            else quadrature.integrate_lagrangian
+        rep = integrate(pe, tol=0.005)
+        interior = 0.5 * rep.value - rep.extras["tail_zone_t"] \
+            - rep.extras["tail_zone_r"]
+        roots = quadrature._interior_roots(rep.truncation_T,
+                                           rep.truncation_R, 2.0 * eps,
+                                           band=4.0, corner=2.0)
+        other, _, _ = gk.integrate_2d(
+            quadrature._integrand_factory(kind, pe), roots, tol_abs=0.0,
+            tol_rel=0.05 * 0.005)
+        ratios.append(abs(interior - float(other[0]))
+                      / (0.5 * rep.abs_error_estimate))
+    out.append(("interior_second_partition", max(ratios) <= 1.0,
+                "|diff|/err p4@0.1 %.2e, p4@0.0125 %.2e, L@0.1 %.2e, "
+                "L@0.0125 %.2e" % tuple(ratios)))
+
     est, se = quadrature.mc_p4_at_x(p, np.array([0.7, -0.3, 0.2, 0.1]),
                                     n_samples=60000, seed=seed)
     combined = np.sqrt(se ** 2 + r2.abs_error_estimate ** 2

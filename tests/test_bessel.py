@@ -157,6 +157,16 @@ class TestDomainErrors:
         with pytest.raises(BesselDomainError):
             bessel_k12(-2.0)
 
+    @pytest.mark.parametrize("z", [2e9 + 0.1j, 0.1 - 5e9j, 1e10 + 0j])
+    def test_beyond_amos_range_rejected(self, z):
+        # scipy's kv returns nan there; at 0.1 - 5e9 i, |K| is about 1.6e-5
+        with pytest.raises(BesselDomainError):
+            bessel_k12(np.array([1.0, z]))
+
+    def test_underflow_is_not_rejected(self):
+        k1, k2 = bessel_k12(1e9 + 0.1j)
+        assert k1 == 0.0 and k2 == 0.0
+
 
 class TestJ1:
     def test_values(self):

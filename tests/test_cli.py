@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from seacausal.config import ConfigError, RunConfig, load_config, \
 from seacausal.kernel import RegKernelParams
 
 CLI = [sys.executable, "-m", "seacausal.cli"]
+THREAD_VARS = ("CFS_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def run_cli(*args, **kwargs):
@@ -148,8 +151,21 @@ class TestKernelCommand:
         assert res.returncode == 2
         assert "masss" in res.stderr
 
+    def test_beyond_bessel_range_is_domain_error(self, capsys):
+        # at (t, r) = (5e9, 0) the Bessel argument is about 0.1 - 5e9 i,
+        # where scipy's kv returns nan although K is not negligible there
+        assert cli.main(["kernel", "--xi", "5e9,0,0,0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "domain error" in err
+
 
 class TestConeScanCommand:
+    def test_beyond_bessel_range_is_domain_error(self, capsys):
+        assert cli.main(["cone-scan", "--t-max", "1e10", "--r-max", "1e10",
+                         "--t-steps", "3", "--r-steps", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert "nan" not in out and "domain error" in err
+
     def test_classification_rows(self):
         res = run_cli("cone-scan", "--t-min", "0", "--t-max", "0",
                       "--t-steps", "1", "--r-min", "0", "--r-max", "1",
@@ -282,6 +298,20 @@ class TestIntegrateCommand:
         header, rows = parse_csv(res.stdout)
         assert float(dict(zip(header, rows[0]))["value"]) > 0.0
 
+    @pytest.mark.parametrize("args", [["--truncation-R", "30"],
+                                      ["--epsilon", "2"],
+                                      ["--epsilon", "2", "--truncation-R",
+                                       "30"]])
+    def test_clipped_partitions(self, args, capsys):
+        # R < T + delta and T < t_c: the interior's partition is clipped to
+        # the box
+        for which in ("p4", "lagrangian"):
+            assert cli.main(["integrate", which] + args) == 0
+            header, rows = parse_csv(capsys.readouterr().out)
+            row = dict(zip(header, rows[0]))
+            assert float(row["abs_err"]) + float(row["tail_bound"]) \
+                <= 0.005 * float(row["value"])
+
     def test_bad_tolerance_is_config_error(self):
         assert run_cli("integrate", "p4", "--quad-rel-tol", "0")\
             .returncode == 2
@@ -339,6 +369,20 @@ class TestEmCommand:
             cli.main(["em", "--alpha", "-0.1593", "--beta", "0.0812",
                       "--x", "0.2,0,0,0", flag, value])
         assert exc.value.code == 2
+
+
+class TestThreadCap:
+    def test_cfs_threads_caps_blas(self):
+        # em sums its convolutions through BLAS, whose result depends on
+        # the thread count; CFS_THREADS alone must give the bytes of an
+        # explicit one-thread run
+        base = {k: v for k, v in os.environ.items()
+                if k not in THREAD_VARS}
+        args = ("em", "--x", "2.0,0.2,-0.1,0.3")
+        capped = run_cli(*args, env=dict(base, CFS_THREADS="1"))
+        one = run_cli(*args, env=dict(base, **{k: "1" for k in THREAD_VARS}))
+        assert capped.returncode == one.returncode == 0
+        assert capped.stdout == one.stdout
 
 
 class TestHolderCommand:

@@ -62,14 +62,35 @@ def ref_panel_2d(f, box):
 
 
 def ref_integrate_2d(f, box, tol_abs, max_panels=20000):
-    val, et, er = ref_panel_2d(f, box)
-    heap = [(-(et + er), 0, box, val, et, er)]
-    count = 1
-    total = et + er
-    while heap and total > tol_abs:
-        neg, _, pbox, pval, pet, per = heapq.heappop(heap)
+    return ref_integrate_roots(f, [(box, None)], tol_abs,
+                               max_panels=max_panels)
+
+
+def ref_panel_root(f, box, chart):
+    if chart is None:
+        return ref_panel_2d(f, box)
+
+    def g(x, y):
+        t, r, jac = chart(x, y)
+        return np.asarray(f(t, r)) * jac[:, None]
+    return ref_panel_2d(g, box)
+
+
+def ref_integrate_roots(f, roots, tol_abs, tol_rel=0.0, max_panels=20000):
+    heap = []
+    total = value = 0.0
+    for n, (box, chart) in enumerate(roots):
+        val, et, er = ref_panel_root(f, box, chart)
+        heap.append((-(et + er), n, n, box, val, et, er))
+        total += et + er
+        value = value + val
+    heapq.heapify(heap)
+    count = len(roots)
+    while heap and total > max(tol_abs,
+                               tol_rel * float(np.max(np.abs(value)))):
+        neg, tie, n, pbox, pval, pet, per = heapq.heappop(heap)
         if count >= max_panels:
-            heapq.heappush(heap, (neg, _, pbox, pval, pet, per))
+            heapq.heappush(heap, (neg, tie, n, pbox, pval, pet, per))
             break
         t0, t1, r0, r1 = pbox
         if pet >= per:
@@ -78,15 +99,17 @@ def ref_integrate_2d(f, box, tol_abs, max_panels=20000):
         else:
             m = 0.5 * (r0 + r1)
             b1, b2 = (t0, t1, r0, m), (t0, t1, m, r1)
-        v1, e1t, e1r = ref_panel_2d(f, b1)
-        v2, e2t, e2r = ref_panel_2d(f, b2)
+        v1, e1t, e1r = ref_panel_root(f, b1, roots[n][1])
+        v2, e2t, e2r = ref_panel_root(f, b2, roots[n][1])
         total += e1t + e1r + e2t + e2r - (pet + per)
-        heapq.heappush(heap, (-(e1t + e1r), count, b1, v1, e1t, e1r))
-        heapq.heappush(heap, (-(e2t + e2r), count + 1, b2, v2, e2t, e2r))
+        value = value + v1 + v2 - pval
+        heapq.heappush(heap, (-(e1t + e1r), count, n, b1, v1, e1t, e1r))
+        heapq.heappush(heap, (-(e2t + e2r), count + 1, n, b2, v2, e2t, e2r))
         count += 2
-    panels = sorted(heap, key=lambda p: (p[2][0], p[2][2], p[2][1], p[2][3]))
-    value = np.sum([p[3] for p in panels], axis=0)
-    err = float(sum(p[4] + p[5] for p in panels))
+    panels = sorted(heap, key=lambda p: (p[2], p[3][0], p[3][2], p[3][1],
+                                         p[3][3]))
+    value = np.sum([p[4] for p in panels], axis=0)
+    err = float(sum(p[5] + p[6] for p in panels))
     return value, err, count
 
 
@@ -177,19 +200,43 @@ class TestExactReplay:
 
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     def test_certified_interior(self, kind):
+        # the six cone-aligned roots of the interior, refined from one heap
+        # to the relative tolerance the certified integrals ask
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, 0.1))
-        box = (0.0, 40.0, 0.0, 48.0)
-        probe = ref_integrate_2d(f, box, tol_abs=0.0, max_panels=64)
-        tol_abs = 0.5 * 0.005 * abs(float(probe[0][0]))
-        want = ref_integrate_2d(f, box, tol_abs=tol_abs)
-        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs), want)
-        # the probe's panels shared with the tolerance pass
-        cache = {}
-        assert_bitwise(gk.integrate_2d(f, box, tol_abs=0.0, max_panels=64,
-                                       cache=cache), probe)
-        assert_bitwise(gk.integrate_2d(f, box, tol_abs=tol_abs, cache=cache),
-                       want)
+        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
+        assert len(roots) == 6
+        kw = dict(tol_abs=0.0, tol_rel=0.5 * 0.005)
+        assert_bitwise(gk.integrate_2d(f, roots, **kw),
+                       ref_integrate_roots(f, roots, **kw))
 
+    @pytest.mark.parametrize("kw", [
+        dict(tol_abs=1e-12), dict(tol_abs=0.0, tol_rel=1e-10),
+        dict(tol_abs=1e-9, tol_rel=1e-12),
+        dict(tol_abs=0.0, max_panels=41)], ids=["abs", "rel", "both", "cap"])
+    def test_roots(self, kw):
+        # a box, a triangle r <= t through a chart with Jacobian t, and a
+        # vector integrand: the panels of one call span several roots
+        def triangle(t, s):
+            return t, s * t, t
+        roots = [((0.0, 1.0, 0.0, 2.0), None),
+                 ((1.0, 3.0, 0.0, 1.0), triangle),
+                 ((0.0, 1.0, 2.0, 3.0), None)]
+        got = gk.integrate_2d(smooth_2d, roots, **kw)
+        assert_bitwise(got, ref_integrate_roots(smooth_2d, roots, **kw))
+        if "max_panels" in kw:
+            assert got[2] == 41
+
+    def test_relative_stop(self):
+        # the rule is |error| <= tol_rel |running value|, so scaling the
+        # integrand by a power of two scales the result and keeps the mesh
+        def scaled(t, r):
+            return 2.0 ** -40 * smooth_2d(t, r)
+        box = (0.0, 2.0, 0.0, 3.0)
+        v1, e1, n1 = gk.integrate_2d(smooth_2d, box, 0.0, tol_rel=1e-9)
+        v2, e2, n2 = gk.integrate_2d(scaled, box, 0.0, tol_rel=1e-9)
+        assert n1 == n2 > 1
+        assert np.all(v2 == 2.0 ** -40 * v1) and e2 == 2.0 ** -40 * e1
+        assert e1 <= 1e-9 * float(np.max(np.abs(v1)))
 
 
 class _Recorder:
@@ -229,9 +276,14 @@ class TestSaving:
             assert len(set(panels)) == len(panels), name
 
     def test_panels_per_call(self, monkeypatch):
-        # 2-D refinement is where the work is; the capped 1-D tail samples
-        # zoom along one chain, so most of their splits cannot be batched
+        # deep 2-D refinement is where the work is: one call per root
+        # evaluates that root's pending panels together.  The capped 1-D
+        # tail samples zoom along one chain, so most of their splits cannot
+        # be batched
         rec = _Recorder(monkeypatch)
-        quadrature.integrate_p4(RegKernelParams(1.0, 0.1))
+        f = quadrature._integrand_factory("lagrangian",
+                                          RegKernelParams(1.0, 0.1))
+        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
+        gk.integrate_2d(f, roots, tol_abs=0.0, tol_rel=1e-5)
         assert 4 * rec.calls["integrate_2d"] \
             <= len(rec.panels["integrate_2d"])

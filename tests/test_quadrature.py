@@ -18,18 +18,18 @@ PARAMS = RegKernelParams(1.0, 0.1)
 # values fixed from runs of this deterministic code path; any drift in
 # the quadrature chain shows up here.  Each is the interior plus the two
 # tail zones' values.  The independent "p4@0.1" of bench/refs.json reads
-# 0.004268224431688537 (this value -1.64e-4 from it)
-FROZEN_P4 = 0.0042675255998571434
+# 0.004268224431688537 (this value -3.3e-5 relative from it)
+FROZEN_P4 = 0.004268085436537468
 # the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
 # and panel count
-FROZEN_P4_EXACT = 0.0042675255998571434
-FROZEN_P4_PANELS = 143
+FROZEN_P4_EXACT = 0.004268085436537468
+FROZEN_P4_PANELS = 20
 # the Lagrangian's interior panel count at eps = 0.1
-FROZEN_LAGRANGIAN_PANELS = 313
+FROZEN_LAGRANGIAN_PANELS = 64
 # with the interior error controlled on L's own column; the independent
 # "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
-# value +2.0e-5 from it)
-FROZEN_LAGRANGIAN = 6.139364842274197e-07
+# value -1.43e-4 relative from it)
+FROZEN_LAGRANGIAN = 6.13836386459388e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -193,17 +193,20 @@ class TestCertifiedIntegrals:
         assert rep.truncation_T == 40.0
         assert rep.value == pytest.approx(REF_LAGRANGIAN_EPS005, rel=0.005)
 
-    def test_p4_small_eps_refines_past_probe(self):
-        # at eps = 0.0125 the root box's nodes miss the ridge along r = t,
-        # so a tolerance pass restarted from the root stopped after 3
-        # panels with a value about 1e4 times too small, and every attempt
-        # failed
+    def test_small_eps_converges_below_cap(self):
+        # the corner box holds the blob at the origin and the band the
+        # ridge along r = t, so small eps needs about as many panels as
+        # eps = 0.1; on one root box the Lagrangian took 9937 panels at
+        # eps = 0.0125 and ran into the 20 001-panel cap at 0.00625
+        for integrate in (integrate_p4, integrate_lagrangian):
+            for eps in (0.0125, 0.00625):
+                rep = integrate(RegKernelParams(1.0, eps), tol=INTEGRAL_TOL)
+                assert rep.regions_evaluated <= 200
+                assert rep.abs_error_estimate + rep.tail_bound \
+                    <= INTEGRAL_TOL * rep.value
         eps = 0.0125
         rep = integrate_p4(RegKernelParams(1.0, eps), tol=INTEGRAL_TOL)
         assert rep.extras["attempts"] == 1
-        assert rep.regions_evaluated > 64
-        assert rep.abs_error_estimate + rep.tail_bound \
-            <= INTEGRAL_TOL * rep.value
         # eps^8 int |P^{2 eps}|^4 is the integral at mass eps and
         # regularization 1, so it barely moves between small eps
         near = integrate_p4(RegKernelParams(1.0, 0.025), tol=INTEGRAL_TOL)
@@ -233,12 +236,9 @@ class TestCertifiedIntegrals:
         assert rep.tail_bound == pytest.approx(2.0 * errs, rel=1e-12)
         # and the zones' values in the value, next to the interior's
         f = quadrature._integrand_factory("p4", PARAMS)
-        box, cache = (0.0, 40.0, 0.0, 48.0), {}
-        probe, _, _ = gk.integrate_2d(f, box, tol_abs=0.0, max_panels=64,
-                                      cache=cache)
         interior, _, _ = gk.integrate_2d(
-            f, box, tol_abs=0.5 * INTEGRAL_TOL * float(probe[0]),
-            cache=cache)
+            f, quadrature._interior_roots(40.0, 48.0, 0.2), tol_abs=0.0,
+            tol_rel=0.5 * INTEGRAL_TOL)
         zones = rep.extras["tail_zone_t"] + rep.extras["tail_zone_r"]
         assert zones > 0.0
         assert rep.value == pytest.approx(2.0 * (float(interior[0]) + zones),
@@ -267,16 +267,63 @@ class TestCertifiedIntegrals:
             ell_varied(-0.2, PARAMS)
 
 
+class TestInteriorPartition:
+    @staticmethod
+    def moments(t, r):
+        return np.stack([np.ones_like(t), t ** 3 * r * r - 2.0 * t * r ** 4
+                         + r], axis=-1)
+
+    @pytest.mark.parametrize("T,R,eps_chain", [
+        (40.0, 48.0, 0.2), (40.0, 30.0, 0.2), (12.0, 14.4, 0.2),
+        (40.0, 48.0, 4.0), (40.0, 20.0, 4.0), (40.0, 48.0, 0.0125),
+        (0.5, 48.0, 0.2), (0.5, 0.6, 0.2), (40.0, 40.0, 0.2),
+        (40.0, 39.3, 0.2)],
+        ids=["default", "R<T", "small", "eps2", "eps2-R<T", "eps-small",
+             "T<tc", "T,R<tc", "R=T", "R<T<R+2delta"])
+    def test_tiles_the_box(self, T, R, eps_chain):
+        # the roots alone, unrefined, integrate 1 and a polynomial in
+        # (t, r) exactly over [0, T] x [0, R], and no root has a negative
+        # Jacobian, which could cancel an overlap: no gap and no overlap
+        roots = quadrature._interior_roots(T, R, eps_chain)
+        for (t0, t1, _, _), chart in roots:
+            _, _, jac = chart(np.array([t0, t1]), np.zeros(2))
+            assert np.all(jac >= 0.0)
+        value, _, count = gk.integrate_2d(self.moments, roots, tol_abs=0.0,
+                                          max_panels=len(roots))
+        assert count == len(roots)
+        want = [T * R, T ** 4 / 4.0 * R ** 3 / 3.0
+                - 2.0 * T ** 2 / 2.0 * R ** 5 / 5.0 + T * R * R / 2.0]
+        assert value == pytest.approx(want, rel=1e-12)
+
+    def test_cone_aligned_roots(self):
+        # at the defaults: the corner, the strip above it, and for
+        # t >= t_c = 3 delta the timelike side, two band halves of width
+        # delta = 2.5 eps_chain, and the spacelike side
+        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
+        assert len(roots) == 6
+        x = np.array([0.0, 0.5, 1.0])
+        edges = []
+        for (t0, t1, s0, s1), chart in roots:
+            assert (s0, s1) == (0.0, 1.0)
+            t, r, jac = chart(np.full(3, t1), x)
+            edges.append((t0, t1, r[0], r[-1]))
+            assert np.all(jac > 0)
+        assert edges == [(0.0, 1.5, 0.0, 2.0), (0.0, 1.5, 2.0, 48.0),
+                         (1.5, 40.0, 0.0, 39.5), (1.5, 40.0, 39.5, 40.0),
+                         (1.5, 40.0, 40.0, 40.5), (1.5, 40.0, 40.5, 48.0)]
+
+
 class TestTailZones:
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_light_cone_zone_matches_rectangle(self, kind, eps):
         T, R, lam = 40.0, 48.0, 0.85
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
-        vest, _, _ = gk.integrate_2d(f, (0.0, T, 0.0, R), tol_abs=0.0,
-                                     max_panels=64)
+        interior, _, _ = gk.integrate_2d(
+            f, quadrature._interior_roots(T, R, 2.0 * eps), tol_abs=0.0,
+            tol_rel=0.5 * INTEGRAL_TOL)
         tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
-            * abs(float(vest[0]))
+            * abs(float(interior[0]))
         _, info = quadrature._tail_estimate(f, T, R, lam, tol_abs)
         # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
         rbig = max(4.0 * R, 4.0 * T / lam + T / 20.0)
