@@ -5,7 +5,7 @@ Gauss rule (tensor 15x15 in 2-D).  The refinement is sequential: pop the
 panel with the largest error estimate, bisect it (in 2-D on the axis
 with the larger error), and stop when the running error total reaches
 the tolerance or the panel count reaches max_panels.  The tolerance is
-tol_abs, or in 2-D max(tol_abs, tol_rel |running value|), the running
+max(tol_abs, tol_rel |running value|) in both dimensions, the running
 value being the sum of the current panels' values.
 
 A vector integrand is integrated column by column on one mesh.  A
@@ -193,11 +193,14 @@ def _refine(panels, split, roots, tol_abs, tol_rel, max_panels):
     return heap, count
 
 
-def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000):
+def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000,
+                 tol_rel: float = 0.0):
     """Adaptive 1-D integration of a vectorized (complex, possibly
-    array-valued) integrand."""
+    array-valued) integrand.  The refinement stops when the error is at
+    most max(tol_abs, tol_rel |value|), |value| the max over columns of
+    the running value, as in `integrate_2d`."""
     heap, count = _refine(lambda keys: _panels_1d(f, keys), _split_1d,
-                          [(a, b)], tol_abs, 0.0, max_panels)
+                          [(a, b)], tol_abs, tol_rel, max_panels)
     panels = sorted(heap, key=lambda p: p[2])   # deterministic order
     value = sum(p[3] for p in panels)
     err = float(sum(p[4][0] for p in panels))

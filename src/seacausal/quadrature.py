@@ -39,6 +39,7 @@ bounds on C1- and C2.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,11 +48,13 @@ import numpy as np
 
 from . import chain, gk, kernel
 
+_log = logging.getLogger("seacausal")
 
 # tail samples below this are numerically extinguished (near-subnormal)
 _TAIL_FLOOR = 1e-280
 # share of tol * |interior value| given to each tail extension zone as its
-# absolute tolerance (the interior takes half the budget)
+# absolute tolerance (the interior takes half the budget), and of tol given
+# to the closures' cross-sections as their relative tolerance
 _TAIL_ZONE_SHARE = 0.01
 # the interior partition: a band of half-width delta = _BAND eps_chain
 # around the cone r = t, and a corner box out to t_c = _CORNER delta.
@@ -250,7 +253,7 @@ def _interior_roots(T: float, R: float, eps_chain: float,
 
 
 def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
-                   max_panels: int = 800):
+                   tol_rel: float, max_panels: int = 800):
     """Integral of f over the exterior of [0,T]x[0,R] (t >= 0 quarter).
 
     Two extension zones are integrated directly: [T, 4T] x [0, Rbig]
@@ -261,6 +264,10 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     it, so the ridge along the cone is a strip edge.  Each zone gets the
     absolute tolerance tol_abs, shared evenly among its strips.  Beyond
     the zones, fitted exponential envelopes (inflated 2x) close the ends.
+    They are fitted to eight 1-D cross-sections, each refined until its
+    error is at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches
+    40 panels: a log-linear fit needs no more, and a sample below the
+    floor, which the fit drops, stops at its first panel.
 
     Every length (Rbig, the sample ranges, delta) scales with T.
     Returns (bound, info_dict).  The bound is the zones' error estimates
@@ -299,7 +306,8 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     for tj in ts:
         val, _, n = gk.integrate_1d(
             lambda r, tj=tj: fs(np.full_like(r, tj), r),
-            0.0, tj / lam + T / 8.0, tol_abs=0.0, max_panels=40)
+            0.0, tj / lam + T / 8.0, tol_abs=_TAIL_FLOOR,
+            max_panels=40, tol_rel=tol_rel)
         svals.append(max(float(np.real(val)), 0.0))
         panels_1d += n
     c_t, k_t = _fit_exp(np.sqrt(ts), svals)
@@ -318,7 +326,8 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     for rj in rs:
         val, _, n = gk.integrate_1d(
             lambda t, rj=rj: fs(t, np.full_like(t, rj)),
-            0.0, T2, tol_abs=0.0, max_panels=40)
+            0.0, T2, tol_abs=_TAIL_FLOOR,
+            max_panels=40, tol_rel=tol_rel)
         qvals.append(max(float(np.real(val)), 0.0))
         panels_1d += n
     c_r, k_r = _fit_exp(rs, qvals)
@@ -351,20 +360,27 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     f = _integrand_factory(kind, params, ec)
 
     value = None
-    tail_panels = {"tail_panels_2d": 0, "tail_panels_1d": 0}
+    panels = {"interior_panels": 0, "tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
+        roots = _interior_roots(T, R, ec)
         vvec, err, count = gk.integrate_2d(
-            f, _interior_roots(T, R, ec), tol_abs=0.0,
-            max_panels=max_panels, tol_rel=0.5 * tol)
+            f, roots, tol_abs=0.0, max_panels=max_panels, tol_rel=0.5 * tol)
         interior = float(np.real(vvec[0]))
         tail, tail_info = _tail_estimate(
-            f, T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300))
-        for key in tail_panels:
-            tail_panels[key] += tail_info[key]
+            f, T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300),
+            _TAIL_ZONE_SHARE * tol)
+        panels["interior_panels"] += count
+        for key in ("tail_panels_2d", "tail_panels_1d"):
+            panels[key] += tail_info[key]
         value = 2.0 * (interior + tail_info["tail_zone_t"]
                        + tail_info["tail_zone_r"])
         err_total = 2.0 * float(err)
         tail_total = 2.0 * float(tail)
+        _log.debug("%s attempt %d: T=%g R=%g, interior %d panels, tail "
+                   "%d 2-D + %d 1-D panels, error %.6g against %.6g",
+                   name or kind, attempt + 1, T, R, count,
+                   tail_info["tail_panels_2d"], tail_info["tail_panels_1d"],
+                   err_total + tail_total, tol * abs(value))
         if not np.isfinite(tail_total):
             raise QuadratureError("tail fit failed (no decay detected)")
         if err_total + tail_total <= tol * abs(value):
@@ -375,7 +391,8 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
         raise QuadratureError("interior+tail did not reach tolerance")
 
     # panel counts are summed over all attempts; the rest is the last one's
-    extras = dict(tail_info, **tail_panels, attempts=attempt + 1)
+    extras = dict(tail_info, **panels, interior_roots=len(roots),
+                  attempts=attempt + 1)
     return QuadratureReport(
         integral_name=name or kind, m=params.m, epsilon=params.eps,
         lambda_region=lam, value=value, abs_error_estimate=err_total,

@@ -312,6 +312,20 @@ class TestIntegrateCommand:
             assert float(row["abs_err"]) + float(row["tail_bound"]) \
                 <= 0.005 * float(row["value"])
 
+    def test_debug_log_leaves_stdout(self, capsys, caplog):
+        # the library's attempt records go to the "seacausal" logger, never
+        # to stdout: the CSV bytes are the same with DEBUG on
+        argv = ["integrate", "lagrangian", "--truncation-T", "12",
+                "--truncation-R", "14.4", "--epsilon", "0.05"]
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level("DEBUG", logger="seacausal"):
+            assert cli.main(argv) == 0
+        loud = capsys.readouterr()
+        assert loud.out.encode("utf-8") == quiet.out.encode("utf-8")
+        assert loud.err == quiet.err
+        assert len(caplog.records) == 2
+
     def test_bad_tolerance_is_config_error(self):
         assert run_cli("integrate", "p4", "--quad-rel-tol", "0")\
             .returncode == 2

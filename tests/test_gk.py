@@ -26,12 +26,14 @@ def ref_panel_1d(f, a, b):
     return vk, float(np.max(np.abs(vk - vg)))
 
 
-def ref_integrate_1d(f, a, b, tol_abs, max_panels=4000):
+def ref_integrate_1d(f, a, b, tol_abs, max_panels=4000, tol_rel=0.0):
     val, err = ref_panel_1d(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     count = 1
     total_err = err
-    while heap and total_err > tol_abs:
+    value = val
+    while heap and total_err > max(tol_abs,
+                                   tol_rel * float(np.max(np.abs(value)))):
         neg, _, pa, pb, pval, perr = heapq.heappop(heap)
         if count >= max_panels:
             heapq.heappush(heap, (neg, _, pa, pb, pval, perr))
@@ -40,6 +42,7 @@ def ref_integrate_1d(f, a, b, tol_abs, max_panels=4000):
         v1, e1 = ref_panel_1d(f, pa, pm)
         v2, e2 = ref_panel_1d(f, pm, pb)
         total_err += e1 + e2 - perr
+        value = value + v1 + v2 - pval
         heapq.heappush(heap, (-e1, count, pa, pm, v1, e1))
         heapq.heappush(heap, (-e2, count + 1, pm, pb, v2, e2))
         count += 2
@@ -148,6 +151,12 @@ CASES_1D = [
     ("capped40", complex_1d, (0.0, 20.0), dict(tol_abs=0.0, max_panels=40)),
     ("max_panels", lambda x: np.abs(x - 1.0 / 3.0) ** 0.2, (0.0, 1.0),
      dict(tol_abs=1e-15, max_panels=101)),
+    ("rel", smooth_1d, (0.0, 5.0), dict(tol_abs=0.0, tol_rel=1e-10)),
+    ("rel_complex", complex_1d, (0.0, 20.0),
+     dict(tol_abs=0.0, tol_rel=1e-9)),
+    ("both", complex_1d, (0.0, 20.0), dict(tol_abs=1e-8, tol_rel=1e-12)),
+    ("rel_capped", lambda x: np.abs(x - 1.0 / 3.0) ** 0.2, (0.0, 1.0),
+     dict(tol_abs=0.0, tol_rel=1e-14, max_panels=41)),
 ]
 
 CASES_2D = [
@@ -170,6 +179,32 @@ class TestExactReplay:
         assert_bitwise(got, ref_integrate_1d(f, *ab, **kw))
         if name == "max_panels":
             assert got[2] == 101
+        if name == "rel_capped":
+            assert got[2] == 41
+
+    def test_1d_relative_stop(self):
+        # as in 2-D, scaling the integrand by a power of two scales the
+        # result and keeps the mesh
+        def scaled(x):
+            return 2.0 ** -40 * smooth_1d(x)
+        v1, e1, n1 = gk.integrate_1d(smooth_1d, 0.0, 5.0, 0.0, tol_rel=1e-10)
+        v2, e2, n2 = gk.integrate_1d(scaled, 0.0, 5.0, 0.0, tol_rel=1e-10)
+        assert n1 == n2 > 1
+        assert np.all(v2 == 2.0 ** -40 * v1) and e2 == 2.0 ** -40 * e1
+        assert e1 <= 1e-10 * float(np.max(np.abs(v1)))
+
+    def test_1d_floor_stops_subnormal_sample(self):
+        # a cross-section that reads subnormal noise, as the Lagrangian's
+        # sideways tail samples do far out, is below the floor everywhere:
+        # one panel, where tol_abs = 0 runs it to the cap
+        def noise(x):
+            return 1e-310 * np.sin(7.0 * x) ** 2
+        floor = quadrature._TAIL_FLOOR
+        kw = dict(tol_abs=floor, max_panels=40, tol_rel=1e-4)
+        got = gk.integrate_1d(noise, 0.0, 160.0, **kw)
+        assert_bitwise(got, ref_integrate_1d(noise, 0.0, 160.0, **kw))
+        assert got[2] == 1 and 0.0 < abs(got[0]) <= floor
+        assert gk.integrate_1d(noise, 0.0, 160.0, 0.0, max_panels=40)[2] == 41
 
     @pytest.mark.parametrize("name,f,box,kw", CASES_2D,
                              ids=[c[0] for c in CASES_2D])
@@ -194,9 +229,11 @@ class TestExactReplay:
 
         def q(t):
             return f(t, np.full_like(t, 192.0))[:, 0]
-        kw = dict(tol_abs=0.0, max_panels=40)
-        assert_bitwise(gk.integrate_1d(q, 0.0, 160.0, **kw),
-                       ref_integrate_1d(q, 0.0, 160.0, **kw))
+        for kw in (dict(tol_abs=0.0, max_panels=40),
+                   dict(tol_abs=quadrature._TAIL_FLOOR, max_panels=40,
+                        tol_rel=quadrature._TAIL_ZONE_SHARE * 0.005)):
+            assert_bitwise(gk.integrate_1d(q, 0.0, 160.0, **kw),
+                           ref_integrate_1d(q, 0.0, 160.0, **kw))
 
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     def test_certified_interior(self, kind):
@@ -277,9 +314,9 @@ class TestSaving:
 
     def test_panels_per_call(self, monkeypatch):
         # deep 2-D refinement is where the work is: one call per root
-        # evaluates that root's pending panels together.  The capped 1-D
-        # tail samples zoom along one chain, so most of their splits cannot
-        # be batched
+        # evaluates that root's pending panels together.  The 1-D tail
+        # samples stop after a few splits along one chain, so most of
+        # their splits cannot be batched
         rec = _Recorder(monkeypatch)
         f = quadrature._integrand_factory("lagrangian",
                                           RegKernelParams(1.0, 0.1))

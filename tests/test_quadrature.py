@@ -225,6 +225,8 @@ class TestCertifiedIntegrals:
     def test_report_counts_attempts_and_tail_panels(self):
         rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
         assert rep.extras["attempts"] == 1
+        assert rep.extras["interior_panels"] == rep.regions_evaluated
+        assert rep.extras["interior_roots"] == 6
         # two extension zones in light-cone strips, not two 800-panel caps
         assert rep.extras["tail_panels_2d"] < 50
         assert rep.extras["tail_panels_1d"] > 0
@@ -324,7 +326,8 @@ class TestTailZones:
             tol_rel=0.5 * INTEGRAL_TOL)
         tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
             * abs(float(interior[0]))
-        _, info = quadrature._tail_estimate(f, T, R, lam, tol_abs)
+        _, info = quadrature._tail_estimate(
+            f, T, R, lam, tol_abs, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)
         # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
         rbig = max(4.0 * R, 4.0 * T / lam + T / 20.0)
         old, old_err, _ = gk.integrate_2d(f, (T, 4.0 * T, 0.0, rbig),
@@ -333,6 +336,64 @@ class TestTailZones:
             <= info["tail_zone_err_t"] + old_err
         assert info["tail_zone_err_t"] <= tol_abs
         assert info["tail_panels_2d"] < 50
+
+
+class TestTailClosures:
+    CASES = [(kind, eps, T) for kind in ("p4", "lagrangian")
+             for eps in (0.1, 0.0125) for T in (15.0, 40.0)]
+
+    @pytest.mark.parametrize("kind,eps,T", CASES,
+                             ids=["%s-%g-%g" % c for c in CASES])
+    def test_fits_match_capped_samples(self, kind, eps, T, monkeypatch):
+        # cross-sections stopped at the tail's share of the tolerance fit
+        # the same closures as cross-sections run to their 40-panel cap
+        integrate = {"p4": integrate_p4,
+                     "lagrangian": integrate_lagrangian}[kind]
+        params = RegKernelParams(1.0, eps)
+        rep = integrate(params, tol=INTEGRAL_TOL, T=T, R=1.2 * T)
+        integrate_1d = gk.integrate_1d
+
+        def capped(f, a, b, tol_abs, max_panels, tol_rel):
+            return integrate_1d(f, a, b, 0.0, max_panels)
+        monkeypatch.setattr(gk, "integrate_1d", capped)
+        old = integrate(params, tol=INTEGRAL_TOL, T=T, R=1.2 * T)
+        assert rep.truncation_T == old.truncation_T
+        assert rep.extras["tail_panels_1d"] < old.extras["tail_panels_1d"]
+        for key in ("tail_fit_k_t", "tail_fit_k_r", "tail_rem_t",
+                    "tail_rem_r"):
+            assert rep.extras[key] == pytest.approx(old.extras[key],
+                                                    rel=1e-3), key
+        # ln A: A within 1e-3 relative
+        for key in ("tail_fit_logA_t", "tail_fit_logA_r"):
+            assert rep.extras[key] == pytest.approx(old.extras[key],
+                                                    rel=0.0, abs=1e-3), key
+
+    @pytest.mark.parametrize("integrate,most", [(integrate_p4, 160),
+                                                (integrate_lagrangian, 100)])
+    def test_samples_stop_early(self, integrate, most):
+        # eight 40-panel samples would be 328 panels; p4 stops at 114 and
+        # the Lagrangian, whose sideways samples are below the floor, at 68
+        rep = integrate(PARAMS, tol=INTEGRAL_TOL)
+        assert rep.extras["tail_panels_1d"] <= most
+
+
+class TestLogging:
+    def test_one_record_per_attempt(self, caplog, capsys):
+        with caplog.at_level("DEBUG", logger="seacausal"):
+            rep = integrate_lagrangian(RegKernelParams(1.0, 0.05),
+                                       tol=INTEGRAL_TOL, T=12.0, R=14.4)
+        assert rep.extras["attempts"] == 2
+        assert [r.name for r in caplog.records] == ["seacausal"] * 2
+        assert all(r.levelname == "DEBUG" for r in caplog.records)
+        first, last = (r.getMessage() for r in caplog.records)
+        assert "attempt 1: T=12 R=14.4" in first
+        assert "attempt 2: T=19.2 R=23.04" in last
+        assert "interior %d panels" % rep.regions_evaluated in last
+        # the library never prints
+        assert capsys.readouterr() == ("", "")
+        # the interior's panels are summed over attempts, like the tail's
+        assert rep.extras["interior_roots"] == 6
+        assert rep.extras["interior_panels"] > rep.regions_evaluated
 
 
 class TestMonteCarlo:
