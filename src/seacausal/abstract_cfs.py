@@ -110,15 +110,18 @@ class CfsOperator:
     @classmethod
     def _from_eigen(cls, matrix, n: int, eigvals, eigvecs) -> CfsOperator:
         """The operator of `matrix` with known eigen data, sorted
-        ascending as `eigh` returns them, so no decomposition runs.
+        ascending as `eigh` returns them, so no decomposition runs.  Data
+        already ascending, as a stack's items are, are kept as given.
         SignatureError as from __init__."""
-        order = np.argsort(eigvals, axis=-1, kind="stable")
         out = object.__new__(cls)
         out.n, out.dim = n, matrix.shape[-1]
         out.matrix = 0.5 * (matrix + _adjoint(matrix))
-        out.eigvals = np.take_along_axis(eigvals, order, axis=-1)
-        out.eigvecs = np.take_along_axis(eigvecs, order[..., None, :],
-                                         axis=-1)
+        out.eigvals, out.eigvecs = eigvals, eigvecs
+        if np.any(eigvals[..., 1:] < eigvals[..., :-1]):
+            order = np.argsort(eigvals, axis=-1, kind="stable")
+            out.eigvals = np.take_along_axis(eigvals, order, axis=-1)
+            out.eigvecs = np.take_along_axis(eigvecs, order[..., None, :],
+                                             axis=-1)
         out._check_signature()
         return out
 

@@ -12,20 +12,30 @@ A vector integrand is integrated column by column on one mesh.  A
 panel's error estimate is the max over columns of |Kronrod - Gauss|, and
 |running value| the max over columns.
 
-Several roots.  The 2-D domain may be a list of roots, each a box with
-a chart that maps the box's coordinates (x, y) to the integrand's
-(t, r) and gives the Jacobian.  All roots are refined from one heap, so
-the error budget goes wherever the largest panel error is.
+Several roots.  The domain may be a list of roots, each a box with a
+chart that maps the box's coordinates to the integrand's arguments and
+gives the Jacobian.  All roots are refined from one heap, so the error
+budget goes wherever the largest panel error is.
 
-Batched evaluation.  The integrand is not called once per panel.  When
-the popped panel's children have not been evaluated yet, one call per
-root evaluates them together with the children of the next best panels
-on the heap, which the refinement will most likely split soon.  The loop
-then takes every panel from a cache keyed by its root and interval or
-box.  A panel's value and error come from the same per-point values and
-the same per-panel reductions as a one-panel call, so the refinement
-replays the one-panel-per-call loop exactly: the final panels, value,
-error and count are bitwise the same.
+Several sub-integrals.  `integrate_many` refines independent
+sub-integrals of one integrand together.  Each keeps its own heap,
+tolerance and panel cap, so it takes exactly the steps it would take
+alone; `integrate_1d` and `integrate_2d` are its one-problem cases.
+
+Batched evaluation.  The integrand is not called once per panel, nor
+once per root or sub-integral.  Each refinement is a generator that
+yields the panels it needs next; the driver gathers the pending panels
+of every root of every sub-integral and evaluates them in one integrand
+call (more only when they exceed _MAX_POINTS points).  When a popped
+panel's children have not been evaluated yet, they are requested
+together with the children of the next best panels on the heap, which
+the refinement will most likely split soon; later splits take them from
+a cache.  A panel's value and error come from the same per-point values
+and the same per-panel reductions as a one-panel call, so each
+sub-integral replays the one-panel-per-call loop exactly: the final
+panels, value, error and count are bitwise the same.  Running totals
+are accumulated left to right, never with the built-in `sum`, which
+Python compensates from 3.12 on.
 
 Integrand contract: f must be pure and pointwise (a point's value may not
 depend on the other points in the call), and defined on the whole
@@ -35,6 +45,7 @@ domain, because speculative panels may be evaluated and never used.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,24 +76,54 @@ _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WK_ROW = _WK.reshape(1, 15)
 _WG7_ROW = _WG7.reshape(1, 7)
 
-# Children of at most this many panels are evaluated per integrand call,
+# Children of at most this many panels are evaluated per refinement step,
 # fewer while the panel count is small (count // 8): early on the heap is
 # small and every split reorders it, so wide speculation would mostly be
 # wasted.  A wider cap evaluates more panels that are never used: on the
 # certify benchmark (2-core x86, one BLAS thread) caps of 4, 8, 16 and 64
 # ran a round in 1.06, 1.04, 1.08 and 1.17 s, and peak memory grew with
-# the cap.  One call carries at most 8 * 2 * 225 = 3600 points in 2-D.
+# the cap.  One step of one sub-integral needs at most 8 * 2 * 225 = 3600
+# points in 2-D.
 _MAX_SPECULATION = 8
 
+# An integrand call carries at most this many points; a step that needs
+# more spills into further calls.  From 2**14 complex values (256 KiB) on,
+# numpy's temporary elision reuses a temporary's buffer in place, and that
+# changes the last bits of `(f * np.conj(g)) ** 2` in
+# chain.invariants_from_radial (for 5294 of 16 384 random points on x86),
+# so a point's value would depend on the size of its call.
+_MAX_POINTS = 2 ** 14 - 1
 
-def _panels_1d(f, intervals):
-    """15/7 panels on intervals [(a, b), ...] from one call of f; returns
+
+class Problem(NamedTuple):
+    """One sub-integral of `integrate_many`.
+
+    roots: [(box, chart), ...], refined from one heap.  A box is an
+    interval (a, b) or a rectangle (x0, x1, y0, y1), the same for every
+    root of a problem.  chart(*nodes) -> (args, jac, keep) maps the box's
+    nodes to the integrand's arguments `args` (a tuple of arrays), with
+    the Jacobian `jac` (None for 1) and `keep`, a boolean mask of the
+    nodes the integrand is evaluated at (None for all; the others read
+    0).  A chart of None passes the nodes to the integrand as they are.
+    The refinement stops as in `integrate_2d`.
+    """
+    roots: list
+    tol_abs: float
+    max_panels: int
+    tol_rel: float = 0.0
+
+
+def _axis(lo, hi):
+    """Kronrod nodes (n, 15) of the intervals [lo, hi] and their half
+    widths."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _XK, half
+
+
+def _reduce_1d(half, fx):
+    """15/7 panels from the values fx at their nodes; returns
     [(kronrod_value, (error_estimate,)), ...]."""
-    ab = np.array(intervals, dtype=float)
-    mid = 0.5 * (ab[:, 0] + ab[:, 1])
-    half = 0.5 * (ab[:, 1] - ab[:, 0])
-    fx = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()))
-    fx = fx.reshape((len(ab), 15) + fx.shape[1:])
+    fx = fx.reshape((len(half), 15) + fx.shape[1:])
     out = []
     for h, fxn in zip(half, fx):
         # np.tensordot(_WK, fxn, axes=(0, 0)) without its Python overhead:
@@ -90,56 +131,107 @@ def _panels_1d(f, intervals):
         cols = fxn.reshape(15, -1)
         vk = h * np.dot(_WK_ROW, cols).reshape(fxn.shape[1:])
         vg = h * np.dot(_WG7_ROW, cols[_G7_IDX]).reshape(fxn.shape[1:])
-        out.append((vk, (float(np.max(np.abs(vk - vg))),)))
+        out.append((vk, (float(np.abs(vk - vg).max()),)))
     return out
 
 
-def _panels_2d(f, charts, keys):
-    """Tensor 15x15 Kronrod panels on keys [(root, (x0, x1, y0, y1)), ...]
-    from one call of f per root; returns [(value_vec, (err_x, err_y)), ...]
-    in the order of keys, the per-axis error estimates obtained by
-    downgrading one axis to the embedded 7-point rule.  An estimate is
-    the max over columns of |Kronrod - Gauss|.  charts[root] maps the
-    nodes (x, y) to f's (t, r) and returns the Jacobian; None is the
-    identity."""
-    out = [None] * len(keys)
-    by_root = {}
-    for n, (root, _) in enumerate(keys):
-        by_root.setdefault(root, []).append(n)
-    for root, idx in by_root.items():
-        bx = np.array([keys[n][1] for n in idx], dtype=float)
-        xh = 0.5 * (bx[:, 1] - bx[:, 0])
-        yh = 0.5 * (bx[:, 3] - bx[:, 2])
-        xx = (0.5 * (bx[:, 0] + bx[:, 1]))[:, None] + xh[:, None] * _XK
-        yy = (0.5 * (bx[:, 2] + bx[:, 3]))[:, None] + yh[:, None] * _XK
-        # point (i, j) of a panel is (xx[i], yy[j]), i-major as in
-        # meshgrid "ij"
-        x = np.repeat(xx, 15, axis=1).ravel()
-        y = np.tile(yy, 15).ravel()
-        if charts[root] is None:
-            ft = np.asarray(f(x, y))
-        else:
-            t, r, jac = charts[root](x, y)
-            ft = np.asarray(f(t, r)) * jac[:, None]
-        vals = ft.reshape(len(bx), 15, 15, -1)
-        for n, w, v in zip(idx, xh * yh, vals):
-            kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
-            gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
-            kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
-            out[n] = (kk, (float(np.max(np.abs(kk - gk))),
-                           float(np.max(np.abs(kk - kg)))))
+def _reduce_2d(weight, ft):
+    """Tensor 15x15 Kronrod panels from the values ft at their nodes;
+    returns [(value_vec, (err_x, err_y)), ...], the per-axis error
+    estimates obtained by downgrading one axis to the embedded 7-point
+    rule.  An estimate is the max over columns of |Kronrod - Gauss|."""
+    vals = ft.reshape(len(weight), 15, 15, -1)
+    out = []
+    for w, v in zip(weight, vals):
+        kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
+        gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
+        kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
+        out.append((kk, (float(np.abs(kk - gk).max()),
+                         float(np.abs(kk - kg).max()))))
     return out
 
 
-def _split_1d(ab, errs):
-    a, b = ab
-    m = 0.5 * (a + b)
-    return (a, m), (m, b)
+def _nodes(box):
+    """Kronrod nodes of the panels box, an array (n, 2) of intervals or
+    (n, 4) of rectangles: (nodes, weight, reduce), nodes the tuple of
+    coordinate arrays (panel-major, 15 or 225 points a panel), weight
+    the panels' half widths (their products in 2-D) and reduce the rule
+    that turns the values at the nodes into panels."""
+    xx, xh = _axis(box[:, 0], box[:, 1])
+    if box.shape[1] == 2:
+        return (xx.ravel(),), xh, _reduce_1d
+    yy, yh = _axis(box[:, 2], box[:, 3])
+    # point (i, j) of a panel is (xx[i], yy[j]), i-major as in meshgrid "ij"
+    return ((np.repeat(xx, 15, axis=1).ravel(), np.tile(yy, 15).ravel()),
+            xh * yh, _reduce_2d)
 
 
-def _split_2d(key, errs):
-    """Bisect on the axis with the larger error estimate."""
-    root, (x0, x1, y0, y1) = key
+def _call(f, points):
+    """f at the points (a tuple of argument arrays), in calls of at most
+    _MAX_POINTS points."""
+    size = len(points[0])
+    if size <= _MAX_POINTS:
+        return np.asarray(f(*points))
+    return np.concatenate([
+        np.asarray(f(*(c[i:i + _MAX_POINTS] for c in points)))
+        for i in range(0, size, _MAX_POINTS)])
+
+
+def _evaluate(f, requests):
+    """Panels of several problems from one call of f (more only past
+    _MAX_POINTS points).  requests: [(roots, keys)], keys [(root, box),
+    ...]; returns, per request, [(value, errs), ...] in the order of its
+    keys."""
+    groups, args = [], []
+    for n, (roots, keys) in enumerate(requests):
+        by_root = {}
+        for m, (root, _) in enumerate(keys):
+            by_root.setdefault(root, []).append(m)
+        for root, idx in by_root.items():
+            nodes, weight, reduce = _nodes(
+                np.array([keys[m][1] for m in idx], dtype=float))
+            chart = roots[root][1]
+            a, jac, keep = (nodes, None, None) if chart is None \
+                else chart(*nodes)
+            if keep is not None:
+                a = tuple(c[keep] for c in a)
+            args.append(a)
+            groups.append((n, idx, len(a[0]), jac, keep, weight, reduce))
+    values = _call(f, [c[0] if len(c) == 1 else np.concatenate(c)
+                       for c in zip(*args)])
+    out = [[None] * len(keys) for _, keys in requests]
+    start = 0
+    for n, idx, size, jac, keep, weight, reduce in groups:
+        v = values[start:start + size]
+        start += size
+        if keep is not None:
+            full = np.zeros((len(keep),) + v.shape[1:], dtype=v.dtype)
+            full[keep] = v
+            v = full
+        if jac is not None:
+            v = v * jac.reshape((-1,) + (1,) * (v.ndim - 1))
+        for m, panel in zip(idx, reduce(weight, v)):
+            out[n][m] = panel
+    return out
+
+
+def _total(errs):
+    """The sum of error parts, left to right."""
+    total = 0.0
+    for e in errs:
+        total += e
+    return total
+
+
+def _split(key, errs):
+    """Bisect an interval, or a rectangle on the axis with the larger
+    error estimate."""
+    root, box = key
+    if len(box) == 2:
+        a, b = box
+        m = 0.5 * (a + b)
+        return (root, (a, m)), (root, (m, b))
+    x0, x1, y0, y1 = box
     if errs[0] >= errs[1]:
         m = 0.5 * (x0 + x1)
         return (root, (x0, m, y0, y1)), (root, (m, x1, y0, y1))
@@ -147,50 +239,107 @@ def _split_2d(key, errs):
     return (root, (x0, x1, y0, m)), (root, (x0, x1, m, y1))
 
 
-def _refine(panels, split, roots, tol_abs, tol_rel, max_panels):
-    """The adaptive loop shared by both dimensions; returns (heap, count).
+def _refine(keys, tol_abs, tol_rel, max_panels):
+    """The adaptive loop of one problem from its root keys, as a
+    generator: it yields the keys whose panels it needs, is sent their
+    [(value, errs), ...], and returns (heap, count).
 
-    Heap entries are (-err, tie_break, key, value, errs), key the interval
-    or (root, box) and errs its error parts.  `panels(keys)` evaluates
-    panels; the roots are evaluated first, in one call.  Later panels
-    come from a cache; a miss evaluates the missing children of the
-    popped panel and those of the next best heap panels together.  The
-    loop stops when the error total is at most
+    Heap entries are (-err, tie_break, key, value, errs), key (root, box)
+    and errs its error parts.  The roots are requested first, together.
+    Later panels come from a cache; a miss requests the missing children
+    of the popped panel and those of the next best heap panels together.
+    The loop stops when the error total is at most
     max(tol_abs, tol_rel |running value|).
     """
     heap, cache = [], {}
     total = value = 0.0
-    for n, (key, (val, errs)) in enumerate(zip(roots, panels(roots))):
-        heap.append((-sum(errs), n, key, val, errs))
-        total += sum(errs)
+    panels = yield keys
+    for n, (key, (val, errs)) in enumerate(zip(keys, panels)):
+        heap.append((-_total(errs), n, key, val, errs))
+        total += _total(errs)
         value = value + val
     heapq.heapify(heap)
     count = len(heap)
     while heap and total > max(tol_abs,
-                               tol_rel * float(np.max(np.abs(value)))):
+                               tol_rel * float(np.abs(value).max())):
         entry = heapq.heappop(heap)
         if count >= max_panels:
             heapq.heappush(heap, entry)
             break
         key, val, errs = entry[2], entry[3], entry[4]
-        k1, k2 = split(key, errs)
+        k1, k2 = _split(key, errs)
         if k1 not in cache or k2 not in cache:
             # splits left before max_panels stops the loop, this one included
             width = min(max(1, min(_MAX_SPECULATION, count // 8)),
                         (max_panels - count + 1) // 2)
             todo = [k for k in (k1, k2) if k not in cache]
             for other in heapq.nsmallest(width - 1, heap):
-                todo.extend(k for k in split(other[2], other[4])
+                todo.extend(k for k in _split(other[2], other[4])
                             if k not in cache)
-            cache.update(zip(todo, panels(todo)))
+            cache.update(zip(todo, (yield todo)))
         v1, e1 = cache.pop(k1)
         v2, e2 = cache.pop(k2)
-        total += sum(e1 + e2) - sum(errs)
+        total += _total(e1 + e2) - _total(errs)
         value = value + v1 + v2 - val
-        heapq.heappush(heap, (-sum(e1), count, k1, v1, e1))
-        heapq.heappush(heap, (-sum(e2), count + 1, k2, v2, e2))
+        heapq.heappush(heap, (-_total(e1), count, k1, v1, e1))
+        heapq.heappush(heap, (-_total(e2), count + 1, k2, v2, e2))
         count += 2
     return heap, count
+
+
+def integrate_many(f, problems):
+    """Refine the sub-integrals `problems` (a list of `Problem`) of one
+    integrand f together; returns [(value, err, count), ...] in their
+    order, each bitwise what it would be alone.
+
+    f maps the charts' argument arrays to an array (npts,) or (npts, k).
+    Each step evaluates the panels every unfinished problem needs next in
+    one call of f (more only past _MAX_POINTS points); a problem stops on
+    its own tolerance or panel cap.  Deterministic: a problem's panels
+    are accumulated in a fixed order (root, then geometry) at the end, in
+    1-D left to right and in 2-D by np.sum.
+    """
+    runs = [_refine([(n, tuple(box)) for n, (box, _) in enumerate(p.roots)],
+                    p.tol_abs, p.tol_rel, p.max_panels) for p in problems]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        panels = _evaluate(f, [(problems[i].roots, keys)
+                               for i, keys in pending.items()])
+        step = {}
+        for i, out in zip(pending, panels):
+            try:
+                step[i] = runs[i].send(out)
+            except StopIteration as stop:
+                results[i] = stop.value
+        pending = step
+    return [_result(heap, count) for heap, count in results]
+
+
+def _result(heap, count):
+    """(value, err, count) from a finished heap."""
+    panels = sorted(heap, key=lambda p: (p[2][0], p[2][1][0::2],
+                                         p[2][1][1::2]))
+    err = 0.0
+    for p in panels:
+        err += _total(p[4])
+    if len(panels[0][2][1]) == 4:
+        return np.sum([p[3] for p in panels], axis=0), err, count
+    value = 0.0
+    for p in panels:
+        value = value + p[3]
+    return value, err, count
+
+
+def _as_problem_chart(chart):
+    """A chart(x, y) -> (t, r, jacobian) as `Problem` charts it."""
+    if chart is None:
+        return None
+
+    def wrapped(x, y):
+        t, r, jac = chart(x, y)
+        return (t, r), jac, None
+    return wrapped
 
 
 def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000,
@@ -199,12 +348,8 @@ def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000,
     array-valued) integrand.  The refinement stops when the error is at
     most max(tol_abs, tol_rel |value|), |value| the max over columns of
     the running value, as in `integrate_2d`."""
-    heap, count = _refine(lambda keys: _panels_1d(f, keys), _split_1d,
-                          [(a, b)], tol_abs, tol_rel, max_panels)
-    panels = sorted(heap, key=lambda p: p[2])   # deterministic order
-    value = sum(p[3] for p in panels)
-    err = float(sum(p[4][0] for p in panels))
-    return value, err, count
+    return integrate_many(f, [Problem([((a, b), None)], tol_abs, max_panels,
+                                      tol_rel)])[0]
 
 
 def integrate_2d(f, domain, tol_abs: float, max_panels: int = 20000,
@@ -223,12 +368,6 @@ def integrate_2d(f, domain, tol_abs: float, max_panels: int = 20000,
     """
     if np.isscalar(domain[0]):
         domain = [(domain, None)]
-    charts = [chart for _, chart in domain]
-    roots = [(n, tuple(box)) for n, (box, _) in enumerate(domain)]
-    heap, count = _refine(lambda keys: _panels_2d(f, charts, keys),
-                          _split_2d, roots, tol_abs, tol_rel, max_panels)
-    panels = sorted(heap, key=lambda p: (p[2][0], p[2][1][0], p[2][1][2],
-                                         p[2][1][1], p[2][1][3]))
-    value = np.sum([p[3] for p in panels], axis=0)
-    err = float(sum(p[4][0] + p[4][1] for p in panels))
-    return value, err, count
+    roots = [(box, _as_problem_chart(chart)) for box, chart in domain]
+    return integrate_many(f, [Problem(roots, tol_abs, max_panels,
+                                      tol_rel)])[0]

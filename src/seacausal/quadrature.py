@@ -192,17 +192,21 @@ def _fit_exp(xs, ys):
     return float(coef[1]), float(-coef[0])
 
 
-def _cone_coordinates(f, r_lo: float, r_hi: float):
-    """f in light-cone coordinates (t, u = r - t), zero for r outside
-    [r_lo, r_hi] (the change of variables has unit Jacobian)."""
-    def g(t, u):
+def _cone_chart(r_lo: float, r_hi: float):
+    """gk chart of light-cone coordinates (t, u = r - t), unit Jacobian,
+    with r outside [r_lo, r_hi] masked (the integrand reads 0 there)."""
+    def chart(t, u):
         r = t + u
-        keep = (r >= r_lo) & (r <= r_hi)
-        vals = f(t[keep], r[keep])
-        out = np.zeros((t.size,) + vals.shape[1:], dtype=vals.dtype)
-        out[keep] = vals
-        return out
-    return g
+        return (t, r), None, (r >= r_lo) & (r <= r_hi)
+    return chart
+
+
+def _section_chart(t=None, r=None):
+    """gk chart of the cross-section at fixed t (over r) or fixed r (over
+    t)."""
+    if r is None:
+        return lambda x: ((np.full_like(x, t), x), None, None)
+    return lambda x: ((x, np.full_like(x, r)), None, None)
 
 
 def _between(lo, hi):
@@ -267,7 +271,12 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     They are fitted to eight 1-D cross-sections, each refined until its
     error is at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches
     40 panels: a log-linear fit needs no more, and a sample below the
-    floor, which the fit drops, stops at its first panel.
+    floor, which the fit drops, stops at its first panel.  The zones'
+    strips (up to eight) and the eight cross-sections are independent
+    sub-integrals of f, refined as one `gk.integrate_many` batch: one
+    integrand call per refinement step for all of them, while each
+    stops on its own tolerance and cap and reads bitwise what it would
+    alone.
 
     Every length (Rbig, the sample ranges, delta) scales with T.
     Returns (bound, info_dict).  The bound is the zones' error estimates
@@ -276,40 +285,44 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     integral, not to the bound) and error, the fitted closures and the
     2-D and 1-D panel counts.
     """
-    def fs(t, r):
-        return f(t, r)[:, 0]
     T2 = 4.0 * T
     # margins of 2, 5 and 1 at the default T = 40, scaled with T
     Rbig = max(4.0 * R, T2 / lam + T / 20.0)
     delta = T / 40.0
+    # along-cone closure beyond t = 4T: s(t) ~ A exp(-k sqrt(t)), sampled
+    # at ts; sideways closure beyond r = Rbig: q(r) ~ A exp(-k r), at rs
+    ts = T2 * np.array([1.0, 1.3, 1.6, 2.0])
+    rs = Rbig * np.array([1.0, 1.05, 1.1, 1.2])
 
     zones = {"t": (T, T2, 0.0, Rbig), "r": (0.0, T, R, Rbig)}
-    zone_val, zone_err = {}, {}
-    panels_2d = panels_1d = 0
+    problems, strips = [], []
     for key, (t0, t1, r0, r1) in zones.items():
-        g = _cone_coordinates(f, r0, r1)
+        chart = _cone_chart(r0, r1)
         u_lo, u_hi = r0 - t1, r1 - t0
         cuts = [u for u in (-delta, 0.0, delta) if u_lo < u < u_hi]
         edges = [u_lo] + cuts + [u_hi]
         share = tol_abs / (len(edges) - 1)
-        zone_val[key] = zone_err[key] = 0.0
         for u0, u1 in zip(edges[:-1], edges[1:]):
-            v, err, n = gk.integrate_2d(g, (t0, t1, u0, u1), tol_abs=share,
-                                        max_panels=max_panels)
-            zone_val[key] += float(v[0])
-            zone_err[key] += err
-            panels_2d += n
+            problems.append(gk.Problem([((t0, t1, u0, u1), chart)], share,
+                                       max_panels))
+            strips.append(key)
+    problems += [gk.Problem([((0.0, tj / lam + T / 8.0),
+                              _section_chart(t=tj))], _TAIL_FLOOR, 40, tol_rel)
+                 for tj in ts]
+    problems += [gk.Problem([((0.0, T2), _section_chart(r=rj))],
+                            _TAIL_FLOOR, 40, tol_rel) for rj in rs]
+    results = gk.integrate_many(f, problems)
+    zone_runs, sections = results[:len(strips)], results[len(strips):]
 
-    # along-cone closure beyond t = 4T: s(t) ~ A exp(-k sqrt(t))
-    ts = T2 * np.array([1.0, 1.3, 1.6, 2.0])
-    svals = []
-    for tj in ts:
-        val, _, n = gk.integrate_1d(
-            lambda r, tj=tj: fs(np.full_like(r, tj), r),
-            0.0, tj / lam + T / 8.0, tol_abs=_TAIL_FLOOR,
-            max_panels=40, tol_rel=tol_rel)
-        svals.append(max(float(np.real(val)), 0.0))
-        panels_1d += n
+    zone_val, zone_err = dict.fromkeys(zones, 0.0), dict.fromkeys(zones, 0.0)
+    for key, (v, err, _) in zip(strips, zone_runs):
+        zone_val[key] += float(v[0])
+        zone_err[key] += err
+    panels_2d = sum(n for _, _, n in zone_runs)
+    panels_1d = sum(n for _, _, n in sections)
+    samples = [max(float(np.real(v[0])), 0.0) for v, _, _ in sections]
+    svals, qvals = samples[:len(ts)], samples[len(ts):]
+
     c_t, k_t = _fit_exp(np.sqrt(ts), svals)
     if k_t > 0 and np.isfinite(k_t):
         # int_{4T}^inf A e^{-k sqrt t} dt = 2 A e^{-k s0}(s0/k + 1/k^2)
@@ -320,16 +333,6 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     else:
         rem_t = np.inf
 
-    # sideways closure beyond r = Rbig: q(r) ~ A exp(-k r)
-    rs = Rbig * np.array([1.0, 1.05, 1.1, 1.2])
-    qvals = []
-    for rj in rs:
-        val, _, n = gk.integrate_1d(
-            lambda t, rj=rj: fs(t, np.full_like(t, rj)),
-            0.0, T2, tol_abs=_TAIL_FLOOR,
-            max_panels=40, tol_rel=tol_rel)
-        qvals.append(max(float(np.real(val)), 0.0))
-        panels_1d += n
     c_r, k_r = _fit_exp(rs, qvals)
     if k_r > 0 and np.isfinite(k_r):
         rem_r = np.exp(c_r - k_r * Rbig) / k_r

@@ -462,6 +462,20 @@ class TestStacks:
                 ref = [getattr(indefinite_gram(item, 2), name) for item in b]
                 assert np.array_equal(getattr(x, name), ref)
 
+    def test_indexed_items_keep_the_stack_fields(self):
+        # a stack's eigen data are ascending, so an item takes them as they
+        # are: every field of stack[index] is bitwise the stack's at index
+        stack, _ = self.pairs(count=5)
+        for index in (2, (2, 1), slice(1, 4), (slice(None), 0),
+                      np.array([3, 0, 3])):
+            item = stack[index]
+            for name in ("matrix", "eigvals", "eigvecs", "_zero_tol",
+                         "_n_neg", "_n_pos"):
+                got, want = getattr(item, name), getattr(stack, name)[index]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (index, name)
+            assert (item.n, item.dim) == (stack.n, stack.dim)
+
     def test_bad_item_raises(self):
         stack, _ = self.pairs(count=5, dim=4)
         mats = stack.matrix.copy()

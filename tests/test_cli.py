@@ -151,6 +151,24 @@ class TestKernelCommand:
         assert res.returncode == 2
         assert "masss" in res.stderr
 
+    def test_successive_calls_are_independent(self, capsys):
+        # main builds its parser once per process; --xi appends, so a list
+        # shared between calls would carry one call's rows into the next
+        argv = ["kernel", "--xi", "0.5,0.1,0,0", "--xi", "1,2,3,4"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["kernel", "--xi", "1,2,3,4"]) == 0
+        second = capsys.readouterr().out
+        assert cli.main(["kernel"]) == 0
+        empty = capsys.readouterr().out
+        header, rows = parse_csv(first)
+        assert len(rows) == 2
+        assert parse_csv(second) == (header, rows[1:])
+        assert parse_csv(empty) == (header, [])
+        assert cli._parser() is cli._parser()
+        # the bytes of a fresh process
+        assert run_cli(*argv).stdout == first
+
     def test_beyond_bessel_range_is_domain_error(self, capsys):
         # at (t, r) = (5e9, 0) the Bessel argument is about 0.1 - 5e9 i,
         # where scipy's kv returns nan although K is not negligible there

@@ -125,6 +125,22 @@ def assert_bitwise(got, want):
     assert gn == wn
 
 
+def charted(f, chart):
+    """f through a gk.Problem chart, as one integrand of the box's nodes:
+    evaluated at the kept nodes only, 0 at the others, times the
+    Jacobian."""
+    def g(*nodes):
+        args, jac, keep = chart(*nodes)
+        if keep is None:
+            out = np.asarray(f(*args))
+        else:
+            vals = np.asarray(f(*(a[keep] for a in args)))
+            out = np.zeros((keep.size,) + vals.shape[1:], dtype=vals.dtype)
+            out[keep] = vals
+        return out if jac is None else out * jac[:, None]
+    return g
+
+
 # ------------------------------------------------------------ integrands
 def smooth_1d(x):
     return np.stack([np.exp(-x) * np.sin(3.0 * x), 1.0 / (1.0 + x * x),
@@ -215,14 +231,16 @@ class TestExactReplay:
             assert got[2] == 301
 
     def test_tail_zone_integrand(self):
-        # the r-zone strip of the p4 tail at the defaults, masked to
-        # r in [R, Rbig] in light-cone coordinates (t, u = r - t)
+        # the r-zone strip of the p4 tail at the defaults, in light-cone
+        # coordinates (t, u = r - t) with r outside [R, Rbig] masked
         f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
-        g = quadrature._cone_coordinates(f, 48.0, 192.0)
+        chart = quadrature._cone_chart(48.0, 192.0)
         box = (0.0, 40.0, 8.0, 192.0)
         for kw in (dict(tol_abs=1e-14), dict(tol_abs=0.0, max_panels=40)):
-            assert_bitwise(gk.integrate_2d(g, box, **kw),
-                           ref_integrate_2d(g, box, **kw))
+            problem = gk.Problem([(box, chart)], kw["tol_abs"],
+                                 kw.get("max_panels", 20000))
+            assert_bitwise(gk.integrate_many(f, [problem])[0],
+                           ref_integrate_2d(charted(f, chart), box, **kw))
 
     def test_tail_cross_section(self):
         f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
@@ -277,7 +295,10 @@ class TestExactReplay:
 
 
 class _Recorder:
-    """Wraps the integrands handed to gk and records each panel's nodes."""
+    """Wraps the driver gk.integrate_many, which every gk integration
+    runs through: counts the integrand calls made for problems of each
+    dimension and records each panel's nodes as its root's chart sees
+    them."""
 
     SIZES = {"integrate_1d": 15, "integrate_2d": 225}
 
@@ -285,23 +306,40 @@ class _Recorder:
         self.calls = {name: 0 for name in self.SIZES}
         self.panels = {name: [] for name in self.SIZES}
         self._alive = []
-        for name in self.SIZES:
-            monkeypatch.setattr(gk, name, self._wrap(name, getattr(gk, name)))
+        monkeypatch.setattr(gk, "integrate_many",
+                            self._wrap(gk.integrate_many))
 
-    def _wrap(self, name, integrate):
-        size = self.SIZES[name]
+    @staticmethod
+    def _name(box):
+        return "integrate_1d" if len(box) == 2 else "integrate_2d"
 
-        def wrapper(f, *args, **kwargs):
-            self._alive.append(f)        # keeps id(f) unique
+    def _wrap(self, integrate_many):
+        def wrapper(f, problems):
+            names = {self._name(box) for p in problems for box, _ in p.roots}
 
             def recorded(*xs):
-                self.calls[name] += 1
-                for i in range(0, len(xs[0]), size):
-                    self.panels[name].append((id(f),) + tuple(
-                        x[i:i + size].tobytes() for x in xs))
+                for name in names:
+                    self.calls[name] += 1
                 return f(*xs)
-            return integrate(recorded, *args, **kwargs)
+            problems = [p._replace(roots=[(box, self._chart(box, chart))
+                                          for box, chart in p.roots])
+                        for p in problems]
+            return integrate_many(recorded, problems)
         return wrapper
+
+    def _chart(self, box, chart):
+        name = self._name(box)
+        size = self.SIZES[name]
+
+        def recorded(*nodes):
+            # id(recorded) tells the roots apart: one panel of two roots
+            # is two panels
+            for i in range(0, len(nodes[0]), size):
+                self.panels[name].append((id(recorded),) + tuple(
+                    x[i:i + size].tobytes() for x in nodes))
+            return (nodes, None, None) if chart is None else chart(*nodes)
+        self._alive.append(recorded)         # keeps id(recorded) unique
+        return recorded
 
 
 class TestSaving:
@@ -324,3 +362,105 @@ class TestSaving:
         gk.integrate_2d(f, roots, tol_abs=0.0, tol_rel=1e-5)
         assert 4 * rec.calls["integrate_2d"] \
             <= len(rec.panels["integrate_2d"])
+
+
+class TestDriver:
+    """gk.integrate_many against separate integrate_1d / integrate_2d
+    calls of the same sub-integrals."""
+
+    @staticmethod
+    def separate(f, problem):
+        (box, chart), = problem.roots
+        g = f if chart is None else charted(f, chart)
+        if len(box) == 2:
+            return gk.integrate_1d(g, *box, problem.tol_abs,
+                                   problem.max_panels, problem.tol_rel)
+        return gk.integrate_2d(g, box, problem.tol_abs, problem.max_panels,
+                               problem.tol_rel)
+
+    CASES = {
+        "1d": (smooth_1d, [
+            gk.Problem([((0.0, 5.0), None)], 1e-12, 4000),
+            gk.Problem([((0.0, 2.0), None)], 0.0, 64),
+            gk.Problem([((1.0, 9.0), None)], 0.0, 4000, 1e-10),
+            gk.Problem([((0.0, 0.5), None)], 1e-3, 4000)]),
+        "masked_2d": (smooth_2d, [
+            gk.Problem([((0.0, 2.0, -2.0, 0.0),
+                         quadrature._cone_chart(0.0, 1.5))], 1e-10, 800),
+            gk.Problem([((0.0, 2.0, 0.0, 3.0),
+                         quadrature._cone_chart(0.5, 3.0))], 1e-11, 800),
+            gk.Problem([((1.0, 3.0, -1.0, 1.0),
+                         quadrature._cone_chart(0.0, 2.5))], 0.0, 41)]),
+        "mixed": (smooth_2d, [
+            gk.Problem([((0.0, 2.0, -1.0, 1.0),
+                         quadrature._cone_chart(0.0, 1.5))], 1e-10, 800),
+            gk.Problem([((0.0, 2.0, 0.0, 1.0), None)], 0.0, 800, 1e-9),
+            gk.Problem([((0.0, 3.0), quadrature._section_chart(t=0.7))],
+                       quadrature._TAIL_FLOOR, 40, 1e-9),
+            gk.Problem([((0.0, 2.0), quadrature._section_chart(r=1.5))],
+                       0.0, 40),
+            gk.Problem([((1.0, 3.0, 0.0, 1.0),
+                         lambda t, s: ((t, s * t), t, None))], 1e-12, 800)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_batch_matches_separate_calls(self, name):
+        f, problems = self.CASES[name]
+        got = gk.integrate_many(f, problems)
+        assert len(got) == len(problems)
+        for run, problem in zip(got, problems):
+            assert_bitwise(run, self.separate(f, problem))
+
+    def test_calls_stay_below_the_elision_threshold(self):
+        # sixteen sub-integrals at full speculation width ask for 16 * 16
+        # * 225 = 57 600 points a step; every call stays below 2**14
+        # points, where numpy's temporary elision would change the last
+        # bits of the chain invariants, and the answers do not move
+        sizes = []
+
+        def f(t, r):
+            sizes.append(t.size)
+            return (np.abs(t - r) ** 0.3)[:, None]
+        problems = [gk.Problem([((0.0, 1.0 + 0.125 * n, 0.0, 1.0), None)],
+                               0.0, 101) for n in range(16)]
+        got = gk.integrate_many(f, problems)
+        assert max(sizes) == gk._MAX_POINTS < 2 ** 14
+        for run, problem in zip(got, problems):
+            assert run[2] == 101
+            assert_bitwise(run, self.separate(f, problem))
+
+    def test_roots_share_a_call(self):
+        calls = []
+
+        def f(t, r):
+            calls.append(t.size)
+            return smooth_2d(t, r)
+        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
+        gk.integrate_2d(f, roots, tol_abs=0.0, tol_rel=1e-6)
+        # the six roots come in one call
+        assert calls[0] == len(roots) * 225
+
+
+class TestPythonVersion:
+    def test_totals_ignore_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's sum of floats is compensated; gk's totals are
+        # accumulated left to right as 3.10 and 3.11 do, so they do not
+        # depend on the built-in
+        import builtins
+        import math
+
+        plain = builtins.sum
+
+        def compensated(items, start=0):
+            items = list(items)
+            if items and all(type(x) is float for x in items):
+                return start + math.fsum(items)
+            return plain(items, start)
+        # the complex cases' error totals read differently under a
+        # compensated sum
+        one = (complex_1d, 0.0, 20.0, 1e-12)
+        two = (complex_2d, (0.0, 4.0, 0.0, 2.0), 1e-13)
+        want_1d, want_2d = gk.integrate_1d(*one), gk.integrate_2d(*two)
+        monkeypatch.setattr(builtins, "sum", compensated)
+        assert_bitwise(gk.integrate_1d(*one), want_1d)
+        assert_bitwise(gk.integrate_2d(*two), want_2d)

@@ -351,11 +351,13 @@ class TestTailClosures:
                      "lagrangian": integrate_lagrangian}[kind]
         params = RegKernelParams(1.0, eps)
         rep = integrate(params, tol=INTEGRAL_TOL, T=T, R=1.2 * T)
-        integrate_1d = gk.integrate_1d
+        integrate_many = gk.integrate_many
 
-        def capped(f, a, b, tol_abs, max_panels, tol_rel):
-            return integrate_1d(f, a, b, 0.0, max_panels)
-        monkeypatch.setattr(gk, "integrate_1d", capped)
+        def capped(f, problems):
+            return integrate_many(f, [
+                p._replace(tol_abs=0.0, tol_rel=0.0)
+                if len(p.roots[0][0]) == 2 else p for p in problems])
+        monkeypatch.setattr(gk, "integrate_many", capped)
         old = integrate(params, tol=INTEGRAL_TOL, T=T, R=1.2 * T)
         assert rep.truncation_T == old.truncation_T
         assert rep.extras["tail_panels_1d"] < old.extras["tail_panels_1d"]
@@ -375,6 +377,27 @@ class TestTailClosures:
         # the Lagrangian, whose sideways samples are below the floor, at 68
         rep = integrate(PARAMS, tol=INTEGRAL_TOL)
         assert rep.extras["tail_panels_1d"] <= most
+
+
+class TestIntegrandCalls:
+    def test_p4_calls(self, monkeypatch):
+        # one integrand call per refinement step: across the interior's
+        # roots, and across the tail's zone strips and cross-sections
+        # (82 calls with one call per root and per tail sub-integral)
+        calls = []
+        factory = quadrature._integrand_factory
+
+        def counting(*args):
+            f = factory(*args)
+
+            def counted(t, r):
+                calls.append(t.size)
+                return f(t, r)
+            return counted
+        monkeypatch.setattr(quadrature, "_integrand_factory", counting)
+        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
+        assert rep.value == FROZEN_P4_EXACT
+        assert len(calls) <= 30
 
 
 class TestLogging:
