@@ -204,13 +204,18 @@ def _report_row(rep: quadrature.QuadratureReport, timing: bool):
             _fmt(rep.wall_time if timing else 0.0)]
 
 
+def _quad_kwargs(cfg) -> dict:
+    """The certified integrals' keywords from the run configuration."""
+    return dict(tol=cfg.quad_rel_tol, lam=cfg.region_lambda,
+                T=cfg.truncation_T, R=cfg.truncation_R,
+                max_panels=cfg.quad_max_panels)
+
+
 def cmd_integrate(args) -> int:
     cfg = _config_from_args(args)
     _check_finite(args, "lambda_var")
     params = RegKernelParams(cfg.mass, cfg.epsilon)
-    kwargs = dict(tol=cfg.quad_rel_tol, lam=cfg.region_lambda,
-                  T=cfg.truncation_T, R=cfg.truncation_R,
-                  max_panels=cfg.quad_max_panels)
+    kwargs = _quad_kwargs(cfg)
     if args.which == "p4":
         rep = quadrature.integrate_p4(params, **kwargs)
     elif args.which == "lagrangian":
@@ -227,6 +232,7 @@ def cmd_integrate(args) -> int:
 def cmd_holder(args) -> int:
     cfg = _config_from_args(args)
     params = RegKernelParams(cfg.mass, cfg.epsilon)
+    lam_list = None
     if args.lambda_list:
         try:
             lam_list = [float(s) for s in args.lambda_list.split(",")]
@@ -236,11 +242,8 @@ def cmd_holder(args) -> int:
         if not all(math.isfinite(v) for v in lam_list):
             raise ConfigError("non-finite number in --lambda-list %r"
                               % args.lambda_list)
-    else:
-        lam_list = [s * f * cfg.epsilon for f in (0.2, 0.1, 0.05, 0.025)
-                    for s in (1, -1)]
-    rows, fit = sea_variation.holder_sweep(
-        lam_list, params, tol=cfg.quad_rel_tol, lam_region=cfg.region_lambda)
+    rows, _ = sea_variation.holder_sweep(lam_list, params,
+                                         **_quad_kwargs(cfg))
     header = ["schema_version", "lambda", "dF_norm", "dEll", "ell_value",
               "alpha_fit_running"]
     out = [[SCHEMA_VERSION] + [_fmt(v) for v in row] for row in rows]

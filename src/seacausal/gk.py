@@ -18,7 +18,7 @@ gives the Jacobian.  All roots are refined from one heap, so the error
 budget goes wherever the largest panel error is.
 
 Several sub-integrals.  `integrate_many` refines independent
-sub-integrals of one integrand together.  Each keeps its own heap,
+sub-integrals of one integrand together.  Each has its own heap,
 tolerance and panel cap, so it takes exactly the steps it would take
 alone; `integrate_1d` and `integrate_2d` are its one-problem cases.
 
@@ -100,12 +100,10 @@ class Problem(NamedTuple):
 
     roots: [(box, chart), ...], refined from one heap.  A box is an
     interval (a, b) or a rectangle (x0, x1, y0, y1), the same for every
-    root of a problem.  chart(*nodes) -> (args, jac, keep) maps the box's
-    nodes to the integrand's arguments `args` (a tuple of arrays), with
-    the Jacobian `jac` (None for 1) and `keep`, a boolean mask of the
-    nodes the integrand is evaluated at (None for all; the others read
-    0).  A chart of None passes the nodes to the integrand as they are.
-    The refinement stops as in `integrate_2d`.
+    root of a problem.  chart(*nodes) -> (args, jac) maps the box's nodes
+    to the integrand's arguments `args` (a tuple of arrays), with the
+    Jacobian `jac` (None for 1).  A chart of None passes the nodes to the
+    integrand as they are.  The refinement stops as in `integrate_2d`.
     """
     roots: list
     tol_abs: float
@@ -191,23 +189,16 @@ def _evaluate(f, requests):
             nodes, weight, reduce = _nodes(
                 np.array([keys[m][1] for m in idx], dtype=float))
             chart = roots[root][1]
-            a, jac, keep = (nodes, None, None) if chart is None \
-                else chart(*nodes)
-            if keep is not None:
-                a = tuple(c[keep] for c in a)
+            a, jac = (nodes, None) if chart is None else chart(*nodes)
             args.append(a)
-            groups.append((n, idx, len(a[0]), jac, keep, weight, reduce))
+            groups.append((n, idx, len(a[0]), jac, weight, reduce))
     values = _call(f, [c[0] if len(c) == 1 else np.concatenate(c)
                        for c in zip(*args)])
     out = [[None] * len(keys) for _, keys in requests]
     start = 0
-    for n, idx, size, jac, keep, weight, reduce in groups:
+    for n, idx, size, jac, weight, reduce in groups:
         v = values[start:start + size]
         start += size
-        if keep is not None:
-            full = np.zeros((len(keep),) + v.shape[1:], dtype=v.dtype)
-            full[keep] = v
-            v = full
         if jac is not None:
             v = v * jac.reshape((-1,) + (1,) * (v.ndim - 1))
         for m, panel in zip(idx, reduce(weight, v)):
@@ -331,17 +322,6 @@ def _result(heap, count):
     return value, err, count
 
 
-def _as_problem_chart(chart):
-    """A chart(x, y) -> (t, r, jacobian) as `Problem` charts it."""
-    if chart is None:
-        return None
-
-    def wrapped(x, y):
-        t, r, jac = chart(x, y)
-        return (t, r), jac, None
-    return wrapped
-
-
 def integrate_1d(f, a: float, b: float, tol_abs: float, max_panels: int = 4000,
                  tol_rel: float = 0.0):
     """Adaptive 1-D integration of a vectorized (complex, possibly
@@ -358,16 +338,16 @@ def integrate_2d(f, domain, tol_abs: float, max_panels: int = 20000,
 
     f maps (t_array, r_array) -> array (npts, k) of k integrands.  The
     domain is one box (t0, t1, r0, r1), or a list of roots (box, chart)
-    refined from one heap: chart(x, y) -> (t, r, jacobian) maps the box's
-    coordinates to f's, and a chart of None is the identity.  A panel's
-    error is the max over columns of |Kronrod - Gauss|, and the
-    refinement and the returned error follow it.  The refinement stops
-    when the error is at most max(tol_abs, tol_rel |value|), |value| the
-    max over columns of the running value.  Deterministic: panels are
-    accumulated in a fixed order (root, then geometry) at the end.
+    refined from one heap: chart(x, y) -> ((t, r), jacobian) maps the
+    box's coordinates to f's, as in `Problem`, and a chart of None is the
+    identity.  A panel's error is the max over columns of |Kronrod -
+    Gauss|, and the refinement and the returned error follow it.  The
+    refinement stops when the error is at most max(tol_abs, tol_rel
+    |value|), |value| the max over columns of the running value.
+    Deterministic: panels are accumulated in a fixed order (root, then
+    geometry) at the end.
     """
     if np.isscalar(domain[0]):
         domain = [(domain, None)]
-    roots = [(box, _as_problem_chart(chart)) for box, chart in domain]
-    return integrate_many(f, [Problem(roots, tol_abs, max_panels,
+    return integrate_many(f, [Problem(domain, tol_abs, max_panels,
                                       tol_rel)])[0]

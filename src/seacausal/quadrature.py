@@ -9,28 +9,28 @@ The integrands have two features at the scale of the chain's
 regularization eps_c (2 eps, or 2 eps + lambda for `ell_varied`): a
 ridge of width about eps_c along the light cone r = t, and a blob of
 size about eps_c at the origin, which carries most of L at small eps.
-The interior [0, T] x [0, R] therefore starts from a fixed partition
-aligned with the cone (`_interior_roots`): a corner box around the
-origin, the strip above it, a band of half-width 2.5 eps_c around
-r = t, and the timelike and spacelike sides of the band.  All its roots
-are refined from one heap of adaptive Gauss-Kronrod panels, until the
-error total is at most tol/2 * |running value|: the interior takes half
-the tolerance budget, and its mesh is never coarser than the partition,
-whose nodes see the ridge and the blob at every eps.
+One partition aligned with the cone (`_cone_roots`) cuts every box
+that meets the ridge: the lines r = t - delta, t, t + delta, clipped to
+the box, bound the two halves of a band around r = t and its timelike
+and spacelike sides, so the ridge lies on root edges, where a (t, r)
+panel would straddle it with its sparse nodes.  The interior [0, T] x
+[0, R] (`_interior_roots`) is a corner box around the origin, the strip
+above it, and the cone partition of the rest with delta = 2.5 eps_c.
+All its roots are refined from one heap of adaptive Gauss-Kronrod
+panels, until the error total is at most tol/2 * |running value|: the
+interior takes half the tolerance budget, and its mesh is never coarser
+than the partition, whose nodes see the ridge and the blob at every eps.
 
 The exterior is two extension zones out to (4T, Rbig) plus exponential
-closures beyond them.  The integrands decay away from a ridge of width
-about eps along the light cone r = t, so each zone is integrated in
-light-cone coordinates (t, u = r - t), with u-breakpoints at 0 and
-+-delta (delta proportional to T): the ridge lies along a panel edge,
-where a (t, r) panel would straddle it with its sparse nodes.  Each zone
-runs tolerance-driven on a fixed private share of the budget; its value
-goes into `value` and its error estimate into `tail_bound`.  The
-closures are fitted to sampled cross-sections and inflated 2x (their
-constants are recorded in the report); they are estimates, not proofs,
-so `tail_bound` is an estimate as long as it rests on them.
-All tail geometry scales with T, so the integrals are covariant under
-the mass scaling (m, eps, T, R) -> (s m, eps / s, T / s, R / s).
+closures beyond them.  Each zone is one sub-integral on its cone
+partition with delta = T/40, run tolerance-driven on a fixed private
+share of the budget; its value goes into `value` and its error estimate
+into `tail_bound`.  The closures are fitted to sampled cross-sections
+and inflated 2x (their constants are recorded in the report); they are
+estimates, not proofs, so `tail_bound` is an estimate as long as it
+rests on them.  All tail geometry scales with T, so the integrals are
+covariant under the mass scaling (m, eps, T, R) -> (s m, eps / s,
+T / s, R / s).
 
 Also houses the light-cone region decomposition C0, C1+, C1-, C2, the
 exact decay exponent Re sqrt(-xi_eps^2), and its proof-level lower
@@ -192,21 +192,12 @@ def _fit_exp(xs, ys):
     return float(coef[1]), float(-coef[0])
 
 
-def _cone_chart(r_lo: float, r_hi: float):
-    """gk chart of light-cone coordinates (t, u = r - t), unit Jacobian,
-    with r outside [r_lo, r_hi] masked (the integrand reads 0 there)."""
-    def chart(t, u):
-        r = t + u
-        return (t, r), None, (r >= r_lo) & (r <= r_hi)
-    return chart
-
-
 def _section_chart(t=None, r=None):
     """gk chart of the cross-section at fixed t (over r) or fixed r (over
     t)."""
     if r is None:
-        return lambda x: ((np.full_like(x, t), x), None, None)
-    return lambda x: ((x, np.full_like(x, r)), None, None)
+        return lambda x: ((np.full_like(x, t), x), None)
+    return lambda x: ((x, np.full_like(x, r)), None)
 
 
 def _between(lo, hi):
@@ -217,8 +208,35 @@ def _between(lo, hi):
 
     def chart(t, s):
         width = (h0 - l0) + (h1 - l1) * t
-        return t, (l0 + l1 * t) + s * width, width
+        return (t, (l0 + l1 * t) + s * width), width
     return chart
+
+
+def _cone_roots(t0: float, t1: float, r0: float, r1: float, delta: float):
+    """The box [t0, t1] x [r0, r1] as gk roots aligned with the cone.
+
+    The lines r = t - delta, t, t + delta cut each r-range into regions
+    (the two halves of a band of half-width delta around the ridge along
+    r = t, and its timelike and spacelike sides).  A line outside
+    [r0, r1] is clipped to the nearer edge, so the t-range is also cut
+    where a line meets r = r0 or r = r1, and a region of zero width is
+    dropped: the roots tile the box exactly.
+    """
+    bottom, top = (r0, 0.0), (r1, 0.0)
+    cuts = [t0] + sorted(r - d for r in (r0, r1)
+                         for d in (delta, 0.0, -delta)
+                         if t0 < r - d < t1) + [t1]
+    roots = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= a:
+            continue
+        mid = 0.5 * (a + b)
+        lines = [bottom] + [bottom if mid + d <= r0 else
+                            top if mid + d >= r1 else (d, 1.0)
+                            for d in (-delta, 0.0, delta)] + [top]
+        roots.extend(((a, b, 0.0, 1.0), _between(lo, hi))
+                     for lo, hi in zip(lines[:-1], lines[1:]) if lo != hi)
+    return roots
 
 
 def _interior_roots(T: float, R: float, eps_chain: float,
@@ -226,34 +244,19 @@ def _interior_roots(T: float, R: float, eps_chain: float,
     """The interior [0, T] x [0, R] as gk roots aligned with the cone.
 
     The corner [0, t_c] x [0, t_c + delta] holds the blob at the origin
-    and the strip [0, t_c] x [t_c + delta, R] lies above it.  For t >= t_c
-    the lines r = t - delta, t, t + delta cut [0, R] into the timelike
-    side, the two halves of the band around the ridge along r = t, and
-    the spacelike side.  A line above R is clipped to r = R, so the
-    t-range is also cut where a line meets r = R, and a region of zero
-    width is dropped: the roots tile the box exactly for every T, R > 0.
+    and the strip [0, t_c] x [t_c + delta, R] lies above it; for t >= t_c
+    the band of half-width delta around r = t and its sides come from
+    `_cone_roots`.  The roots tile the box exactly for every T, R > 0.
     Every length scales with eps_chain, T and R: delta = band eps_chain
     and t_c = corner delta, at most T.
     """
     delta = band * eps_chain
     tc = min(corner * delta, T)
-    zero, top = (0.0, 0.0), (R, 0.0)
     edge = min(tc + delta, R)
-    regions = [(0.0, tc, zero, (edge, 0.0))]
+    roots = [((0.0, tc, 0.0, 1.0), _between((0.0, 0.0), (edge, 0.0)))]
     if edge < R:
-        regions.append((0.0, tc, (edge, 0.0), top))
-    cuts = [tc] + sorted(c for c in (R - delta, R, R + delta)
-                         if tc < c < T) + [T]
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 <= t0:
-            continue
-        mid = 0.5 * (t0 + t1)
-        lines = [zero] + [(d, 1.0) if mid + d < R else top
-                          for d in (-delta, 0.0, delta)] + [top]
-        regions.extend((t0, t1, lo, hi)
-                       for lo, hi in zip(lines[:-1], lines[1:]) if lo != hi)
-    return [((t0, t1, 0.0, 1.0), _between(lo, hi))
-            for t0, t1, lo, hi in regions]
+        roots.append(((0.0, tc, 0.0, 1.0), _between((edge, 0.0), (R, 0.0))))
+    return roots + _cone_roots(tc, T, 0.0, R, delta)
 
 
 def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
@@ -261,22 +264,19 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     """Integral of f over the exterior of [0,T]x[0,R] (t >= 0 quarter).
 
     Two extension zones are integrated directly: [T, 4T] x [0, Rbig]
-    (the t-zone) and [0, T] x [R, Rbig] (the r-zone).  Each runs in
-    light-cone coordinates (t, u = r - t) over the u-range of its
-    rectangle, with r outside the rectangle masked to 0, split at the
-    breakpoints u = -delta, 0, +delta (delta = T/40) that fall inside
-    it, so the ridge along the cone is a strip edge.  Each zone gets the
-    absolute tolerance tol_abs, shared evenly among its strips.  Beyond
-    the zones, fitted exponential envelopes (inflated 2x) close the ends.
-    They are fitted to eight 1-D cross-sections, each refined until its
-    error is at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches
-    40 panels: a log-linear fit needs no more, and a sample below the
-    floor, which the fit drops, stops at its first panel.  The zones'
-    strips (up to eight) and the eight cross-sections are independent
-    sub-integrals of f, refined as one `gk.integrate_many` batch: one
-    integrand call per refinement step for all of them, while each
-    stops on its own tolerance and cap and reads bitwise what it would
-    alone.
+    (the t-zone) and [0, T] x [R, Rbig] (the r-zone).  Each is one
+    sub-integral on the cone-aligned roots of `_cone_roots` with delta =
+    T/40, so the ridge along the cone lies on root edges, refined from
+    one heap to the absolute tolerance tol_abs.  Beyond the zones,
+    fitted exponential envelopes (inflated 2x) close the ends.  They are
+    fitted to eight 1-D cross-sections, each refined until its error is
+    at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches 40
+    panels: a log-linear fit needs no more, and a sample below the
+    floor, which the fit drops, stops at its first panel.  The two zones
+    and the eight cross-sections are independent sub-integrals of f,
+    refined as one `gk.integrate_many` batch: one integrand call per
+    refinement step for all of them, while each stops on its own
+    tolerance and cap and reads bitwise what it would alone.
 
     Every length (Rbig, the sample ranges, delta) scales with T.
     Returns (bound, info_dict).  The bound is the zones' error estimates
@@ -294,32 +294,15 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     ts = T2 * np.array([1.0, 1.3, 1.6, 2.0])
     rs = Rbig * np.array([1.0, 1.05, 1.1, 1.2])
 
-    zones = {"t": (T, T2, 0.0, Rbig), "r": (0.0, T, R, Rbig)}
-    problems, strips = [], []
-    for key, (t0, t1, r0, r1) in zones.items():
-        chart = _cone_chart(r0, r1)
-        u_lo, u_hi = r0 - t1, r1 - t0
-        cuts = [u for u in (-delta, 0.0, delta) if u_lo < u < u_hi]
-        edges = [u_lo] + cuts + [u_hi]
-        share = tol_abs / (len(edges) - 1)
-        for u0, u1 in zip(edges[:-1], edges[1:]):
-            problems.append(gk.Problem([((t0, t1, u0, u1), chart)], share,
-                                       max_panels))
-            strips.append(key)
+    problems = [gk.Problem(_cone_roots(*box, delta), tol_abs, max_panels)
+                for box in ((T, T2, 0.0, Rbig), (0.0, T, R, Rbig))]
     problems += [gk.Problem([((0.0, tj / lam + T / 8.0),
                               _section_chart(t=tj))], _TAIL_FLOOR, 40, tol_rel)
                  for tj in ts]
     problems += [gk.Problem([((0.0, T2), _section_chart(r=rj))],
                             _TAIL_FLOOR, 40, tol_rel) for rj in rs]
-    results = gk.integrate_many(f, problems)
-    zone_runs, sections = results[:len(strips)], results[len(strips):]
+    zone_t, zone_r, *sections = gk.integrate_many(f, problems)
 
-    zone_val, zone_err = dict.fromkeys(zones, 0.0), dict.fromkeys(zones, 0.0)
-    for key, (v, err, _) in zip(strips, zone_runs):
-        zone_val[key] += float(v[0])
-        zone_err[key] += err
-    panels_2d = sum(n for _, _, n in zone_runs)
-    panels_1d = sum(n for _, _, n in sections)
     samples = [max(float(np.real(v[0])), 0.0) for v, _, _ in sections]
     svals, qvals = samples[:len(ts)], samples[len(ts):]
 
@@ -341,14 +324,15 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     else:
         rem_r = np.inf
 
-    bound = zone_err["t"] + zone_err["r"] + 2.0 * (rem_t + rem_r)
-    info = {"tail_zone_t": zone_val["t"], "tail_zone_r": zone_val["r"],
-            "tail_zone_err_t": zone_err["t"],
-            "tail_zone_err_r": zone_err["r"],
+    bound = zone_t[1] + zone_r[1] + 2.0 * (rem_t + rem_r)
+    info = {"tail_zone_t": float(zone_t[0][0]),
+            "tail_zone_r": float(zone_r[0][0]),
+            "tail_zone_err_t": zone_t[1], "tail_zone_err_r": zone_r[1],
             "tail_fit_logA_t": c_t, "tail_fit_k_t": k_t,
             "tail_fit_logA_r": c_r, "tail_fit_k_r": k_r,
             "tail_rem_t": 2.0 * rem_t, "tail_rem_r": 2.0 * rem_r,
-            "tail_panels_2d": panels_2d, "tail_panels_1d": panels_1d}
+            "tail_panels_2d": zone_t[2] + zone_r[2],
+            "tail_panels_1d": sum(n for _, _, n in sections)}
     return bound, info
 
 
@@ -466,7 +450,7 @@ def mc_p4_at_x(params: kernel.RegKernelParams, x, n_samples: int = 20000,
     rho = np.abs(np.abs(t) + u)                    # folded around the cone
     q_rho = dens_heavy(rho - np.abs(t), c_u) + dens_heavy(-rho - np.abs(t), c_u)
     dirs = rng.normal(size=(n_samples, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     y = np.concatenate([t[:, None], rho[:, None] * dirs], axis=1)
     q4 = dens_heavy(t, c_t) * q_rho / (4.0 * np.pi * rho * rho)
 

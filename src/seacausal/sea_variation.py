@@ -67,15 +67,20 @@ def product_coefficient_matrix(x, y, eps1: float, eps2: float,
     return np.vstack([rows[:4], zeros]) @ np.vstack([zeros, rows[4:]])
 
 
-def holder_sweep(lam_list, params: RegKernelParams, tol: float = 0.005,
-                 lam_region: float = 0.85):
+def holder_sweep(lam_list, params: RegKernelParams, **quad):
     """Rows (lambda, dF_norm, dEll, ell_value, alpha_fit_running) for the
     regularization-rescaling variation, plus the final log-log fit.
 
-    Returns (rows, fit) with fit = {alpha, intercept, r2}.
+    lam_list None sweeps the default decade of shifts, +-0.2, +-0.1,
+    +-0.05 and +-0.025 eps.  quad holds the certified integrals' keywords
+    (tol, lam, T, R, max_panels), passed to `integrate_lagrangian` and
+    `ell_varied`.  Returns (rows, fit) with fit = {alpha, intercept, r2}.
     """
+    if lam_list is None:
+        lam_list = [s * f * params.eps for f in (0.2, 0.1, 0.05, 0.025)
+                    for s in (1, -1)]
     x0 = np.zeros(4)
-    base = quadrature.integrate_lagrangian(params, tol=tol, lam=lam_region)
+    base = quadrature.integrate_lagrangian(params, **quad)
     rows = []
     log_df, log_dl = [], []
     for lam in lam_list:
@@ -85,7 +90,7 @@ def holder_sweep(lam_list, params: RegKernelParams, tol: float = 0.005,
             rows.append((0.0, 0.0, 0.0, base.value, np.nan))
             continue
         df = op_norm_difference(x0, params.eps + lam, params.eps, params.m)
-        rep = quadrature.ell_varied(lam, params, tol=tol, lam=lam_region)
+        rep = quadrature.ell_varied(lam, params, **quad)
         dl = abs(rep.value - base.value)
         if df > 0 and dl > 0:
             log_df.append(np.log(df))

@@ -44,11 +44,11 @@ class TestFrozenValues:
     def test_b_at_coincidence(self):
         # chain regularization 1.0: b = 4 |F(1)|^2 G(1)^2
         _, b = invariants_from_radial(0.0, 0.0, 1.0, 1.0)
-        assert b == pytest.approx(1.0107e-9, rel=1e-3)
+        assert b == pytest.approx(1.0107e-9, rel=1e-3, abs=0.0)
 
     def test_lagrangian_at_coincidence(self):
         val = lagrangian(np.zeros(4), np.zeros(4), RegKernelParams(1.0, 0.5))
-        assert val == pytest.approx(4.0428e-9, rel=1e-3)
+        assert val == pytest.approx(4.0428e-9, rel=1e-3, abs=0.0)
 
     def test_coincidence_is_timelike(self):
         assert class_of(np.zeros(4), np.zeros(4)) is CausalClass.Timelike

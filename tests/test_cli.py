@@ -425,6 +425,25 @@ class TestHolderCommand:
     def test_non_finite_lambda_list_is_config_error(self, text):
         assert cli.main(["holder", "--lambda-list", text]) == 2
 
+    def test_truncation_flags_reach_the_sweep(self, capsys):
+        # the lambda = 0 row's ell_value is the integrated Lagrangian that
+        # integrate prints with the same flags
+        flags = ["--epsilon", "0.05", "--truncation-T", "12",
+                 "--truncation-R", "14.4"]
+        assert cli.main(["holder", "--lambda-list=0"] + flags) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        ell = dict(zip(header, rows[0]))["ell_value"]
+        assert cli.main(["integrate", "lagrangian"] + flags) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        assert ell == dict(zip(header, rows[0]))["value"]
+
+    def test_panel_cap_reaches_the_sweep(self, capsys):
+        # six panels cannot refine the interior's six roots, so neither
+        # command converges
+        flags = ["--quad-max-panels", "6"]
+        assert cli.main(["integrate", "lagrangian"] + flags) == 4
+        assert cli.main(["holder", "--lambda-list=0"] + flags) == 4
+
 
 class TestVerifyCommand:
     def test_unknown_suite_is_config_error(self):

@@ -257,7 +257,7 @@ class TestFirstOrderField:
                       - spinor.spin_product(p1, r2))
         v21 = complex(-spinor.spin_product(r2, p1)
                       - spinor.spin_product(half, r1))
-        assert v12 == pytest.approx(np.conj(v21), rel=1e-12)
+        assert v12 == pytest.approx(np.conj(v21), rel=1e-12, abs=0.0)
         assert v12 != 0.0
 
     def test_dirac_source_zero_outside_support(self):

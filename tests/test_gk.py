@@ -74,7 +74,7 @@ def ref_panel_root(f, box, chart):
         return ref_panel_2d(f, box)
 
     def g(x, y):
-        t, r, jac = chart(x, y)
+        (t, r), jac = chart(x, y)
         return np.asarray(f(t, r)) * jac[:, None]
     return ref_panel_2d(g, box)
 
@@ -126,17 +126,11 @@ def assert_bitwise(got, want):
 
 
 def charted(f, chart):
-    """f through a gk.Problem chart, as one integrand of the box's nodes:
-    evaluated at the kept nodes only, 0 at the others, times the
-    Jacobian."""
+    """f through a gk.Problem chart, as one integrand of the box's nodes,
+    times the Jacobian."""
     def g(*nodes):
-        args, jac, keep = chart(*nodes)
-        if keep is None:
-            out = np.asarray(f(*args))
-        else:
-            vals = np.asarray(f(*(a[keep] for a in args)))
-            out = np.zeros((keep.size,) + vals.shape[1:], dtype=vals.dtype)
-            out[keep] = vals
+        args, jac = chart(*nodes)
+        out = np.asarray(f(*args))
         return out if jac is None else out * jac[:, None]
     return g
 
@@ -231,16 +225,20 @@ class TestExactReplay:
             assert got[2] == 301
 
     def test_tail_zone_integrand(self):
-        # the r-zone strip of the p4 tail at the defaults, in light-cone
-        # coordinates (t, u = r - t) with r outside [R, Rbig] masked
+        # the p4 tail's t-zone and r-zone on their cone-aligned roots
+        # (delta = T/40), at the defaults and at R = T, where the r-zone
+        # touches the cone
         f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
-        chart = quadrature._cone_chart(48.0, 192.0)
-        box = (0.0, 40.0, 8.0, 192.0)
-        for kw in (dict(tol_abs=1e-14), dict(tol_abs=0.0, max_panels=40)):
-            problem = gk.Problem([(box, chart)], kw["tol_abs"],
-                                 kw.get("max_panels", 20000))
-            assert_bitwise(gk.integrate_many(f, [problem])[0],
-                           ref_integrate_2d(charted(f, chart), box, **kw))
+        for R in (48.0, 40.0):
+            rbig = max(4.0 * R, 160.0 / 0.85 + 2.0)
+            for box in ((40.0, 160.0, 0.0, rbig), (0.0, 40.0, R, rbig)):
+                roots = quadrature._cone_roots(*box, 1.0)
+                for kw in (dict(tol_abs=1e-14),
+                           dict(tol_abs=0.0, max_panels=40)):
+                    problem = gk.Problem(roots, kw["tol_abs"],
+                                         kw.get("max_panels", 20000))
+                    assert_bitwise(gk.integrate_many(f, [problem])[0],
+                                   ref_integrate_roots(f, roots, **kw))
 
     def test_tail_cross_section(self):
         f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
@@ -272,7 +270,7 @@ class TestExactReplay:
         # a box, a triangle r <= t through a chart with Jacobian t, and a
         # vector integrand: the panels of one call span several roots
         def triangle(t, s):
-            return t, s * t, t
+            return (t, s * t), t
         roots = [((0.0, 1.0, 0.0, 2.0), None),
                  ((1.0, 3.0, 0.0, 1.0), triangle),
                  ((0.0, 1.0, 2.0, 3.0), None)]
@@ -337,7 +335,7 @@ class _Recorder:
             for i in range(0, len(nodes[0]), size):
                 self.panels[name].append((id(recorded),) + tuple(
                     x[i:i + size].tobytes() for x in nodes))
-            return (nodes, None, None) if chart is None else chart(*nodes)
+            return (nodes, None) if chart is None else chart(*nodes)
         self._alive.append(recorded)         # keeps id(recorded) unique
         return recorded
 
@@ -370,12 +368,12 @@ class TestDriver:
 
     @staticmethod
     def separate(f, problem):
+        if len(problem.roots[0][0]) == 4:
+            return gk.integrate_2d(f, problem.roots, problem.tol_abs,
+                                   problem.max_panels, problem.tol_rel)
         (box, chart), = problem.roots
         g = f if chart is None else charted(f, chart)
-        if len(box) == 2:
-            return gk.integrate_1d(g, *box, problem.tol_abs,
-                                   problem.max_panels, problem.tol_rel)
-        return gk.integrate_2d(g, box, problem.tol_abs, problem.max_panels,
+        return gk.integrate_1d(g, *box, problem.tol_abs, problem.max_panels,
                                problem.tol_rel)
 
     CASES = {
@@ -384,23 +382,23 @@ class TestDriver:
             gk.Problem([((0.0, 2.0), None)], 0.0, 64),
             gk.Problem([((1.0, 9.0), None)], 0.0, 4000, 1e-10),
             gk.Problem([((0.0, 0.5), None)], 1e-3, 4000)]),
-        "masked_2d": (smooth_2d, [
-            gk.Problem([((0.0, 2.0, -2.0, 0.0),
-                         quadrature._cone_chart(0.0, 1.5))], 1e-10, 800),
-            gk.Problem([((0.0, 2.0, 0.0, 3.0),
-                         quadrature._cone_chart(0.5, 3.0))], 1e-11, 800),
-            gk.Problem([((1.0, 3.0, -1.0, 1.0),
-                         quadrature._cone_chart(0.0, 2.5))], 0.0, 41)]),
+        "cone_2d": (smooth_2d, [
+            gk.Problem(quadrature._cone_roots(0.0, 2.0, 0.0, 1.5, 0.25),
+                       1e-10, 800),
+            gk.Problem(quadrature._cone_roots(0.0, 2.0, 0.5, 3.0, 0.25),
+                       1e-11, 800),
+            gk.Problem(quadrature._cone_roots(1.0, 3.0, 0.0, 2.5, 0.25),
+                       0.0, 41)]),
         "mixed": (smooth_2d, [
-            gk.Problem([((0.0, 2.0, -1.0, 1.0),
-                         quadrature._cone_chart(0.0, 1.5))], 1e-10, 800),
+            gk.Problem(quadrature._cone_roots(0.0, 2.0, 0.0, 1.5, 0.5),
+                       1e-10, 800),
             gk.Problem([((0.0, 2.0, 0.0, 1.0), None)], 0.0, 800, 1e-9),
             gk.Problem([((0.0, 3.0), quadrature._section_chart(t=0.7))],
                        quadrature._TAIL_FLOOR, 40, 1e-9),
             gk.Problem([((0.0, 2.0), quadrature._section_chart(r=1.5))],
                        0.0, 40),
             gk.Problem([((1.0, 3.0, 0.0, 1.0),
-                         lambda t, s: ((t, s * t), t, None))], 1e-12, 800)]),
+                         lambda t, s: ((t, s * t), t))], 1e-12, 800)]),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

@@ -18,18 +18,18 @@ PARAMS = RegKernelParams(1.0, 0.1)
 # values fixed from runs of this deterministic code path; any drift in
 # the quadrature chain shows up here.  Each is the interior plus the two
 # tail zones' values.  The independent "p4@0.1" of bench/refs.json reads
-# 0.004268224431688537 (this value -3.3e-5 relative from it)
-FROZEN_P4 = 0.004268085436537468
+# 0.004268224431688537 (this value -3.27e-5 relative from it)
+FROZEN_P4 = 0.00426808495487714
 # the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
 # and panel count
-FROZEN_P4_EXACT = 0.004268085436537468
+FROZEN_P4_EXACT = 0.00426808495487714
 FROZEN_P4_PANELS = 20
 # the Lagrangian's interior panel count at eps = 0.1
 FROZEN_LAGRANGIAN_PANELS = 64
 # with the interior error controlled on L's own column; the independent
 # "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
 # value -1.43e-4 relative from it)
-FROZEN_LAGRANGIAN = 6.13836386459388e-07
+FROZEN_LAGRANGIAN = 6.138363216244211e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -167,7 +167,7 @@ class TestCertifiedIntegrals:
 
     def test_lagrangian_frozen_and_bounded(self):
         rep = integrate_lagrangian(PARAMS, tol=INTEGRAL_TOL)
-        assert rep.value == pytest.approx(FROZEN_LAGRANGIAN, rel=1e-9)
+        assert rep.value == pytest.approx(FROZEN_LAGRANGIAN, rel=1e-9, abs=0.0)
         assert rep.abs_error_estimate + rep.tail_bound \
             <= INTEGRAL_TOL * rep.value
 
@@ -211,7 +211,7 @@ class TestCertifiedIntegrals:
         # regularization 1, so it barely moves between small eps
         near = integrate_p4(RegKernelParams(1.0, 0.025), tol=INTEGRAL_TOL)
         assert eps ** 8 * rep.value == pytest.approx(0.025 ** 8 * near.value,
-                                                     rel=0.01)
+                                                     rel=0.01, abs=0.0)
 
     def test_ell_at_zero_shift_reduces(self):
         rep0 = ell_varied(0.0, PARAMS, tol=INTEGRAL_TOL)
@@ -227,7 +227,7 @@ class TestCertifiedIntegrals:
         assert rep.extras["attempts"] == 1
         assert rep.extras["interior_panels"] == rep.regions_evaluated
         assert rep.extras["interior_roots"] == 6
-        # two extension zones in light-cone strips, not two 800-panel caps
+        # two extension zones on cone-aligned roots, not two 800-panel caps
         assert rep.extras["tail_panels_2d"] < 50
         assert rep.extras["tail_panels_1d"] > 0
         # the zones' error estimates and the closures count in the bound
@@ -235,7 +235,7 @@ class TestCertifiedIntegrals:
             "tail_zone_err_t", "tail_zone_err_r", "tail_rem_t",
             "tail_rem_r"))
         assert rep.extras["tail_zone_err_t"] > 0.0
-        assert rep.tail_bound == pytest.approx(2.0 * errs, rel=1e-12)
+        assert rep.tail_bound == pytest.approx(2.0 * errs, rel=1e-12, abs=0.0)
         # and the zones' values in the value, next to the interior's
         f = quadrature._integrand_factory("p4", PARAMS)
         interior, _, _ = gk.integrate_2d(
@@ -244,7 +244,7 @@ class TestCertifiedIntegrals:
         zones = rep.extras["tail_zone_t"] + rep.extras["tail_zone_r"]
         assert zones > 0.0
         assert rep.value == pytest.approx(2.0 * (float(interior[0]) + zones),
-                                          rel=1e-12)
+                                          rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("integrate", [integrate_p4,
                                            integrate_lagrangian])
@@ -269,12 +269,32 @@ class TestCertifiedIntegrals:
             ell_varied(-0.2, PARAMS)
 
 
-class TestInteriorPartition:
-    @staticmethod
+def assert_tiles(roots, box):
+    """The roots alone, unrefined, integrate 1 and a polynomial in (t, r)
+    exactly over box = (t0, t1, r0, r1), and no root has a negative
+    Jacobian, which could cancel an overlap: no gap and no overlap."""
+    for (a, b, _, _), chart in roots:
+        _, jac = chart(np.array([a, b]), np.zeros(2))
+        assert np.all(jac >= 0.0)
+
     def moments(t, r):
         return np.stack([np.ones_like(t), t ** 3 * r * r - 2.0 * t * r ** 4
                          + r], axis=-1)
+    value, _, count = gk.integrate_2d(moments, roots, tol_abs=0.0,
+                                      max_panels=len(roots))
+    assert count == len(roots)
+    t0, t1, r0, r1 = box
 
+    def t(k):
+        return (t1 ** k - t0 ** k) / k
+
+    def r(k):
+        return (r1 ** k - r0 ** k) / k
+    want = [t(1) * r(1), t(4) * r(3) - 2.0 * t(2) * r(5) + t(1) * r(2)]
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestInteriorPartition:
     @pytest.mark.parametrize("T,R,eps_chain", [
         (40.0, 48.0, 0.2), (40.0, 30.0, 0.2), (12.0, 14.4, 0.2),
         (40.0, 48.0, 4.0), (40.0, 20.0, 4.0), (40.0, 48.0, 0.0125),
@@ -283,19 +303,8 @@ class TestInteriorPartition:
         ids=["default", "R<T", "small", "eps2", "eps2-R<T", "eps-small",
              "T<tc", "T,R<tc", "R=T", "R<T<R+2delta"])
     def test_tiles_the_box(self, T, R, eps_chain):
-        # the roots alone, unrefined, integrate 1 and a polynomial in
-        # (t, r) exactly over [0, T] x [0, R], and no root has a negative
-        # Jacobian, which could cancel an overlap: no gap and no overlap
-        roots = quadrature._interior_roots(T, R, eps_chain)
-        for (t0, t1, _, _), chart in roots:
-            _, _, jac = chart(np.array([t0, t1]), np.zeros(2))
-            assert np.all(jac >= 0.0)
-        value, _, count = gk.integrate_2d(self.moments, roots, tol_abs=0.0,
-                                          max_panels=len(roots))
-        assert count == len(roots)
-        want = [T * R, T ** 4 / 4.0 * R ** 3 / 3.0
-                - 2.0 * T ** 2 / 2.0 * R ** 5 / 5.0 + T * R * R / 2.0]
-        assert value == pytest.approx(want, rel=1e-12)
+        assert_tiles(quadrature._interior_roots(T, R, eps_chain),
+                     (0.0, T, 0.0, R))
 
     def test_cone_aligned_roots(self):
         # at the defaults: the corner, the strip above it, and for
@@ -307,12 +316,31 @@ class TestInteriorPartition:
         edges = []
         for (t0, t1, s0, s1), chart in roots:
             assert (s0, s1) == (0.0, 1.0)
-            t, r, jac = chart(np.full(3, t1), x)
+            (t, r), jac = chart(np.full(3, t1), x)
             edges.append((t0, t1, r[0], r[-1]))
             assert np.all(jac > 0)
         assert edges == [(0.0, 1.5, 0.0, 2.0), (0.0, 1.5, 2.0, 48.0),
                          (1.5, 40.0, 0.0, 39.5), (1.5, 40.0, 39.5, 40.0),
                          (1.5, 40.0, 40.0, 40.5), (1.5, 40.0, 40.5, 48.0)]
+
+
+class TestConeRoots:
+    @pytest.mark.parametrize("box,delta", [
+        ((40.0, 160.0, 0.0, 192.0), 1.0), ((0.0, 40.0, 48.0, 192.0), 1.0),
+        ((0.0, 40.0, 40.0, 190.0), 1.0), ((0.0, 40.0, 30.0, 192.0), 1.0),
+        ((0.0, 40.0, 39.3, 157.2), 1.0), ((2.0, 9.0, 3.0, 7.0), 1.5),
+        ((0.5, 1.0, 4.0, 5.0), 0.25)],
+        ids=["t-zone", "r-zone", "R=T", "R<T", "R<T<R+2delta", "r0>0",
+             "off-cone"])
+    def test_tiles_the_box(self, box, delta):
+        assert_tiles(quadrature._cone_roots(*box, delta), box)
+
+    def test_zones_at_the_defaults(self):
+        # the t-zone is cut along the three lines; the r-zone at R > T
+        # never meets them and is one root
+        assert len(quadrature._cone_roots(40.0, 160.0, 0.0, 192.0, 1.0)) == 4
+        assert len(quadrature._cone_roots(0.0, 40.0, 48.0, 192.0, 1.0)) == 1
+        assert quadrature._cone_roots(40.0, 40.0, 0.0, 48.0, 1.0) == []
 
 
 class TestTailZones:
@@ -336,6 +364,23 @@ class TestTailZones:
             <= info["tail_zone_err_t"] + old_err
         assert info["tail_zone_err_t"] <= tol_abs
         assert info["tail_panels_2d"] < 50
+
+    def test_r_zone_at_r_equal_t(self):
+        # at R = T the r-zone touches the cone at its corner (T, R); the
+        # reference integrates it on (t, r) rectangles split at t = T -
+        # delta and r = R + delta, to 1e-6 relative (2.063117e-11)
+        T = R = 40.0
+        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL, T=T, R=R)
+        assert rep.extras["attempts"] == 1
+        f = quadrature._integrand_factory("p4", PARAMS)
+        delta = T / 40.0
+        rbig = max(4.0 * R, 4.0 * T / 0.85 + T / 20.0)
+        rects = [((t0, t1, r0, r1), None)
+                 for t0, t1 in ((0.0, T - delta), (T - delta, T))
+                 for r0, r1 in ((R, R + delta), (R + delta, rbig))]
+        ref, _, _ = gk.integrate_2d(f, rects, tol_abs=0.0, tol_rel=1e-6)
+        zone, err = rep.extras["tail_zone_r"], rep.extras["tail_zone_err_r"]
+        assert abs(zone - float(ref[0])) <= err
 
 
 class TestTailClosures:
@@ -364,7 +409,7 @@ class TestTailClosures:
         for key in ("tail_fit_k_t", "tail_fit_k_r", "tail_rem_t",
                     "tail_rem_r"):
             assert rep.extras[key] == pytest.approx(old.extras[key],
-                                                    rel=1e-3), key
+                                                    rel=1e-3, abs=0.0), key
         # ln A: A within 1e-3 relative
         for key in ("tail_fit_logA_t", "tail_fit_logA_r"):
             assert rep.extras[key] == pytest.approx(old.extras[key],
@@ -382,7 +427,7 @@ class TestTailClosures:
 class TestIntegrandCalls:
     def test_p4_calls(self, monkeypatch):
         # one integrand call per refinement step: across the interior's
-        # roots, and across the tail's zone strips and cross-sections
+        # roots, and across the tail's zones and cross-sections
         # (82 calls with one call per root and per tail sub-integral)
         calls = []
         factory = quadrature._integrand_factory
