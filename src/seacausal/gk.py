@@ -79,11 +79,14 @@ _WG7_ROW = _WG7.reshape(1, 7)
 # Children of at most this many panels are evaluated per refinement step,
 # fewer while the panel count is small (count // 8): early on the heap is
 # small and every split reorders it, so wide speculation would mostly be
-# wasted.  A wider cap evaluates more panels that are never used: on the
-# certify benchmark (2-core x86, one BLAS thread) caps of 4, 8, 16 and 64
-# ran a round in 1.06, 1.04, 1.08 and 1.17 s, and peak memory grew with
-# the cap.  One step of one sub-integral needs at most 8 * 2 * 225 = 3600
-# points in 2-D.
+# wasted.  On the certify benchmark's round (seed 1), caps of 1, 2 and 4
+# to 64 evaluate 30 360, 31 110 and 31 140 points, of which 30 360 are
+# kept, in 76, 73 and 73 evaluation steps; sixteen alternating pairs of
+# in-process rounds (2-core x86, one BLAS thread) put a cap of 1 faster
+# in 10 (medians 0.060 and 0.064 s), which does not resolve a difference.
+# `verify kernel` takes 478 evaluation steps at a cap of 8 and 1261 at 1.
+# One step of one sub-integral needs at most 8 * 2 * 225 = 3600 points in
+# 2-D.
 _MAX_SPECULATION = 8
 
 # An integrand call carries at most this many points; a step that needs

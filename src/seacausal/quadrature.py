@@ -16,10 +16,18 @@ and spacelike sides, so the ridge lies on root edges, where a (t, r)
 panel would straddle it with its sparse nodes.  The interior [0, T] x
 [0, R] (`_interior_roots`) is a corner box around the origin, the strip
 above it, and the cone partition of the rest with delta = 2.5 eps_c.
-All its roots are refined from one heap of adaptive Gauss-Kronrod
-panels, until the error total is at most tol/2 * |running value|: the
-interior takes half the tolerance budget, and its mesh is never coarser
-than the partition, whose nodes see the ridge and the blob at every eps.
+This is the interior of |P|^4.  The Lagrangian's interior
+(`_lagrangian_roots`) is cut instead along its kink: L = 4 max(b, 0) is
+0 beyond a curve r0(t) where b changes sign, which runs from near the
+origin to the cone.  The curve is found once per attempt (one bisection
+of b at fixed nodes, `_kink`) and interpolated; a band of half-width
+delta on each side of it holds the ridge of L under the kink, the
+region under the band is smooth, and the regions above the curve read 0
+with an error of 0.  On either partition all roots are refined from one
+heap of adaptive Gauss-Kronrod panels, until the error total is at most
+tol/2 * |running value|: the interior takes half the tolerance budget,
+and its mesh is never coarser than the partition, whose nodes see the
+ridge and the blob at every eps.
 
 The exterior is two extension zones out to (4T, Rbig) plus exponential
 closures beyond them.  Each zone is one sub-integral on its cone
@@ -67,6 +75,13 @@ _TAIL_ZONE_SHARE = 0.01
 # eps = 0.05 low by 4.6e-3 against an estimate of 2.4e-3
 _BAND = 2.5
 _CORNER = 3.0
+# the Lagrangian's kink b = 0: Chebyshev nodes per t-piece of the curve,
+# and bisection steps of the root solve at them.  With 16 and 16, rel-2e-7
+# runs of L on its partition and on the cone partition agree within 4e-8
+# at eps = 0.1 to 0.0125; with 12 nodes they differed by 1.2e-5 at
+# eps = 0.1, against estimates of 1.6e-7
+_KINK_NODES = 16
+_KINK_STEPS = 16
 
 
 class QuadratureError(RuntimeError):
@@ -200,15 +215,25 @@ def _section_chart(t=None, r=None):
     return lambda x: ((x, np.full_like(x, r)), None)
 
 
+def _edge(e, t):
+    """r on the edge e at t: a curve e(t), or a line e = (c0, c1) meaning
+    c0 + c1 t."""
+    return e(t) if callable(e) else e[0] + e[1] * t
+
+
 def _between(lo, hi):
     """Chart of the region lo(t) <= r <= hi(t) on (t, s) in [t0, t1] x
-    [0, 1], for lines lo = (c0, c1) and hi meaning c0 + c1 t: r = lo +
+    [0, 1], each edge a line (c0, c1) or a curve (see `_edge`): r = lo +
     s (hi - lo), with Jacobian hi - lo."""
-    (l0, l1), (h0, h1) = lo, hi
+    curved = callable(lo) or callable(hi)
 
     def chart(t, s):
-        width = (h0 - l0) + (h1 - l1) * t
-        return (t, (l0 + l1 * t) + s * width), width
+        bottom = _edge(lo, t)
+        if curved:
+            width = _edge(hi, t) - bottom
+        else:
+            width = (hi[0] - lo[0]) + (hi[1] - lo[1]) * t
+        return (t, bottom + s * width), width
     return chart
 
 
@@ -257,6 +282,92 @@ def _interior_roots(T: float, R: float, eps_chain: float,
     if edge < R:
         roots.append(((0.0, tc, 0.0, 1.0), _between((edge, 0.0), (R, 0.0))))
     return roots + _cone_roots(tc, T, 0.0, R, delta)
+
+
+def _kink(t, eps_chain: float, m: float):
+    """Where b(t, r) changes sign, r0(t) at the nodes t.
+
+    b > 0 at r = 0 and b < 0 at r = t + delta (delta = _BAND eps_chain),
+    and b changes sign once between them.  The bracket is bisected in a
+    fixed number of steps, so the bits depend on the inputs alone, and
+    then cut once by false position.  Where b has no sign change across
+    the bracket, the result is its upper end.
+    """
+    n = len(t)
+    lo, hi = np.zeros_like(t), t + _BAND * eps_chain
+    _, b = chain.invariants_from_radial(np.concatenate([t, t]),
+                                        np.concatenate([lo, hi]), eps_chain, m)
+    b_lo, b_hi = b[:n], b[n:]
+    for _ in range(_KINK_STEPS):
+        mid = 0.5 * (lo + hi)
+        _, b = chain.invariants_from_radial(t, mid, eps_chain, m)
+        timelike = b > 0.0
+        lo, b_lo = np.where(timelike, mid, lo), np.where(timelike, b, b_lo)
+        hi, b_hi = np.where(timelike, hi, mid), np.where(timelike, b_hi, b)
+    change = (b_lo > 0.0) & (b_hi <= 0.0)
+    drop = np.where(change, b_lo - b_hi, 1.0)
+    return np.where(change, lo + (hi - lo) * (b_lo / drop), hi)
+
+
+def _chebyshev_curve(values, to_x, R: float):
+    """The Chebyshev interpolant through values at the first-kind
+    Chebyshev points x (`chebpts1`), as a function of t with x = to_x(t),
+    clipped to [0, R]."""
+    n = len(values)
+    vander = np.polynomial.chebyshev.chebvander(
+        np.polynomial.chebyshev.chebpts1(n), n - 1)
+    coef = vander.T @ values / n
+    coef[1:] *= 2.0
+
+    def curve(t):
+        return np.clip(np.polynomial.chebyshev.chebval(to_x(t), coef), 0.0, R)
+    return curve
+
+
+def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
+    """The interior [0, T] x [0, R] as gk roots cut along the kink of L.
+
+    L = 4 max(b, 0) has a kink where b changes sign, once in each t, on a
+    curve r0(t) that runs from near the origin to the cone r = t.  The
+    curve is interpolated on two t-pieces, the corner [0, t_c] (in t) and
+    [t_c, T] (in log t), each by the Chebyshev polynomial through r0 at
+    _KINK_NODES Chebyshev points, from one `_kink` solve for both, and
+    clipped to [0, R].  On each piece a band of half-width delta around
+    the curve, clipped to [0, R], is cut like the band around the cone in
+    `_cone_roots`: below the curve L = 4b is smooth, and above it b < 0,
+    so the upper half-band and the region beyond it read 0 with an error
+    of 0.  The upper half-band puts nodes next to the curve, so a curve
+    below the kink leaves no L > 0 where no node sees it: a curve that
+    misses the kink by less than delta costs panels, not accuracy.  In
+    the corner the region under the curve is one root (the curve stays
+    below delta there at small eps).  The roots tile the box for any
+    curve in [0, R].  delta and t_c are those of `_interior_roots`.
+    """
+    delta = _BAND * eps_chain
+    tc = min(_CORNER * delta, T)
+    u = 0.5 + 0.5 * np.polynomial.chebyshev.chebpts1(_KINK_NODES)
+    pieces = [(0.0, tc, tc * u, lambda t: (t + t) / tc - 1.0)]
+    if tc < T:
+        span = np.log(T / tc)
+        pieces.append((tc, T, tc * (T / tc) ** u,
+                       lambda t: 2.0 * np.log(t / tc) / span - 1.0))
+    r0 = _kink(np.concatenate([t for _, _, t, _ in pieces]), eps_chain, m)
+    bottom, top = (0.0, 0.0), (R, 0.0)
+    roots = []
+    for n, (a, b, _, to_x) in enumerate(pieces):
+        curve = _chebyshev_curve(
+            r0[n * _KINK_NODES:(n + 1) * _KINK_NODES], to_x, R)
+
+        def under(t, curve=curve):
+            return np.maximum(curve(t) - delta, 0.0)
+
+        def over(t, curve=curve):
+            return np.minimum(curve(t) + delta, R)
+        edges = ([bottom] if a == 0.0 else [bottom, under]) \
+            + [curve, over, top]
+        roots.extend(((a, b, 0.0, 1.0), _between(lo, hi))
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+    return roots
 
 
 def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
@@ -349,7 +460,8 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     value = None
     panels = {"interior_panels": 0, "tail_panels_2d": 0, "tail_panels_1d": 0}
     for attempt in range(3):
-        roots = _interior_roots(T, R, ec)
+        roots = (_interior_roots(T, R, ec) if kind == "p4"
+                 else _lagrangian_roots(T, R, ec, params.m))
         vvec, err, count = gk.integrate_2d(
             f, roots, tol_abs=0.0, max_panels=max_panels, tol_rel=0.5 * tol)
         interior = float(np.real(vvec[0]))

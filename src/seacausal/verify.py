@@ -257,6 +257,19 @@ def suite_integrability(seed=12345):
                 "|diff|/err p4@0.1 %.2e, p4@0.0125 %.2e, L@0.1 %.2e, "
                 "L@0.0125 %.2e" % tuple(ratios)))
 
+    # P_m^eps(xi) = m^3 P_1^{m eps}(m xi), so at m = 2 with (eps/2, T/2,
+    # R/2) both integrals are 2^8 times the m = 1 ones; a power of two
+    # keeps every node and Bessel argument exact, so they agree bitwise
+    same, devs = True, []
+    for integrate, base in ((quadrature.integrate_p4, r2),
+                            (quadrature.integrate_lagrangian, l2)):
+        rep = integrate(RegKernelParams(2.0, 0.05), tol=0.005, T=20.0, R=24.0)
+        same = same and rep.value == 2.0 ** 8 * base.value
+        devs.append(abs(rep.value / (2.0 ** 8 * base.value) - 1.0))
+    out.append(("mass_scaling_covariance", same,
+                "|value / (2^8 value at m = 1) - 1| p4 %.1e, L %.1e"
+                % tuple(devs)))
+
     est, se = quadrature.mc_p4_at_x(p, np.array([0.7, -0.3, 0.2, 0.1]),
                                     n_samples=60000, seed=seed)
     combined = np.sqrt(se ** 2 + r2.abs_error_estimate ** 2

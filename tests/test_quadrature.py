@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seacausal import gk, quadrature
+from seacausal import chain, gk, quadrature
 from seacausal.kernel import RegKernelParams, kernel_p
 from seacausal.quadrature import (RegionTag, decay_lower_bound, ell_varied,
                                   exponent_exact, integrate_lagrangian,
@@ -24,12 +24,13 @@ FROZEN_P4 = 0.00426808495487714
 # and panel count
 FROZEN_P4_EXACT = 0.00426808495487714
 FROZEN_P4_PANELS = 20
-# the Lagrangian's interior panel count at eps = 0.1
-FROZEN_LAGRANGIAN_PANELS = 64
-# with the interior error controlled on L's own column; the independent
-# "lagrangian@0.1" of bench/refs.json reads 6.139239596111072e-07 (this
-# value -1.43e-4 relative from it)
-FROZEN_LAGRANGIAN = 6.138363216244211e-07
+# the Lagrangian's interior panel count at eps = 0.1, on its partition
+# cut along the kink b = 0
+FROZEN_LAGRANGIAN_PANELS = 9
+# the independent "lagrangian@0.1" of bench/refs.json reads
+# 6.139239596111072e-07 (this value -1.14e-4 relative from it), and a
+# tol-1e-4 run on the cone partition 6.139153439036922e-07
+FROZEN_LAGRANGIAN = 6.138539304798649e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -324,6 +325,112 @@ class TestInteriorPartition:
                          (1.5, 40.0, 40.0, 40.5), (1.5, 40.0, 40.5, 48.0)]
 
 
+def assert_covers(roots, box, n=4000):
+    """Every sampled point of box = (t0, t1, r0, r1) lies in exactly one
+    root, each root's Jacobian is its width hi - lo >= 0, and no root
+    reaches outside the box.  Unlike `assert_tiles` this needs no
+    quadrature, so it holds for curved edges, whose roots a single panel
+    does not integrate exactly."""
+    t0, t1, r0, r1 = box
+    rng = np.random.default_rng(7)
+    t = rng.uniform(t0, t1, n)
+    r = rng.uniform(r0, r1, n)
+    hits = np.zeros(n, dtype=int)
+    for (a, b, _, _), chart in roots:
+        on = (a <= t) & (t < b)
+        ts = t[on]
+        (_, lo), jac = chart(ts, np.zeros_like(ts))
+        (_, hi), _ = chart(ts, np.ones_like(ts))
+        assert np.all(jac >= 0.0)
+        assert jac == pytest.approx(hi - lo, rel=1e-12, abs=1e-12 * r1)
+        # hi = lo + 1 * (hi - lo) may round past the top edge
+        assert np.all(lo >= r0) and np.all(hi <= r1 * (1.0 + 1e-15))
+        hits[on] += (lo <= r[on]) & (r[on] < hi)
+    assert np.all(hits == 1)
+
+
+class TestLagrangianPartition:
+    CASES = [(40.0, 48.0, 0.2), (40.0, 30.0, 0.2), (12.0, 14.4, 0.2),
+             (40.0, 48.0, 4.0), (40.0, 20.0, 4.0), (40.0, 48.0, 0.0125),
+             (0.5, 48.0, 0.2), (0.5, 0.6, 0.2), (40.0, 40.0, 0.2),
+             (40.0, 39.3, 0.2)]
+    IDS = ["default", "R<T", "small", "eps2", "eps2-R<T", "eps-small",
+           "T<tc", "T,R<tc", "R=T", "R<T<R+2delta"]
+
+    @pytest.mark.parametrize("T,R,eps_chain", CASES, ids=IDS)
+    def test_tiles_the_box(self, T, R, eps_chain):
+        # also where the curve leaves [0, R] (R < T, R = T) or the corner
+        # is the whole box (T < t_c)
+        assert_covers(quadrature._lagrangian_roots(T, R, eps_chain, 1.0),
+                      (0.0, T, 0.0, R))
+
+    def test_integrates_moments(self):
+        # the moments of assert_tiles, each scaled to 1, refined on the
+        # curved roots to 1e-12
+        T, R = 40.0, 48.0
+        want = np.array([T * R, T ** 4 / 4 * R ** 3 / 3
+                         - 2.0 * T * T / 2 * R ** 5 / 5 + T * R * R / 2])
+
+        def moments(t, r):
+            return np.stack([np.ones_like(t), t ** 3 * r * r
+                             - 2.0 * t * r ** 4 + r], axis=-1) / want
+        value, _, _ = gk.integrate_2d(
+            moments, quadrature._lagrangian_roots(T, R, 0.2, 1.0),
+            tol_abs=0.0, tol_rel=1e-12)
+        assert value == pytest.approx([1.0, 1.0], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("eps_chain", [0.2, 0.025])
+    def test_b_changes_sign_on_the_curve(self, eps_chain):
+        # the lower edge of root 1 (the corner) and of root 5 (t >= t_c)
+        # is the curve; b > 0 just under it and b < 0 just above it
+        roots = quadrature._lagrangian_roots(40.0, 48.0, eps_chain, 1.0)
+        for (a, b, _, _), chart in (roots[1], roots[5]):
+            t = np.linspace(a, b, 202)[1:-1]
+            (_, curve), _ = chart(t, np.zeros_like(t))
+            gap = 0.02 * np.minimum(curve, eps_chain)
+            _, below = chain.invariants_from_radial(t, curve - gap,
+                                                    eps_chain, 1.0)
+            _, above = chain.invariants_from_radial(t, curve + gap,
+                                                    eps_chain, 1.0)
+            assert np.all(below > 0.0) and np.all(above < 0.0)
+
+    def test_fewer_panels_than_the_cone_partition(self):
+        for eps in (0.1, 0.05, 0.0125, 0.00625):
+            f = quadrature._integrand_factory("lagrangian",
+                                              RegKernelParams(1.0, eps))
+            kink = gk.integrate_2d(
+                f, quadrature._lagrangian_roots(40.0, 48.0, 2 * eps, 1.0),
+                tol_abs=0.0, tol_rel=0.5 * INTEGRAL_TOL)[2]
+            cone = gk.integrate_2d(
+                f, quadrature._interior_roots(40.0, 48.0, 2 * eps),
+                tol_abs=0.0, tol_rel=0.5 * INTEGRAL_TOL)[2]
+            assert 2 * kink <= cone
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_a_missed_kink_costs_panels_not_accuracy(self, shift,
+                                                     monkeypatch):
+        # a curve half a band below the kink leaves L > 0 above it, and
+        # one half a band above leaves L = 0 under it; either way the
+        # interior still matches the cone partition within the errors
+        eps_chain = 0.2
+        f = quadrature._integrand_factory("lagrangian", PARAMS)
+        cone, cone_err, _ = gk.integrate_2d(
+            f, quadrature._interior_roots(40.0, 48.0, eps_chain),
+            tol_abs=0.0, tol_rel=0.5 * INTEGRAL_TOL)
+        fit, _, fit_count = gk.integrate_2d(
+            f, quadrature._lagrangian_roots(40.0, 48.0, eps_chain, 1.0),
+            tol_abs=0.0, tol_rel=0.5 * INTEGRAL_TOL)
+        kink = quadrature._kink
+        monkeypatch.setattr(quadrature, "_kink", lambda t, e, m: kink(
+            t, e, m) + shift * quadrature._BAND * e)
+        value, err, count = gk.integrate_2d(
+            f, quadrature._lagrangian_roots(40.0, 48.0, eps_chain, 1.0),
+            tol_abs=0.0, tol_rel=0.5 * INTEGRAL_TOL)
+        assert count > 2 * fit_count
+        assert abs(float(value[0]) - float(cone[0])) <= err + cone_err
+        assert abs(float(fit[0]) - float(cone[0])) <= err + cone_err
+
+
 class TestConeRoots:
     @pytest.mark.parametrize("box,delta", [
         ((40.0, 160.0, 0.0, 192.0), 1.0), ((0.0, 40.0, 48.0, 192.0), 1.0),
@@ -459,8 +566,9 @@ class TestLogging:
         assert "interior %d panels" % rep.regions_evaluated in last
         # the library never prints
         assert capsys.readouterr() == ("", "")
-        # the interior's panels are summed over attempts, like the tail's
-        assert rep.extras["interior_roots"] == 6
+        # the interior's panels are summed over attempts, like the tail's;
+        # the Lagrangian's interior has seven roots around its kink
+        assert rep.extras["interior_roots"] == 7
         assert rep.extras["interior_panels"] > rep.regions_evaluated
 
 
