@@ -28,10 +28,11 @@ class BesselDomainError(ValueError):
 
 
 def _check_cut_plane(z: np.ndarray) -> None:
-    if np.any(z == 0):
-        raise BesselDomainError("K_n undefined at z = 0")
-    on_cut = (z.real < 0) & (z.imag == 0)
-    if np.any(on_cut):
+    # one test for the closed cut: z = 0 lies on it, and the message is
+    # chosen only on the error path
+    if ((z.imag == 0) & (z.real <= 0)).any():
+        if (z == 0).any():
+            raise BesselDomainError("K_n undefined at z = 0")
         raise BesselDomainError("K_n undefined on the negative real axis")
 
 
@@ -39,11 +40,14 @@ def _k012(z):
     """K0, K1, K2 on the cut plane; z is a checked complex array."""
     k0 = _scipy_kv(0, z)
     k1 = _scipy_kv(1, z)
-    bad = np.isnan(k0) | np.isnan(k1)
-    if np.any(bad):
-        raise BesselDomainError("K_n not computable at z = %r"
-                                % complex(z[bad][0]))
-    return k0, k1, k0 + (2.0 / z) * k1
+    k2 = k0 + (2.0 / z) * k1
+    # a nan in K0 or K1 reaches K2, so one test on K2 finds it
+    if np.isnan(k2).any():
+        bad = np.isnan(k0) | np.isnan(k1)
+        if bad.any():
+            raise BesselDomainError("K_n not computable at z = %r"
+                                    % complex(z[bad][0]))
+    return k0, k1, k2
 
 
 def _cut_plane_array(z):

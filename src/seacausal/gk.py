@@ -30,12 +30,17 @@ call (more only when they exceed _MAX_POINTS points).  When a popped
 panel's children have not been evaluated yet, they are requested
 together with the children of the next best panels on the heap, which
 the refinement will most likely split soon; later splits take them from
-a cache.  A panel's value and error come from the same per-point values
-and the same per-panel reductions as a one-panel call, so each
-sub-integral replays the one-panel-per-call loop exactly: the final
-panels, value, error and count are bitwise the same.  Running totals
-are accumulated left to right, never with the built-in `sum`, which
-Python compensates from 3.12 on.
+a cache.  A step is one array pass per dimension: the nodes of all its
+1-D panels, and of all its 2-D panels, are built at once, each root's
+chart maps its slice of them, and all panels of a dimension are reduced
+with one stacked matmul (1-D) or einsum (2-D) per rule.  A panel's value
+and error come from the same per-point values as a one-panel call and
+from the same bits of the one-panel rule, because the stacked operands
+keep each panel's one-panel memory layout (see `_reduce_1d` and
+`_reduce_2d`).  So each sub-integral replays the one-panel-per-call
+loop exactly: the final panels, value, error and count are bitwise the
+same.  Running totals are accumulated left to right, never with the
+built-in `sum`, which Python compensates from 3.12 on.
 
 Integrand contract: f must be pure and pointwise (a point's value may not
 depend on the other points in the call), and defined on the whole
@@ -122,34 +127,49 @@ def _axis(lo, hi):
 
 
 def _reduce_1d(half, fx):
-    """15/7 panels from the values fx at their nodes; returns
-    [(kronrod_value, (error_estimate,)), ...]."""
-    fx = fx.reshape((len(half), 15) + fx.shape[1:])
-    out = []
-    for h, fxn in zip(half, fx):
-        # np.tensordot(_WK, fxn, axes=(0, 0)) without its Python overhead:
-        # the same dot of the same reshaped operands
-        cols = fxn.reshape(15, -1)
-        vk = h * np.dot(_WK_ROW, cols).reshape(fxn.shape[1:])
-        vg = h * np.dot(_WG7_ROW, cols[_G7_IDX]).reshape(fxn.shape[1:])
-        out.append((vk, (float(np.abs(vk - vg).max()),)))
-    return out
+    """15/7 panels from the values fx at their nodes, all panels in one
+    pass; returns [(kronrod_value, (error_estimate,)), ...].
+
+    The matmul of a panel's (15, k) block is bitwise the np.dot of the
+    one-panel rule (np.tensordot of the weights and the values) as long
+    as each block keeps that rule's memory layout: `take` copies the
+    Gauss nodes panel by panel, where fancy indexing on axis 1 would
+    copy them node-major and move the last bits.
+    """
+    n = len(half)
+    cols = fx.reshape(n, 15, -1)
+    shape = (n,) + fx.shape[1:]
+    scale = half.reshape((n,) + (1,) * (fx.ndim - 1))
+    vk = scale * np.matmul(_WK_ROW, cols).reshape(shape)
+    vg = scale * np.matmul(_WG7_ROW, cols.take(_G7_IDX, axis=1)).reshape(
+        shape)
+    err = np.abs(vk - vg).reshape(n, -1).max(axis=1)
+    return list(zip(vk, zip(err.tolist())))
 
 
 def _reduce_2d(weight, ft):
-    """Tensor 15x15 Kronrod panels from the values ft at their nodes;
-    returns [(value_vec, (err_x, err_y)), ...], the per-axis error
-    estimates obtained by downgrading one axis to the embedded 7-point
-    rule.  An estimate is the max over columns of |Kronrod - Gauss|."""
-    vals = ft.reshape(len(weight), 15, 15, -1)
-    out = []
-    for w, v in zip(weight, vals):
-        kk = w * np.einsum("i,j,ijk->k", _WK, _WK, v)
-        gk = w * np.einsum("i,j,ijk->k", _WG7, _WK, v[_G7_IDX, :, :])
-        kg = w * np.einsum("i,j,ijk->k", _WK, _WG7, v[:, _G7_IDX, :])
-        out.append((kk, (float(np.abs(kk - gk).max()),
-                         float(np.abs(kk - kg).max()))))
-    return out
+    """Tensor 15x15 Kronrod panels from the values ft at their nodes, all
+    panels in one pass; returns [(value_vec, (err_x, err_y)), ...], the
+    per-axis error estimates obtained by downgrading one axis to the
+    embedded 7-point rule.  An estimate is the max over columns of
+    |Kronrod - Gauss|.
+
+    Each rule is one einsum over the stack, bitwise the one-panel einsum
+    when every panel's Gauss operand has the one-panel memory layout:
+    x-major for Gauss in x (`take` on axis 1) and y-major for Gauss in y,
+    the layout one panel's v[:, _G7_IDX, :] has (taken on the swapped
+    axes and swapped back).
+    """
+    v = ft.reshape(len(weight), 15, 15, -1)
+    w = weight[:, None]
+    gx = v.take(_G7_IDX, axis=1)
+    gy = v.swapaxes(1, 2).take(_G7_IDX, axis=1).swapaxes(1, 2)
+    kk = w * np.einsum("i,j,nijk->nk", _WK, _WK, v)
+    gk = w * np.einsum("i,j,nijk->nk", _WG7, _WK, gx)
+    kg = w * np.einsum("i,j,nijk->nk", _WK, _WG7, gy)
+    err_x = np.abs(kk - gk).max(axis=1).tolist()
+    err_y = np.abs(kk - kg).max(axis=1).tolist()
+    return list(zip(kk, zip(err_x, err_y)))
 
 
 def _nodes(box):
@@ -180,31 +200,53 @@ def _call(f, points):
 
 def _evaluate(f, requests):
     """Panels of several problems from one call of f (more only past
-    _MAX_POINTS points).  requests: [(roots, keys)], keys [(root, box),
-    ...]; returns, per request, [(value, errs), ...] in the order of its
-    keys."""
-    groups, args = [], []
+    _MAX_POINTS points), in one array pass per dimension.  requests:
+    [(roots, keys)], keys [(root, box), ...]; returns, per request,
+    [(value, errs), ...] in the order of its keys.
+
+    The pending panels are grouped by request, then by root, and stacked
+    by dimension in that order: one `_nodes` call per dimension builds
+    their nodes, each root's chart maps its group's slice of them, f is
+    called on the groups' arguments in group order, and one reduction
+    per dimension turns the values into panels.
+    """
+    # a group's dim is its boxes' length, 2 or 4, and its row the index
+    # of its first panel in the stack of that dimension
+    stacks = {2: [], 4: []}
+    groups = []                  # (request, key indices, chart, dim, row)
     for n, (roots, keys) in enumerate(requests):
         by_root = {}
         for m, (root, _) in enumerate(keys):
             by_root.setdefault(root, []).append(m)
         for root, idx in by_root.items():
-            nodes, weight, reduce = _nodes(
-                np.array([keys[m][1] for m in idx], dtype=float))
-            chart = roots[root][1]
-            a, jac = (nodes, None) if chart is None else chart(*nodes)
-            args.append(a)
-            groups.append((n, idx, len(a[0]), jac, weight, reduce))
+            dim = len(keys[idx[0]][1])
+            groups.append((n, idx, roots[root][1], dim, len(stacks[dim])))
+            stacks[dim].extend(keys[m][1] for m in idx)
+    built = {dim: _nodes(np.array(boxes, dtype=float))
+             for dim, boxes in stacks.items() if boxes}
+    args, jacs = [], []
+    for _, idx, chart, dim, row in groups:
+        size = 15 ** (dim // 2)          # points a panel
+        nodes = tuple(c[row * size:(row + len(idx)) * size]
+                      for c in built[dim][0])
+        a, jac = (nodes, None) if chart is None else chart(*nodes)
+        args.append(a)
+        jacs.append(jac)
     values = _call(f, [c[0] if len(c) == 1 else np.concatenate(c)
                        for c in zip(*args)])
-    out = [[None] * len(keys) for _, keys in requests]
+    parts = {dim: [] for dim in built}
     start = 0
-    for n, idx, size, jac, weight, reduce in groups:
-        v = values[start:start + size]
-        start += size
+    for (_, _, _, dim, _), a, jac in zip(groups, args, jacs):
+        v = values[start:start + len(a[0])]
+        start += len(a[0])
         if jac is not None:
             v = v * jac.reshape((-1,) + (1,) * (v.ndim - 1))
-        for m, panel in zip(idx, reduce(weight, v)):
+        parts[dim].append(v)
+    panels = {dim: reduce(weight, np.concatenate(parts[dim]))
+              for dim, (_, weight, reduce) in built.items()}
+    out = [[None] * len(keys) for _, keys in requests]
+    for n, idx, _, dim, row in groups:
+        for m, panel in zip(idx, panels[dim][row:row + len(idx)]):
             out[n][m] = panel
     return out
 

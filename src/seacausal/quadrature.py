@@ -23,11 +23,12 @@ origin to the cone.  The curve is found once per attempt (one bisection
 of b at fixed nodes, `_kink`) and interpolated; a band of half-width
 delta on each side of it holds the ridge of L under the kink, the
 region under the band is smooth, and the regions above the curve read 0
-with an error of 0.  On either partition all roots are refined from one
-heap of adaptive Gauss-Kronrod panels, until the error total is at most
-tol/2 * |running value|: the interior takes half the tolerance budget,
-and its mesh is never coarser than the partition, whose nodes see the
-ridge and the blob at every eps.
+with an error of 0.  Where the curve or a band edge is clipped to
+[0, R], the roots are also cut in t where the clip switches.  On either
+partition all roots are refined from one heap of adaptive Gauss-Kronrod
+panels, until the error total is at most tol/2 * |running value|: the
+interior takes half the tolerance budget, and its mesh is never coarser
+than the partition, whose nodes see the ridge and the blob at every eps.
 
 The exterior is two extension zones out to (4T, Rbig) plus exponential
 closures beyond them.  Each zone is one sub-integral on its cone
@@ -284,44 +285,70 @@ def _interior_roots(T: float, R: float, eps_chain: float,
     return roots + _cone_roots(tc, T, 0.0, R, delta)
 
 
+def _bisect(g, lo, hi, g_lo, g_hi):
+    """Where g changes sign between lo, where g_lo = g(lo) > 0, and hi,
+    where g_hi = g(hi) <= 0 (lo may lie on either side of hi).
+
+    The brackets are bisected in _KINK_STEPS fixed steps, so the bits
+    depend on the inputs alone, and then cut once by false position.
+    Where g has no sign change across a bracket, the result is hi.
+    """
+    for _ in range(_KINK_STEPS):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        above = g_mid > 0.0
+        lo, g_lo = np.where(above, mid, lo), np.where(above, g_mid, g_lo)
+        hi, g_hi = np.where(above, hi, mid), np.where(above, g_hi, g_mid)
+    change = (g_lo > 0.0) & (g_hi <= 0.0)
+    drop = np.where(change, g_lo - g_hi, 1.0)
+    return np.where(change, lo + (hi - lo) * (g_lo / drop), hi)
+
+
 def _kink(t, eps_chain: float, m: float):
     """Where b(t, r) changes sign, r0(t) at the nodes t.
 
     b > 0 at r = 0 and b < 0 at r = t + delta (delta = _BAND eps_chain),
-    and b changes sign once between them.  The bracket is bisected in a
-    fixed number of steps, so the bits depend on the inputs alone, and
-    then cut once by false position.  Where b has no sign change across
-    the bracket, the result is its upper end.
+    and b changes sign once between them; `_bisect` solves each bracket.
+    Where b has no sign change across the bracket, the result is its
+    upper end.
     """
     n = len(t)
     lo, hi = np.zeros_like(t), t + _BAND * eps_chain
     _, b = chain.invariants_from_radial(np.concatenate([t, t]),
                                         np.concatenate([lo, hi]), eps_chain, m)
-    b_lo, b_hi = b[:n], b[n:]
-    for _ in range(_KINK_STEPS):
-        mid = 0.5 * (lo + hi)
-        _, b = chain.invariants_from_radial(t, mid, eps_chain, m)
-        timelike = b > 0.0
-        lo, b_lo = np.where(timelike, mid, lo), np.where(timelike, b, b_lo)
-        hi, b_hi = np.where(timelike, hi, mid), np.where(timelike, b_hi, b)
-    change = (b_lo > 0.0) & (b_hi <= 0.0)
-    drop = np.where(change, b_lo - b_hi, 1.0)
-    return np.where(change, lo + (hi - lo) * (b_lo / drop), hi)
+    return _bisect(lambda r: chain.invariants_from_radial(
+        t, r, eps_chain, m)[1], lo, hi, b[:n], b[n:])
 
 
-def _chebyshev_curve(values, to_x, R: float):
+def _chebyshev_curve(values, to_x):
     """The Chebyshev interpolant through values at the first-kind
-    Chebyshev points x (`chebpts1`), as a function of t with x = to_x(t),
-    clipped to [0, R]."""
+    Chebyshev points x (`chebpts1`), as a function of t with x =
+    to_x(t)."""
     n = len(values)
     vander = np.polynomial.chebyshev.chebvander(
         np.polynomial.chebyshev.chebpts1(n), n - 1)
     coef = vander.T @ values / n
     coef[1:] *= 2.0
+    return lambda t: np.polynomial.chebyshev.chebval(to_x(t), coef)
 
-    def curve(t):
-        return np.clip(np.polynomial.chebyshev.chebval(to_x(t), coef), 0.0, R)
-    return curve
+
+def _crossings(curve, ts, levels):
+    """The t where curve(t) crosses one of the levels, one for each sign
+    change of curve - level between neighbours of the ascending samples
+    ts, each solved by `_bisect`."""
+    levels = np.asarray(levels, dtype=float)
+    above = curve(ts)[:, None] > levels
+    k, j = np.nonzero(above[:-1] != above[1:])
+    if not len(k):
+        return []
+    # the bisection's lo is the end where curve - level > 0
+    first = above[k, j]
+    lo = np.where(first, ts[k], ts[k + 1])
+    hi = np.where(first, ts[k + 1], ts[k])
+
+    def g(t):
+        return curve(t) - levels[j]
+    return _bisect(g, lo, hi, g(lo), g(hi)).tolist()
 
 
 def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
@@ -340,8 +367,13 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
     below the kink leaves no L > 0 where no node sees it: a curve that
     misses the kink by less than delta costs panels, not accuracy.  In
     the corner the region under the curve is one root (the curve stays
-    below delta there at small eps).  The roots tile the box for any
-    curve in [0, R].  delta and t_c are those of `_interior_roots`.
+    below delta there at small eps).  A clip puts a kink in t into an
+    edge where it switches, so each piece is also cut in t where the
+    polynomial crosses 0 or R, where the band's upper edge crosses R,
+    and (beyond the corner) where its lower edge crosses 0; the
+    crossings are found between the ends and the nodes of the piece
+    (`_crossings`).  The roots tile the box for any curve in [0, R].
+    delta and t_c are those of `_interior_roots`.
     """
     delta = _BAND * eps_chain
     tc = min(_CORNER * delta, T)
@@ -354,9 +386,12 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
     r0 = _kink(np.concatenate([t for _, _, t, _ in pieces]), eps_chain, m)
     bottom, top = (0.0, 0.0), (R, 0.0)
     roots = []
-    for n, (a, b, _, to_x) in enumerate(pieces):
-        curve = _chebyshev_curve(
-            r0[n * _KINK_NODES:(n + 1) * _KINK_NODES], to_x, R)
+    for n, (a, b, nodes, to_x) in enumerate(pieces):
+        poly = _chebyshev_curve(
+            r0[n * _KINK_NODES:(n + 1) * _KINK_NODES], to_x)
+
+        def curve(t, poly=poly):
+            return np.clip(poly(t), 0.0, R)
 
         def under(t, curve=curve):
             return np.maximum(curve(t) - delta, 0.0)
@@ -365,8 +400,14 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
             return np.minimum(curve(t) + delta, R)
         edges = ([bottom] if a == 0.0 else [bottom, under]) \
             + [curve, over, top]
-        roots.extend(((a, b, 0.0, 1.0), _between(lo, hi))
-                     for lo, hi in zip(edges[:-1], edges[1:]))
+        levels = (0.0, R, R - delta) + (() if a == 0.0 else (delta,))
+        cuts = sorted(c for c in _crossings(
+            poly, np.concatenate([[a], nodes, [b]]), levels) if a < c < b)
+        cuts = [a] + cuts + [b]
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            if t0 < t1:
+                roots.extend(((t0, t1, 0.0, 1.0), _between(lo, hi))
+                             for lo, hi in zip(edges[:-1], edges[1:]))
     return roots
 
 

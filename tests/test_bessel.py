@@ -163,6 +163,27 @@ class TestDomainErrors:
         with pytest.raises(BesselDomainError):
             bessel_k12(np.array([1.0, z]))
 
+    @pytest.mark.parametrize("z,message", [
+        (0.0, "K_n undefined at z = 0"),
+        (-0.0 + 0j, "K_n undefined at z = 0"),
+        (-1.0 + 0j, "K_n undefined on the negative real axis"),
+        (complex(-1.0, -0.0), "K_n undefined on the negative real axis"),
+        (2e9 + 0.1j, "K_n not computable at z = (2000000000+0.1j)"),
+        (np.array([1.0, 2e9 + 0.1j, -1.0, 0.0]), "K_n undefined at z = 0"),
+        (np.array([1.0, 2e9 + 0.1j, -1.0]),
+         "K_n undefined on the negative real axis"),
+        (np.array([1.0, 1e10 + 0j, 2e9 + 0.1j]),
+         "K_n not computable at z = (10000000000+0j)")],
+        ids=["zero", "minus-zero", "cut-above", "cut-below", "nan",
+             "mixed-zero", "mixed-cut", "mixed-nan"])
+    def test_messages(self, z, message):
+        # the cut (z = 0 on it) and the nan of kv are each tested once per
+        # call; which message is raised follows z = 0, then the cut, then
+        # the first point where kv returns nan
+        with pytest.raises(BesselDomainError) as err:
+            bessel_k12(z)
+        assert str(err.value) == message
+
     def test_underflow_is_not_rejected(self):
         k1, k2 = bessel_k12(1e9 + 0.1j)
         assert k1 == 0.0 and k2 == 0.0

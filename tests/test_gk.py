@@ -439,6 +439,89 @@ class TestDriver:
         assert calls[0] == len(roots) * 225
 
 
+class TestStepIndependence:
+    """A panel's (value, errs) from gk._evaluate, which reduces all the
+    panels of a refinement step as stacked arrays, is bitwise the same
+    alone and inside any step: whatever the other problems' dimensions,
+    charts and panel counts, and whether the step spills into several
+    integrand calls."""
+
+    @staticmethod
+    def integrand(columns, dtype):
+        def f(t, r):
+            cols = [np.exp(-t * r) * np.cos(t - r), np.sqrt(t + r),
+                    1.0 / (1.0 + (t - 0.3) ** 2 + r * r)][:columns]
+            out = np.stack(cols, axis=-1)
+            return out * np.exp(0.5j * t)[:, None] if dtype is complex \
+                else out
+        return f
+
+    # three problems of one step: 2-D without a chart, 2-D with charts
+    # (a triangle r <= t, Jacobian t, and the band of a curve), and 1-D
+    # cross-sections, whose charts map to (t, r)
+    ROOTS = [
+        [((0.0, 2.0, 0.0, 3.0), None)],
+        [((1.0, 3.0, 0.0, 1.0), lambda t, s: ((t, s * t), t)),
+         ((0.5, 2.5, 0.0, 1.0), quadrature._between(
+             lambda t: 0.2 * t * t, (3.0, 0.5)))],
+        [((0.0, 3.0), quadrature._section_chart(t=0.7)),
+         ((0.0, 2.0), quadrature._section_chart(r=1.5))],
+    ]
+
+    @staticmethod
+    def keys(roots, count, rng):
+        """count random panels spread over the roots."""
+        keys = []
+        for n in range(count):
+            root = n % len(roots)
+            box = roots[root][0]
+            edges = []
+            for lo, hi in zip(box[0::2], box[1::2]):
+                a, b = np.sort(rng.uniform(lo, hi, 2))
+                edges += [float(a), float(b)]
+            keys.append((root, tuple(edges)))
+        return keys
+
+    @staticmethod
+    def assert_same(got, want):
+        (gv, ge), (wv, we) = got, want
+        gv, wv = np.asarray(gv), np.asarray(wv)
+        assert gv.dtype == wv.dtype and gv.shape == wv.shape
+        assert gv.tobytes() == wv.tobytes()
+        assert np.array(ge).tobytes() == np.array(we).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_alone_and_in_a_step(self, count, columns, dtype):
+        f = self.integrand(columns, dtype)
+        rng = np.random.default_rng(count * 10 + columns)
+        requests = [(roots, self.keys(roots, count, rng))
+                    for roots in self.ROOTS]
+        mixed = gk._evaluate(f, requests)
+        for subset in ([0], [1], [2], [0, 2], [1, 2]):
+            step = gk._evaluate(f, [requests[i] for i in subset])
+            for i, panels in zip(subset, step):
+                for got, want in zip(panels, mixed[i]):
+                    self.assert_same(got, want)
+        for (roots, keys), panels in zip(requests, mixed):
+            for key, panel in zip(keys, panels):
+                alone, = gk._evaluate(f, [(roots, [key])])
+                self.assert_same(panel, alone[0])
+        # alone, a panel is the one-panel reduction of test_gk's
+        # reference loops
+        for (roots, keys), panels in zip(requests, mixed):
+            for (root, box), (value, errs) in zip(keys, panels):
+                chart = roots[root][1]
+                if len(box) == 4:
+                    want = ref_panel_root(
+                        lambda t, r: np.asarray(f(t, r)), box, chart)
+                    self.assert_same((value, errs), (want[0], want[1:]))
+                else:
+                    vk, err = ref_panel_1d(charted(f, chart), *box)
+                    self.assert_same((value, errs), (vk, (err,)))
+
+
 class TestPythonVersion:
     def test_totals_ignore_a_compensated_sum(self, monkeypatch):
         # Python 3.12's sum of floats is compensated; gk's totals are
