@@ -37,9 +37,15 @@ share of the budget; its value goes into `value` and its error estimate
 into `tail_bound`.  The closures are fitted to sampled cross-sections
 and inflated 2x (their constants are recorded in the report); they are
 estimates, not proofs, so `tail_bound` is an estimate as long as it
-rests on them.  All tail geometry scales with T, so the integrals are
-covariant under the mass scaling (m, eps, T, R) -> (s m, eps / s,
-T / s, R / s).
+rests on them.  The cross-sections along the cone are cut at r = t -
+delta, t and t + delta, as the zones are.  All tail geometry scales
+with T, so the integrals are covariant under the mass scaling (m, eps,
+T, R) -> (s m, eps / s, T / s, R / s).
+
+Each attempt refines its interior and the eight cross-sections as one
+batch of `gk.integrate_many` sub-integrals, one integrand call per
+refinement step for all of them, and then the two zones, whose
+tolerance needs the interior's value, as a second batch.
 
 Also houses the light-cone region decomposition C0, C1+, C1-, C2, the
 exact decay exponent Re sqrt(-xi_eps^2), and its proof-level lower
@@ -204,8 +210,11 @@ def _fit_exp(xs, ys):
     mask = ys > _TAIL_FLOOR
     if mask.sum() < 2:
         return -np.inf, np.inf
-    coef = np.polyfit(xs[mask], np.log(ys[mask]), 1)
-    return float(coef[1]), float(-coef[0])
+    # the least-squares line through the centred points
+    x, y = xs[mask], np.log(ys[mask])
+    xm, ym = x.mean(), y.mean()
+    slope = np.dot(x - xm, y - ym) / np.dot(x - xm, x - xm)
+    return float(ym - slope * xm), float(-slope)
 
 
 def _section_chart(t=None, r=None):
@@ -216,23 +225,27 @@ def _section_chart(t=None, r=None):
     return lambda x: ((x, np.full_like(x, r)), None)
 
 
-def _edge(e, t):
-    """r on the edge e at t: a curve e(t), or a line e = (c0, c1) meaning
-    c0 + c1 t."""
-    return e(t) if callable(e) else e[0] + e[1] * t
+def _edge(e, t, u):
+    """r on the edge e at t: a function e(u) of u (see `_between`), or a
+    line e = (c0, c1) meaning c0 + c1 t."""
+    return e(u) if callable(e) else e[0] + e[1] * t
 
 
-def _between(lo, hi):
-    """Chart of the region lo(t) <= r <= hi(t) on (t, s) in [t0, t1] x
-    [0, 1], each edge a line (c0, c1) or a curve (see `_edge`): r = lo +
-    s (hi - lo), with Jacobian hi - lo."""
+def _between(lo, hi, curve=None):
+    """Chart of the region lo <= r <= hi on (t, s) in [t0, t1] x [0, 1]:
+    r = lo + s (hi - lo), with Jacobian hi - lo.  Each edge is a line
+    (c0, c1) or a function of u (see `_edge`), u = curve(t), or t where
+    no curve is given; the chart evaluates the curve once per call, for
+    both edges."""
     curved = callable(lo) or callable(hi)
 
     def chart(t, s):
-        bottom = _edge(lo, t)
         if curved:
-            width = _edge(hi, t) - bottom
+            u = t if curve is None else curve(t)
+            bottom = _edge(lo, t, u)
+            width = _edge(hi, t, u) - bottom
         else:
+            bottom = lo[0] + lo[1] * t
             width = (hi[0] - lo[0]) + (hi[1] - lo[1]) * t
         return (t, bottom + s * width), width
     return chart
@@ -384,7 +397,17 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
         pieces.append((tc, T, tc * (T / tc) ** u,
                        lambda t: 2.0 * np.log(t / tc) / span - 1.0))
     r0 = _kink(np.concatenate([t for _, _, t, _ in pieces]), eps_chain, m)
+    # the edges on the curve and its band, functions of the curve's value
     bottom, top = (0.0, 0.0), (R, 0.0)
+
+    def under(c):
+        return np.maximum(c - delta, 0.0)
+
+    def on(c):
+        return c
+
+    def over(c):
+        return np.minimum(c + delta, R)
     roots = []
     for n, (a, b, nodes, to_x) in enumerate(pieces):
         poly = _chebyshev_curve(
@@ -392,51 +415,24 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
 
         def curve(t, poly=poly):
             return np.clip(poly(t), 0.0, R)
-
-        def under(t, curve=curve):
-            return np.maximum(curve(t) - delta, 0.0)
-
-        def over(t, curve=curve):
-            return np.minimum(curve(t) + delta, R)
         edges = ([bottom] if a == 0.0 else [bottom, under]) \
-            + [curve, over, top]
+            + [on, over, top]
         levels = (0.0, R, R - delta) + (() if a == 0.0 else (delta,))
         cuts = sorted(c for c in _crossings(
             poly, np.concatenate([[a], nodes, [b]]), levels) if a < c < b)
         cuts = [a] + cuts + [b]
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
             if t0 < t1:
-                roots.extend(((t0, t1, 0.0, 1.0), _between(lo, hi))
+                roots.extend(((t0, t1, 0.0, 1.0), _between(lo, hi, curve))
                              for lo, hi in zip(edges[:-1], edges[1:]))
     return roots
 
 
-def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
-                   tol_rel: float, max_panels: int = 800):
-    """Integral of f over the exterior of [0,T]x[0,R] (t >= 0 quarter).
-
-    Two extension zones are integrated directly: [T, 4T] x [0, Rbig]
-    (the t-zone) and [0, T] x [R, Rbig] (the r-zone).  Each is one
-    sub-integral on the cone-aligned roots of `_cone_roots` with delta =
-    T/40, so the ridge along the cone lies on root edges, refined from
-    one heap to the absolute tolerance tol_abs.  Beyond the zones,
-    fitted exponential envelopes (inflated 2x) close the ends.  They are
-    fitted to eight 1-D cross-sections, each refined until its error is
-    at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches 40
-    panels: a log-linear fit needs no more, and a sample below the
-    floor, which the fit drops, stops at its first panel.  The two zones
-    and the eight cross-sections are independent sub-integrals of f,
-    refined as one `gk.integrate_many` batch: one integrand call per
-    refinement step for all of them, while each stops on its own
-    tolerance and cap and reads bitwise what it would alone.
-
-    Every length (Rbig, the sample ranges, delta) scales with T.
-    Returns (bound, info_dict).  The bound is the zones' error estimates
-    plus the inflated closures; the closures are fitted, so it is an
-    estimate.  info carries each zone's value (which belongs to the
-    integral, not to the bound) and error, the fitted closures and the
-    2-D and 1-D panel counts.
-    """
+def _tail_geometry(T: float, R: float, lam: float):
+    """The tail's lengths, all scaling with T: the zones' outer ends 4T
+    and Rbig, their cone band's half-width delta, and the abscissae of
+    the closures' cross-sections, ts (in t, beyond 4T) and rs (in r,
+    beyond Rbig)."""
     T2 = 4.0 * T
     # margins of 2, 5 and 1 at the default T = 40, scaled with T
     Rbig = max(4.0 * R, T2 / lam + T / 20.0)
@@ -445,16 +441,57 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
     # at ts; sideways closure beyond r = Rbig: q(r) ~ A exp(-k r), at rs
     ts = T2 * np.array([1.0, 1.3, 1.6, 2.0])
     rs = Rbig * np.array([1.0, 1.05, 1.1, 1.2])
+    return T2, Rbig, delta, ts, rs
 
-    problems = [gk.Problem(_cone_roots(*box, delta), tol_abs, max_panels)
-                for box in ((T, T2, 0.0, Rbig), (0.0, T, R, Rbig))]
-    problems += [gk.Problem([((0.0, tj / lam + T / 8.0),
-                              _section_chart(t=tj))], _TAIL_FLOOR, 40, tol_rel)
-                 for tj in ts]
+
+def _tail_zones(T: float, R: float, lam: float, tol_abs: float):
+    """The two extension zones as gk problems: [T, 4T] x [0, Rbig] (the
+    t-zone) and [0, T] x [R, Rbig] (the r-zone), each one sub-integral on
+    the cone-aligned roots of `_cone_roots`, refined from one heap to the
+    absolute tolerance tol_abs or 800 panels."""
+    T2, Rbig, delta, _, _ = _tail_geometry(T, R, lam)
+    return [gk.Problem(_cone_roots(*box, delta), tol_abs, 800)
+            for box in ((T, T2, 0.0, Rbig), (0.0, T, R, Rbig))]
+
+
+def _tail_sections(T: float, R: float, lam: float, tol_rel: float):
+    """The closures' eight 1-D cross-sections as gk problems: four at
+    fixed t = ts over r in [0, t / lam + T/8], each cut at r = t - delta,
+    t and t + delta (clipped to the range, as `_cone_roots` cuts the
+    zones), so the ridge along the cone lies on root edges; and four at
+    fixed r = rs over t in [0, 4T].  Each is refined until its error is
+    at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches 40
+    panels: a log-linear fit needs no more, and a sample below the
+    floor, which the fit drops, stops at its roots."""
+    T2, _, delta, ts, rs = _tail_geometry(T, R, lam)
+    problems = []
+    for tj in ts:
+        hi = tj / lam + T / 8.0
+        cuts = [0.0] + [c for c in (tj - delta, tj, tj + delta)
+                        if 0.0 < c < hi] + [hi]
+        chart = _section_chart(t=tj)
+        problems.append(gk.Problem([((a, b), chart) for a, b in
+                                    zip(cuts[:-1], cuts[1:])],
+                                   _TAIL_FLOOR, 40, tol_rel))
     problems += [gk.Problem([((0.0, T2), _section_chart(r=rj))],
                             _TAIL_FLOOR, 40, tol_rel) for rj in rs]
-    zone_t, zone_r, *sections = gk.integrate_many(f, problems)
+    return problems
 
+
+def _tail_estimate(T: float, R: float, lam: float, zones, sections):
+    """The tail beyond the interior [0, T] x [0, R] (t >= 0 quarter), from
+    the gk results (value, err, count) of `_tail_zones` and of
+    `_tail_sections`.
+
+    Beyond the zones, exponential envelopes fitted to the cross-sections
+    (inflated 2x) close the ends.  Returns (bound, info_dict).  The bound
+    is the zones' error estimates plus the inflated closures; the
+    closures are fitted, so it is an estimate.  info carries each zone's
+    value (which belongs to the integral, not to the bound) and error,
+    the fitted closures and the 2-D and 1-D panel counts.
+    """
+    T2, Rbig, _, ts, rs = _tail_geometry(T, R, lam)
+    zone_t, zone_r = zones
     samples = [max(float(np.real(v[0])), 0.0) for v, _, _ in sections]
     svals, qvals = samples[:len(ts)], samples[len(ts):]
 
@@ -491,6 +528,17 @@ def _tail_estimate(f, T: float, R: float, lam: float, tol_abs: float,
 def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                  lam: float, T: float, R: float, max_panels: int,
                  eps_chain: float | None = None, name: str | None = None):
+    """The certified integral of the integrand `kind` on up to three
+    attempts, T and R growing 1.6x after each that misses tol.
+
+    An attempt refines its interior and the tail's eight cross-sections
+    (`_tail_sections`) as one `gk.integrate_many` batch: independent
+    sub-integrals of one integrand, one integrand call per refinement
+    step for all of them, while each stops on its own tolerance and cap
+    and reads bitwise what it would alone.  The extension zones
+    (`_tail_zones`) take their absolute tolerance from the interior's
+    value, so they run in a second batch after it.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     check_region_lambda(lam)
@@ -503,12 +551,13 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     for attempt in range(3):
         roots = (_interior_roots(T, R, ec) if kind == "p4"
                  else _lagrangian_roots(T, R, ec, params.m))
-        vvec, err, count = gk.integrate_2d(
-            f, roots, tol_abs=0.0, max_panels=max_panels, tol_rel=0.5 * tol)
+        (vvec, err, count), *sections = gk.integrate_many(
+            f, [gk.Problem(roots, 0.0, max_panels, 0.5 * tol)]
+            + _tail_sections(T, R, lam, _TAIL_ZONE_SHARE * tol))
         interior = float(np.real(vvec[0]))
-        tail, tail_info = _tail_estimate(
-            f, T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300),
-            _TAIL_ZONE_SHARE * tol)
+        zones = gk.integrate_many(f, _tail_zones(
+            T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300)))
+        tail, tail_info = _tail_estimate(T, R, lam, zones, sections)
         panels["interior_panels"] += count
         for key in ("tail_panels_2d", "tail_panels_1d"):
             panels[key] += tail_info[key]

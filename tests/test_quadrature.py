@@ -464,16 +464,15 @@ class TestTailZones:
             tol_rel=0.5 * INTEGRAL_TOL)
         tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
             * abs(float(interior[0]))
-        _, info = quadrature._tail_estimate(
-            f, T, R, lam, tol_abs, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)
+        (zone, zone_err, t_count), (_, _, r_count) = gk.integrate_many(
+            f, quadrature._tail_zones(T, R, lam, tol_abs))
         # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
         rbig = max(4.0 * R, 4.0 * T / lam + T / 20.0)
         old, old_err, _ = gk.integrate_2d(f, (T, 4.0 * T, 0.0, rbig),
                                           tol_abs=0.0, max_panels=800)
-        assert abs(info["tail_zone_t"] - float(old[0])) \
-            <= info["tail_zone_err_t"] + old_err
-        assert info["tail_zone_err_t"] <= tol_abs
-        assert info["tail_panels_2d"] < 50
+        assert abs(float(zone[0]) - float(old[0])) <= zone_err + old_err
+        assert zone_err <= tol_abs
+        assert t_count + r_count < 50
 
     def test_r_zone_at_r_equal_t(self):
         # at R = T the r-zone touches the cone at its corner (T, R); the
@@ -525,20 +524,42 @@ class TestTailClosures:
             assert rep.extras[key] == pytest.approx(old.extras[key],
                                                     rel=0.0, abs=1e-3), key
 
-    @pytest.mark.parametrize("integrate,most", [(integrate_p4, 160),
-                                                (integrate_lagrangian, 100)])
+    @pytest.mark.parametrize("integrate,most", [(integrate_p4, 108),
+                                                (integrate_lagrangian, 58)])
     def test_samples_stop_early(self, integrate, most):
-        # eight 40-panel samples would be 328 panels; p4 stops at 114 and
-        # the Lagrangian, whose sideways samples are below the floor, at 68
+        # eight 40-panel samples would be 328 panels; p4 stops at 108 and
+        # the Lagrangian, whose sideways samples are below the floor, at 58
         rep = integrate(PARAMS, tol=INTEGRAL_TOL)
         assert rep.extras["tail_panels_1d"] <= most
 
+    @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_cone_cut_samples_match_one_root(self, kind, eps):
+        # each along-cone sample, cut at r = t - delta, t, t + delta, reads
+        # a tight integral of its section on one root within its own error
+        T, R, lam = 40.0, 48.0, 0.85
+        f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
+        _, _, delta, ts, _ = quadrature._tail_geometry(T, R, lam)
+        sections = quadrature._tail_sections(
+            T, R, lam, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)[:len(ts)]
+        for t, problem, (value, err, _) in zip(
+                ts, sections, gk.integrate_many(f, sections)):
+            hi = t / lam + T / 8.0
+            cuts = [0.0, t - delta, t, t + delta, hi]
+            assert [box for box, _ in problem.roots] \
+                == list(zip(cuts[:-1], cuts[1:]))
+            ref, ref_err, _ = gk.integrate_1d(
+                lambda r: f(np.full_like(r, t), r), 0.0, hi, tol_abs=0.0,
+                tol_rel=1e-10)
+            assert ref_err <= 1e-10 * abs(float(ref[0]))
+            assert abs(float(value[0]) - float(ref[0])) <= err
+
 
 class TestIntegrandCalls:
-    def test_p4_calls(self, monkeypatch):
-        # one integrand call per refinement step: across the interior's
-        # roots, and across the tail's zones and cross-sections
-        # (82 calls with one call per root and per tail sub-integral)
+    # one integrand call per refinement step: across the interior's roots
+    # and the tail's cross-sections, then across the two zones
+    @staticmethod
+    def calls(integrate, monkeypatch):
         calls = []
         factory = quadrature._integrand_factory
 
@@ -550,9 +571,55 @@ class TestIntegrandCalls:
                 return f(t, r)
             return counted
         monkeypatch.setattr(quadrature, "_integrand_factory", counting)
-        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
+        return integrate(PARAMS, tol=INTEGRAL_TOL), len(calls)
+
+    def test_p4_calls(self, monkeypatch):
+        rep, calls = self.calls(integrate_p4, monkeypatch)
         assert rep.value == FROZEN_P4_EXACT
-        assert len(calls) <= 30
+        assert calls <= 9
+
+    def test_lagrangian_calls(self, monkeypatch):
+        rep, calls = self.calls(integrate_lagrangian, monkeypatch)
+        assert rep.value == FROZEN_LAGRANGIAN
+        assert calls <= 8
+
+
+class TestLockstep:
+    """The batches of a certified attempt against their sub-integrals run
+    alone: the interior and the cross-sections, then the zones."""
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert got[1] == want[1] and got[2] == want[2]
+
+    @pytest.mark.parametrize("integrate", [integrate_p4,
+                                           integrate_lagrangian])
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_batches_replay_alone(self, integrate, eps, monkeypatch):
+        batches = []
+        integrate_many = gk.integrate_many
+
+        def recording(f, problems):
+            results = integrate_many(f, problems)
+            batches.append((f, problems, results))
+            return results
+        monkeypatch.setattr(gk, "integrate_many", recording)
+        rep = integrate(RegKernelParams(1.0, eps), tol=INTEGRAL_TOL)
+        monkeypatch.undo()
+        assert len(batches) == 2 * rep.extras["attempts"]
+        (f, first, got), (_, zones, zones_got) = batches[-2:]
+        interior = first[0]
+        assert (interior.tol_abs, interior.tol_rel) == (0.0,
+                                                        0.5 * INTEGRAL_TOL)
+        assert len(interior.roots) == rep.extras["interior_roots"]
+        self.assert_bitwise(got[0], gk.integrate_2d(
+            f, interior.roots, interior.tol_abs, interior.max_panels,
+            interior.tol_rel))
+        assert got[0][2] == rep.regions_evaluated
+        assert len(first) == 9 and len(zones) == 2
+        for problem, run in zip(first[1:] + zones, got[1:] + zones_got):
+            self.assert_bitwise(run, integrate_many(f, [problem])[0])
 
 
 class TestLogging:
