@@ -12,7 +12,8 @@ also where K is far from negligible, as at z = 0.1 - 5e9 i.
 The public pair is ``bessel_k12``: (K1, K2), what the kernel scalars F
 and G need.  Only K0 and K1 are evaluated; K2 comes from the forward
 recurrence K2 = K0 + (2/z) K1, which is stable for K, so one K0/K1
-evaluation per point gives both.
+evaluation per point gives both.  It is formed with the quotient
+K1/(z/2), not a complex product (see chain.invariants_from_radial).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _k012(z):
     """K0, K1, K2 on the cut plane; z is a checked complex array."""
     k0 = _scipy_kv(0, z)
     k1 = _scipy_kv(1, z)
-    k2 = k0 + (2.0 / z) * k1
+    k2 = k0 + k1 / (0.5 * z)
     # a nan in K0 or K1 reaches K2, so one test on K2 finds it
     if np.isnan(k2).any():
         bad = np.isnan(k0) | np.isnan(k1)

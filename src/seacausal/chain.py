@@ -45,11 +45,22 @@ def invariants_from_radial(t, r, eps_chain: float, m: float):
     r = np.asarray(r, dtype=float)
     e = eps_chain
     f, g, zeta = kernel_mod.kernel_fg_radial(t, r, RegKernelParams(m, e))
-    f2 = np.abs(f) ** 2
-    g2 = np.abs(g) ** 2
+    # products in real parts: numpy rounds complex products and powers
+    # and np.abs of complex values differently with the CPU's SIMD
+    # features and, past its temporary elision threshold of 16 384
+    # elements, with the batch size; real products, complex quotients and
+    # complex sqrt round the same everywhere, so a point's bits depend on
+    # its inputs alone
+    fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
+    f2 = fr * fr + fi * fi
+    g2 = gr * gr + gi * gi
+    p = fr * gr + fi * gi                          # f conj(g) = p + i q
+    q = fi * gr - fr * gi
     dot_conj = t * t + e * e - r * r               # xi_eps . conj(xi_eps)
     a = f2 * dot_conj + g2
-    b = (2.0 * np.real((f * np.conj(g)) ** 2 * (-zeta))
+    # Re((f conj(g))^2 (-zeta))
+    re_w2z = (q * q - p * p) * zeta.real + 2.0 * p * q * zeta.imag
+    b = (2.0 * re_w2z
          + 2.0 * f2 * g2 * dot_conj
          - 4.0 * f2 * f2 * e * e * r * r)
     return a, b

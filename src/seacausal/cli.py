@@ -134,20 +134,10 @@ def cmd_kernel(args) -> int:
 
 
 # grid points per chain.invariants_from_radial call in cone-scan.  The
-# last block also takes the remainder, so a block holds _SCAN_BLOCK to
-# 2 _SCAN_BLOCK - 1 points, or the whole grid when that is smaller.  A
-# block must not hold fewer than 16 384 points: from that size on numpy's
-# temporary elision reuses complex buffers, and below it b changes in its
-# last bits.  The block bounds the working set: a 501 x 501 scan peaks at
-# about 106 MB in one call and at about 61 MB in blocks of 16 384 (55 MB
-# of it the imports), at the same speed.
+# block bounds the working set: a 501 x 501 scan peaks at about 106 MB in
+# one call and at about 61 MB in blocks of 16 384 (55 MB of it the
+# imports), at the same speed.
 _SCAN_BLOCK = 16384
-
-
-def _scan_blocks(n):
-    """(start, stop) of the blocks of n grid points."""
-    starts = [i * _SCAN_BLOCK for i in range(max(1, n // _SCAN_BLOCK))]
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _scan_lines(ts, r_txt, start, a, b, cls, lag):
@@ -176,15 +166,17 @@ def cmd_cone_scan(args) -> int:
         raise ConfigError("--t-steps and --r-steps must be at least 1")
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rs = np.linspace(args.r_min, args.r_max, args.r_steps)
-    if ts.size * rs.size > 10 ** 7:
+    n = ts.size * rs.size
+    if n > 10 ** 7:
         raise ConfigError("grid too large (> 1e7 points)")
     r_txt = [repr(r) for r in rs.tolist()]
     header = ["schema_version", "t", "r", "a", "b", "class", "lagrangian"]
     fh, close = _open_output(cfg.output_path)
     try:
         fh.write(",".join(header) + "\n")
-        for start, stop in _scan_blocks(ts.size * rs.size):
-            row, col = np.divmod(np.arange(start, stop), rs.size)
+        for start in range(0, n, _SCAN_BLOCK):
+            row, col = np.divmod(
+                np.arange(start, min(start + _SCAN_BLOCK, n)), rs.size)
             a, b = chain.invariants_from_radial(
                 ts[row], rs[col], 2.0 * cfg.epsilon, cfg.mass)
             fh.writelines(_scan_lines(ts, r_txt, start, a, b,

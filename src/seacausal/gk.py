@@ -26,7 +26,7 @@ Batched evaluation.  The integrand is not called once per panel, nor
 once per root or sub-integral.  Each refinement is a generator that
 yields the panels it needs next; the driver gathers the pending panels
 of every root of every sub-integral and evaluates them in one integrand
-call (more only when they exceed _MAX_POINTS points).  When a popped
+call, however many points they hold.  When a popped
 panel's children have not been evaluated yet, they are requested
 together with the children of the next best panels on the heap, which
 the refinement will most likely split soon; later splits take them from
@@ -93,14 +93,6 @@ _WG7_ROW = _WG7.reshape(1, 7)
 # One step of one sub-integral needs at most 8 * 2 * 225 = 3600 points in
 # 2-D.
 _MAX_SPECULATION = 8
-
-# An integrand call carries at most this many points; a step that needs
-# more spills into further calls.  From 2**14 complex values (256 KiB) on,
-# numpy's temporary elision reuses a temporary's buffer in place, and that
-# changes the last bits of `(f * np.conj(g)) ** 2` in
-# chain.invariants_from_radial (for 5294 of 16 384 random points on x86),
-# so a point's value would depend on the size of its call.
-_MAX_POINTS = 2 ** 14 - 1
 
 
 class Problem(NamedTuple):
@@ -187,22 +179,10 @@ def _nodes(box):
             xh * yh, _reduce_2d)
 
 
-def _call(f, points):
-    """f at the points (a tuple of argument arrays), in calls of at most
-    _MAX_POINTS points."""
-    size = len(points[0])
-    if size <= _MAX_POINTS:
-        return np.asarray(f(*points))
-    return np.concatenate([
-        np.asarray(f(*(c[i:i + _MAX_POINTS] for c in points)))
-        for i in range(0, size, _MAX_POINTS)])
-
-
 def _evaluate(f, requests):
-    """Panels of several problems from one call of f (more only past
-    _MAX_POINTS points), in one array pass per dimension.  requests:
-    [(roots, keys)], keys [(root, box), ...]; returns, per request,
-    [(value, errs), ...] in the order of its keys.
+    """Panels of several problems from one call of f, in one array pass
+    per dimension.  requests: [(roots, keys)], keys [(root, box), ...];
+    returns, per request, [(value, errs), ...] in the order of its keys.
 
     The pending panels are grouped by request, then by root, and stacked
     by dimension in that order: one `_nodes` call per dimension builds
@@ -232,8 +212,8 @@ def _evaluate(f, requests):
         a, jac = (nodes, None) if chart is None else chart(*nodes)
         args.append(a)
         jacs.append(jac)
-    values = _call(f, [c[0] if len(c) == 1 else np.concatenate(c)
-                       for c in zip(*args)])
+    values = np.asarray(f(*(c[0] if len(c) == 1 else np.concatenate(c)
+                            for c in zip(*args))))
     parts = {dim: [] for dim in built}
     start = 0
     for (_, _, _, dim, _), a, jac in zip(groups, args, jacs):
@@ -330,10 +310,10 @@ def integrate_many(f, problems):
 
     f maps the charts' argument arrays to an array (npts,) or (npts, k).
     Each step evaluates the panels every unfinished problem needs next in
-    one call of f (more only past _MAX_POINTS points); a problem stops on
-    its own tolerance or panel cap.  Deterministic: a problem's panels
-    are accumulated in a fixed order (root, then geometry) at the end, in
-    1-D left to right and in 2-D by np.sum.
+    one call of f; a problem stops on its own tolerance or panel cap.
+    Deterministic: a problem's panels are accumulated in a fixed order
+    (root, then geometry) at the end, in 1-D left to right and in 2-D by
+    np.sum.
     """
     runs = [_refine([(n, tuple(box)) for n, (box, _) in enumerate(p.roots)],
                     p.tol_abs, p.tol_rel, p.max_panels) for p in problems]

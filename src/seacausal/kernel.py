@@ -106,7 +106,8 @@ def kernel_fg_radial(t, r, params: RegKernelParams):
     """F, G and -xi_eps^2 as functions of (xi^0, |xi_vec|) only."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    zeta = -((t + 1j * params.eps) ** 2) + r * r
+    e = params.eps
+    zeta = (r * r - t * t + e * e) - 2j * e * t
     f, g = scalar_FG(zeta, params.m)
     return f, g, zeta
 

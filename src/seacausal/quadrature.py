@@ -155,10 +155,16 @@ def p_norm_radial(t, r, eps_chain: float, m: float):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     # P^H P has doubled eigenvalues mu1, mu1, mu2, mu2 with
-    # mu1 + mu2 = tr(P^H P)/2 and mu1 mu2 = |det P| = |g^2 + f^2 zeta|^2
-    quarter_tr = (np.abs(f) ** 2 * (t * t + eps_chain * eps_chain + r * r)
-                  + np.abs(g) ** 2)
-    absdet = np.abs(g * g + f * f * zeta) ** 2
+    # mu1 + mu2 = tr(P^H P)/2 and mu1 mu2 = |det P| = |g^2 + f^2 zeta|^2,
+    # in real parts as in chain.invariants_from_radial
+    fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
+    fr2, fi2, gr2, gi2 = fr * fr, fi * fi, gr * gr, gi * gi
+    quarter_tr = ((fr2 + fi2) * (t * t + eps_chain * eps_chain + r * r)
+                  + (gr2 + gi2))
+    f2r, f2i = fr2 - fi2, 2.0 * fr * fi            # f^2
+    det_r = gr2 - gi2 + f2r * zeta.real - f2i * zeta.imag
+    det_i = 2.0 * gr * gi + f2r * zeta.imag + f2i * zeta.real
+    absdet = det_r * det_r + det_i * det_i
     mu_max = quarter_tr + np.sqrt(np.maximum(quarter_tr ** 2 - absdet, 0.0))
     return np.sqrt(mu_max)
 
@@ -191,7 +197,8 @@ def _integrand_factory(kind: str, params: kernel.RegKernelParams,
     if kind == "p4":
         def f(t, r):
             w = 4.0 * np.pi * r * r
-            return (w * p_norm_radial(t, r, ec, m) ** 4)[:, None]
+            p2 = p_norm_radial(t, r, ec, m) ** 2
+            return (w * (p2 * p2))[:, None]
         return f
     if kind == "lagrangian":
         def f(t, r):

@@ -9,6 +9,7 @@ from seacausal import spinor
 from seacausal.chain import (CausalClass, class_codes, closed_chain,
                              invariants_from_radial, lagrangian_of_b)
 from seacausal.kernel import RegKernelParams
+from seacausal.quadrature import p_norm_radial
 
 EIG_REL_TOL = 1e-8
 PARAMS = RegKernelParams(1.0, 0.1)
@@ -144,6 +145,26 @@ class TestInvariantProperties:
                                   CausalClass.Lightlike.value,
                                   CausalClass.Timelike.value,
                                   CausalClass.Spacelike.value]
+
+
+class TestBlockIndependence:
+    @pytest.mark.parametrize("block", [1000, 16383, 16384, 40000])
+    def test_bits_do_not_depend_on_the_block(self, block):
+        # a point's b and |P| are the bits of one call over the whole grid
+        # at any block size, on both sides of the 16 384 elements where
+        # numpy's temporary elision starts to reuse buffers
+        tt, rr = np.meshgrid(np.linspace(-2.0, 2.0, 229),
+                             np.linspace(0.0, 2.0, 251), indexing="ij")
+        t, r = tt.ravel(), rr.ravel()
+        whole = (invariants_from_radial(t, r, 0.1, 1.0)[1],
+                 p_norm_radial(t, r, 0.1, 1.0))
+        blocks = [(invariants_from_radial(t[i:i + block], r[i:i + block],
+                                          0.1, 1.0)[1],
+                   p_norm_radial(t[i:i + block], r[i:i + block], 0.1, 1.0))
+                  for i in range(0, t.size, block)]
+        for n, one in enumerate(whole):
+            assert np.concatenate([b[n] for b in blocks]).tobytes() \
+                == one.tobytes()
 
 
 def two_operator_chain(x, y, eps1, eps2):

@@ -409,22 +409,26 @@ class TestDriver:
         for run, problem in zip(got, problems):
             assert_bitwise(run, self.separate(f, problem))
 
-    def test_calls_stay_below_the_elision_threshold(self):
-        # sixteen sub-integrals at full speculation width ask for 16 * 16
-        # * 225 = 57 600 points a step; every call stays below 2**14
-        # points, where numpy's temporary elision would change the last
-        # bits of the chain invariants, and the answers do not move
+    def test_one_call_per_step(self):
+        # sixteen sub-integrals of sixteen roots each ask for 16 * 16 * 225
+        # = 57 600 points in their first step, all in one call, and each
+        # replays its run alone bitwise
         sizes = []
 
         def f(t, r):
             sizes.append(t.size)
             return (np.abs(t - r) ** 0.3)[:, None]
-        problems = [gk.Problem([((0.0, 1.0 + 0.125 * n, 0.0, 1.0), None)],
-                               0.0, 101) for n in range(16)]
+        problems = []
+        for n in range(16):
+            ts = np.linspace(0.0, 1.0 + 0.125 * n, 5)
+            rs = np.linspace(0.0, 1.0, 5)
+            problems.append(gk.Problem(
+                [((t0, t1, r0, r1), None) for t0, t1 in zip(ts, ts[1:])
+                 for r0, r1 in zip(rs, rs[1:])], 0.0, 100))
         got = gk.integrate_many(f, problems)
-        assert max(sizes) == gk._MAX_POINTS < 2 ** 14
+        assert sizes[0] == 16 * 16 * 225
         for run, problem in zip(got, problems):
-            assert run[2] == 101
+            assert run[2] == 100
             assert_bitwise(run, self.separate(f, problem))
 
     def test_roots_share_a_call(self):

@@ -22,7 +22,7 @@ PARAMS = RegKernelParams(1.0, 0.1)
 FROZEN_P4 = 0.00426808495487714
 # the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
 # and panel count
-FROZEN_P4_EXACT = 0.00426808495487714
+FROZEN_P4_EXACT = 0.004268084954877138
 FROZEN_P4_PANELS = 20
 # the Lagrangian's interior panel count at eps = 0.1, on its partition
 # cut along the kink b = 0
@@ -30,7 +30,7 @@ FROZEN_LAGRANGIAN_PANELS = 9
 # the independent "lagrangian@0.1" of bench/refs.json reads
 # 6.139239596111072e-07 (this value -1.14e-4 relative from it), and a
 # tol-1e-4 run on the cone partition 6.139153439036922e-07
-FROZEN_LAGRANGIAN = 6.138539304798649e-07
+FROZEN_LAGRANGIAN = 6.138539304798652e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
