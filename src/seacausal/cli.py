@@ -45,7 +45,7 @@ from .config import ConfigError, load_config  # noqa: E402
 from .kernel import RegKernelParams  # noqa: E402
 from .quadrature import QuadratureError  # noqa: E402
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -78,17 +78,9 @@ def _fmt(x) -> str:
 
 
 def _config_from_args(args) -> "RunConfig":
-    overrides = {
-        "mass": args.mass,
-        "epsilon": args.epsilon,
-        "region_lambda": args.region_lambda,
-        "quad_rel_tol": args.quad_rel_tol,
-        "quad_max_panels": args.quad_max_panels,
-        "truncation_T": args.truncation_T,
-        "truncation_R": args.truncation_R,
-        "seed": args.seed,
-        "output_path": args.output,
-    }
+    overrides = {key: getattr(args, key, None) for key in (
+        "mass", "epsilon", "quad_rel_tol", "quad_max_panels",
+        "truncation_T", "truncation_R", "seed", "output_path")}
     return load_config(args.config, overrides)
 
 
@@ -190,7 +182,7 @@ def cmd_cone_scan(args) -> int:
 
 def _report_row(rep: quadrature.QuadratureReport, timing: bool):
     return [SCHEMA_VERSION, rep.integral_name, _fmt(rep.m),
-            _fmt(rep.epsilon), _fmt(rep.lambda_region), _fmt(rep.value),
+            _fmt(rep.epsilon), _fmt(rep.value),
             _fmt(rep.abs_error_estimate), _fmt(rep.truncation_radius),
             _fmt(rep.tail_bound), str(rep.regions_evaluated),
             _fmt(rep.wall_time if timing else 0.0)]
@@ -198,8 +190,7 @@ def _report_row(rep: quadrature.QuadratureReport, timing: bool):
 
 def _quad_kwargs(cfg) -> dict:
     """The certified integrals' keywords from the run configuration."""
-    return dict(tol=cfg.quad_rel_tol, lam=cfg.region_lambda,
-                T=cfg.truncation_T, R=cfg.truncation_R,
+    return dict(tol=cfg.quad_rel_tol, T=cfg.truncation_T, R=cfg.truncation_R,
                 max_panels=cfg.quad_max_panels)
 
 
@@ -214,9 +205,8 @@ def cmd_integrate(args) -> int:
         rep = quadrature.integrate_lagrangian(params, **kwargs)
     else:
         rep = quadrature.ell_varied(args.lambda_var, params, **kwargs)
-    header = ["schema_version", "integral_name", "m", "epsilon",
-              "lambda_region", "value", "abs_err", "trunc_radius",
-              "tail_bound", "panels", "seconds"]
+    header = ["schema_version", "integral_name", "m", "epsilon", "value",
+              "abs_err", "trunc_radius", "tail_bound", "panels", "seconds"]
     _write_rows(cfg.output_path, header, [_report_row(rep, args.timing)])
     return EXIT_OK
 
@@ -291,23 +281,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INVARIANT
 
 
-def _add_common(sub) -> None:
+def _add_model(sub, quadrature: bool = False) -> None:
+    """--config, --mass, --epsilon and --output, and with quadrature the
+    certified integrals' four flags; each dest is its config key."""
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--mass", type=float, default=None)
     sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--region-lambda", dest="region_lambda", type=float,
-                     default=None)
-    sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float,
-                     default=None)
-    sub.add_argument("--quad-max-panels", dest="quad_max_panels", type=int,
-                     default=None)
-    sub.add_argument("--truncation-T", dest="truncation_T", type=float,
-                     default=None)
-    sub.add_argument("--truncation-R", dest="truncation_R", type=float,
-                     default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--output", "-o", default=None,
-                     help="output CSV path ('-' for stdout)")
+    if quadrature:
+        sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float,
+                         default=None)
+        sub.add_argument("--quad-max-panels", dest="quad_max_panels",
+                         type=int, default=None)
+        sub.add_argument("--truncation-T", dest="truncation_T", type=float,
+                         default=None)
+        sub.add_argument("--truncation-R", dest="truncation_R", type=float,
+                         default=None)
+    sub.add_argument("--output", "-o", dest="output_path", metavar="PATH",
+                     default=None, help="output CSV path ('-' for stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("kernel", help="evaluate the kernel at displacements")
-    _add_common(s)
+    _add_model(s)
     s.add_argument("--xi", action="append",
                    help="displacement t,x,y,z (repeatable)")
     s.set_defaults(func=cmd_kernel)
 
     s = subs.add_parser("cone-scan",
                         help="causal classification on a (t, r) grid")
-    _add_common(s)
+    _add_model(s)
     s.add_argument("--t-min", type=float, default=-2.0)
     s.add_argument("--t-max", type=float, default=2.0)
     s.add_argument("--t-steps", type=int, default=41)
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_cone_scan)
 
     s = subs.add_parser("integrate", help="certified space-time integrals")
-    _add_common(s)
+    _add_model(s, quadrature=True)
     s.add_argument("which", choices=["p4", "lagrangian", "ell"])
     s.add_argument("--lambda-var", dest="lambda_var", type=float,
                    default=0.0, help="regularization shift for 'ell'")
@@ -344,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_integrate)
 
     s = subs.add_parser("holder", help="regularization-rescaling sweep")
-    _add_common(s)
+    _add_model(s, quadrature=True)
     s.add_argument("--lambda-list", default=None,
                    help="comma-separated shifts (default: eps-scaled decade)")
     s.set_defaults(func=cmd_holder)
 
     s = subs.add_parser("em", help="first-order electromagnetic perturbation")
-    _add_common(s)
+    _add_model(s)
     s.add_argument("--x", action="append", help="base point t,x,y,z")
     s.add_argument("--z1", default="-0.3,0.1,0.0,-0.2")
     s.add_argument("--z2", default="-0.2,-0.1,0.2,0.0")
@@ -367,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_em)
 
     s = subs.add_parser("verify", help="run a property suite")
-    _add_common(s)
+    s.add_argument("--config", default=None, help="key=value config file")
+    s.add_argument("--seed", type=int, default=None)
     s.add_argument("suite", help="suite name or 'all'")
     s.set_defaults(func=cmd_verify)
     return parser

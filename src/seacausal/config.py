@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .quadrature import check_region_lambda
-
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration (CLI exit code 2)."""
@@ -16,7 +14,6 @@ class ConfigError(ValueError):
 class RunConfig:
     mass: float = 1.0
     epsilon: float = 0.1
-    region_lambda: float = 0.85
     quad_rel_tol: float = 0.005
     quad_max_panels: int = 20000
     truncation_T: float = 40.0
@@ -33,10 +30,6 @@ class RunConfig:
             raise ConfigError("mass must be positive")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
-        try:
-            check_region_lambda(self.region_lambda)
-        except ValueError as exc:
-            raise ConfigError("region_lambda: %s" % exc) from exc
         if not self.quad_rel_tol > 0:
             raise ConfigError("quad_rel_tol must be positive")
         if self.quad_max_panels < 1:

@@ -47,9 +47,9 @@ batch of `gk.integrate_many` sub-integrals, one integrand call per
 refinement step for all of them, and then the two zones, whose
 tolerance needs the interior's value, as a second batch.
 
-Also houses the light-cone region decomposition C0, C1+, C1-, C2, the
-exact decay exponent Re sqrt(-xi_eps^2), and its proof-level lower
-bounds on C1- and C2.
+Also houses the exact decay exponent Re sqrt(-xi_eps^2) and the paper's
+decay lemma, its lower bounds on the regions C1- and C2
+(`decay_lower_bound`), which `verify geometry` checks.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -89,40 +88,13 @@ _CORNER = 3.0
 # eps = 0.1, against estimates of 1.6e-7
 _KINK_NODES = 16
 _KINK_STEPS = 16
+# the tail's reach across the cone r = t: the zones run out to r = 4T /
+# _TAIL_REACH + T/20 at least, the cross-section at t to t / _TAIL_REACH + T/8
+_TAIL_REACH = 0.85
 
 
 class QuadratureError(RuntimeError):
     """Budget exhausted or tail estimate failed to converge."""
-
-
-class RegionTag(Enum):
-    C0 = "C0"
-    C1plus = "C1plus"
-    C1minus = "C1minus"
-    C2 = "C2"
-
-
-def check_region_lambda(lam: float) -> None:
-    """The region parameter lambda of C0, C1+, C1-, C2 lies in (1/2, 1)."""
-    if not 0.5 < lam < 1.0:
-        raise ValueError("region parameter must lie in (1/2, 1)")
-
-
-def region_classify_radial(t: float, r: float, lam: float) -> RegionTag:
-    check_region_lambda(lam)
-    t = abs(t)
-    if t == 0:
-        raise ValueError("region decomposition needs t != 0")
-    if r >= t / lam:
-        return RegionTag.C2
-    if r >= t:
-        return RegionTag.C1minus
-    # r < t from here on
-    if t >= 1.0:
-        edge = np.sqrt(max(t * t - t ** (2.0 * lam), 0.0))
-        if r <= edge:
-            return RegionTag.C0
-    return RegionTag.C1plus
 
 
 def exponent_exact(t, r, eps: float):
@@ -134,17 +106,28 @@ def exponent_exact(t, r, eps: float):
     return np.sqrt(0.5 * (abs_z + re_z))
 
 
-def decay_lower_bound(xi, eps: float, lam: float) -> float:
-    """Proof-level lower bound for Re sqrt(-xi_eps^2) on C1- (t >= 1) and C2."""
-    xi = np.asarray(xi, dtype=float)
-    t = abs(float(xi[0]))
-    r = float(np.linalg.norm(xi[1:]))
-    tag = region_classify_radial(t, r, lam)
-    if tag is RegionTag.C2:
-        return float(np.sqrt(0.5 * (2.0 * eps * t + (1.0 - lam * lam) * r * r)))
-    if tag is RegionTag.C1minus and t >= 1.0:
-        return float(np.sqrt(eps) * t ** (1.0 - lam))
-    raise ValueError("no proof-level constant on region %s" % tag.value)
+def decay_lower_bound(t, r, eps: float, lam: float):
+    """The decay lemma's lower bounds for Re sqrt(-xi_eps^2) at (t, r) =
+    (xi^0, |xi_vec|), with the region parameter lam in (1/2, 1); all four
+    arguments broadcast.
+
+    On C2 (r >= |t| / lam) the bound is sqrt((2 eps |t| + (1 - lam^2)
+    r^2) / 2), on C1- (|t| <= r < |t| / lam) with |t| >= 1 it is
+    sqrt(eps) |t|^(1 - lam), and elsewhere (C0, C1+ and C1- with |t| < 1)
+    the lemma gives no constant and the result is nan.  The regions need
+    t != 0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((0.5 < lam) & (lam < 1.0)):
+        raise ValueError("region parameter must lie in (1/2, 1)")
+    t = np.abs(np.asarray(t, dtype=float))
+    if np.any(t == 0.0):
+        raise ValueError("region decomposition needs t != 0")
+    r = np.asarray(r, dtype=float)
+    c2 = np.sqrt(0.5 * (2.0 * eps * t + (1.0 - lam * lam) * r * r))
+    c1_minus = np.sqrt(eps) * t ** (1.0 - lam)
+    return np.where(r >= t / lam, c2,
+                    np.where((r >= t) & (t >= 1.0), c1_minus, np.nan))[()]
 
 
 def p_norm_radial(t, r, eps_chain: float, m: float):
@@ -174,7 +157,6 @@ class QuadratureReport:
     integral_name: str
     m: float
     epsilon: float
-    lambda_region: float
     value: float
     abs_error_estimate: float
     truncation_T: float
@@ -435,14 +417,14 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
     return roots
 
 
-def _tail_geometry(T: float, R: float, lam: float):
+def _tail_geometry(T: float, R: float):
     """The tail's lengths, all scaling with T: the zones' outer ends 4T
     and Rbig, their cone band's half-width delta, and the abscissae of
     the closures' cross-sections, ts (in t, beyond 4T) and rs (in r,
     beyond Rbig)."""
     T2 = 4.0 * T
     # margins of 2, 5 and 1 at the default T = 40, scaled with T
-    Rbig = max(4.0 * R, T2 / lam + T / 20.0)
+    Rbig = max(4.0 * R, T2 / _TAIL_REACH + T / 20.0)
     delta = T / 40.0
     # along-cone closure beyond t = 4T: s(t) ~ A exp(-k sqrt(t)), sampled
     # at ts; sideways closure beyond r = Rbig: q(r) ~ A exp(-k r), at rs
@@ -451,29 +433,30 @@ def _tail_geometry(T: float, R: float, lam: float):
     return T2, Rbig, delta, ts, rs
 
 
-def _tail_zones(T: float, R: float, lam: float, tol_abs: float):
+def _tail_zones(T: float, R: float, tol_abs: float):
     """The two extension zones as gk problems: [T, 4T] x [0, Rbig] (the
     t-zone) and [0, T] x [R, Rbig] (the r-zone), each one sub-integral on
     the cone-aligned roots of `_cone_roots`, refined from one heap to the
     absolute tolerance tol_abs or 800 panels."""
-    T2, Rbig, delta, _, _ = _tail_geometry(T, R, lam)
+    T2, Rbig, delta, _, _ = _tail_geometry(T, R)
     return [gk.Problem(_cone_roots(*box, delta), tol_abs, 800)
             for box in ((T, T2, 0.0, Rbig), (0.0, T, R, Rbig))]
 
 
-def _tail_sections(T: float, R: float, lam: float, tol_rel: float):
+def _tail_sections(T: float, R: float, tol_rel: float):
     """The closures' eight 1-D cross-sections as gk problems: four at
-    fixed t = ts over r in [0, t / lam + T/8], each cut at r = t - delta,
-    t and t + delta (clipped to the range, as `_cone_roots` cuts the
-    zones), so the ridge along the cone lies on root edges; and four at
+    fixed t = ts over r in [0, t / _TAIL_REACH + T/8], each cut at r =
+    t - delta, t and t + delta (clipped to the range, as `_cone_roots`
+    cuts the zones), so the ridge along the cone lies on root edges; and
+    four at
     fixed r = rs over t in [0, 4T].  Each is refined until its error is
     at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches 40
     panels: a log-linear fit needs no more, and a sample below the
     floor, which the fit drops, stops at its roots."""
-    T2, _, delta, ts, rs = _tail_geometry(T, R, lam)
+    T2, _, delta, ts, rs = _tail_geometry(T, R)
     problems = []
     for tj in ts:
-        hi = tj / lam + T / 8.0
+        hi = tj / _TAIL_REACH + T / 8.0
         cuts = [0.0] + [c for c in (tj - delta, tj, tj + delta)
                         if 0.0 < c < hi] + [hi]
         chart = _section_chart(t=tj)
@@ -485,7 +468,7 @@ def _tail_sections(T: float, R: float, lam: float, tol_rel: float):
     return problems
 
 
-def _tail_estimate(T: float, R: float, lam: float, zones, sections):
+def _tail_estimate(T: float, R: float, zones, sections):
     """The tail beyond the interior [0, T] x [0, R] (t >= 0 quarter), from
     the gk results (value, err, count) of `_tail_zones` and of
     `_tail_sections`.
@@ -497,7 +480,7 @@ def _tail_estimate(T: float, R: float, lam: float, zones, sections):
     value (which belongs to the integral, not to the bound) and error,
     the fitted closures and the 2-D and 1-D panel counts.
     """
-    T2, Rbig, _, ts, rs = _tail_geometry(T, R, lam)
+    T2, Rbig, _, ts, rs = _tail_geometry(T, R)
     zone_t, zone_r = zones
     samples = [max(float(np.real(v[0])), 0.0) for v, _, _ in sections]
     svals, qvals = samples[:len(ts)], samples[len(ts):]
@@ -533,7 +516,7 @@ def _tail_estimate(T: float, R: float, lam: float, zones, sections):
 
 
 def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
-                 lam: float, T: float, R: float, max_panels: int,
+                 T: float, R: float, max_panels: int,
                  eps_chain: float | None = None, name: str | None = None):
     """The certified integral of the integrand `kind` on up to three
     attempts, T and R growing 1.6x after each that misses tol.
@@ -548,7 +531,6 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    check_region_lambda(lam)
     start = time.perf_counter()
     ec = 2.0 * params.eps if eps_chain is None else eps_chain
     f = _integrand_factory(kind, params, ec)
@@ -560,11 +542,11 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                  else _lagrangian_roots(T, R, ec, params.m))
         (vvec, err, count), *sections = gk.integrate_many(
             f, [gk.Problem(roots, 0.0, max_panels, 0.5 * tol)]
-            + _tail_sections(T, R, lam, _TAIL_ZONE_SHARE * tol))
+            + _tail_sections(T, R, _TAIL_ZONE_SHARE * tol))
         interior = float(np.real(vvec[0]))
         zones = gk.integrate_many(f, _tail_zones(
-            T, R, lam, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300)))
-        tail, tail_info = _tail_estimate(T, R, lam, zones, sections)
+            T, R, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300)))
+        tail, tail_info = _tail_estimate(T, R, zones, sections)
         panels["interior_panels"] += count
         for key in ("tail_panels_2d", "tail_panels_1d"):
             panels[key] += tail_info[key]
@@ -591,35 +573,35 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                   attempts=attempt + 1)
     return QuadratureReport(
         integral_name=name or kind, m=params.m, epsilon=params.eps,
-        lambda_region=lam, value=value, abs_error_estimate=err_total,
+        value=value, abs_error_estimate=err_total,
         truncation_T=T, truncation_R=R, tail_bound=tail_total,
         regions_evaluated=count, wall_time=time.perf_counter() - start,
         extras=extras)
 
 
 def integrate_p4(params: kernel.RegKernelParams, tol: float = 0.005,
-                 lam: float = 0.85, T: float = 40.0, R: float = 48.0,
+                 T: float = 40.0, R: float = 48.0,
                  max_panels: int = 20000) -> QuadratureReport:
     """int_{R^4} |P^{2eps}(0,xi)|_2^4 d^4 xi."""
-    return _run_reduced("p4", params, tol, lam, T, R, max_panels)
+    return _run_reduced("p4", params, tol, T, R, max_panels)
 
 
 def integrate_lagrangian(params: kernel.RegKernelParams, tol: float = 0.005,
-                         lam: float = 0.85, T: float = 40.0, R: float = 48.0,
+                         T: float = 40.0, R: float = 48.0,
                          max_panels: int = 20000) -> QuadratureReport:
     """int L(0, xi) d^4 xi."""
-    return _run_reduced("lagrangian", params, tol, lam, T, R, max_panels)
+    return _run_reduced("lagrangian", params, tol, T, R, max_panels)
 
 
 def ell_varied(lam_var: float, params: kernel.RegKernelParams,
-               tol: float = 0.005, lam: float = 0.85, T: float = 40.0,
-               R: float = 48.0, max_panels: int = 20000) -> QuadratureReport:
+               tol: float = 0.005, T: float = 40.0, R: float = 48.0,
+               max_panels: int = 20000) -> QuadratureReport:
     """Integrated Lagrangian of the eps-rescaled variation: the chain of
     F^{eps+lam_var}(x) with the vacuum F^{eps}(y) carries effective
     regularization 2 eps + lam_var."""
     if params.eps + lam_var <= 0:
         raise ValueError("varied regularization must stay positive")
-    return _run_reduced("lagrangian", params, tol, lam, T, R, max_panels,
+    return _run_reduced("lagrangian", params, tol, T, R, max_panels,
                         eps_chain=2.0 * params.eps + lam_var,
                         name="ell(%g)" % lam_var)
 

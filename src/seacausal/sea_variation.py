@@ -73,7 +73,7 @@ def holder_sweep(lam_list, params: RegKernelParams, **quad):
 
     lam_list None sweeps the default decade of shifts, +-0.2, +-0.1,
     +-0.05 and +-0.025 eps.  quad holds the certified integrals' keywords
-    (tol, lam, T, R, max_panels), passed to `integrate_lagrangian` and
+    (tol, T, R, max_panels), passed to `integrate_lagrangian` and
     `ell_varied`.  Returns (rows, fit) with fit = {alpha, intercept, r2}.
     """
     if lam_list is None:

@@ -291,20 +291,13 @@ def suite_geometry(seed=12345, n=10000):
     dev = float(np.max(np.abs(direct - ours) / (np.abs(direct) + 1e-30)))
     out.append(("exponent_identity", dev <= 1e-12, "max rel %.2e" % dev))
 
-    lam = 0.85
-    bad = 0
-    checked = 0
-    for i in range(n):
-        ti, ri = abs(t[i]) + 1e-6, r[i]
-        tag = quadrature.region_classify_radial(ti, ri, lam)
-        if tag is quadrature.RegionTag.C2 or (
-                tag is quadrature.RegionTag.C1minus and ti >= 1.0):
-            checked += 1
-            lb = quadrature.decay_lower_bound(
-                np.array([ti, ri, 0.0, 0.0]), eps, lam)
-            ex = float(quadrature.exponent_exact(ti, ri, eps))
-            if lb > ex + 1e-12:
-                bad += 1
+    # the lemma's constants at lambda = 0.85, where it gives one
+    ta = np.abs(t) + 1e-6
+    bound = quadrature.decay_lower_bound(ta, r, eps, 0.85)
+    has = np.isfinite(bound)
+    checked = int(np.count_nonzero(has))
+    bad = int(np.count_nonzero(
+        bound[has] > quadrature.exponent_exact(ta[has], r[has], eps) + 1e-12))
     out.append(("proof_lower_bounds", bad == 0,
                 "%d/%d region samples, %d violations" % (checked, n, bad)))
     return out

@@ -46,8 +46,8 @@ def scan_bytes(ts, rs, eps_chain):
     for t, r, ai, bi, cls, lag in zip(
             tt.ravel().tolist(), rr.ravel().tolist(), a.tolist(),
             b.tolist(), classes, lagrangian_of_b(b).tolist()):
-        writer.writerow(["1", repr(t), repr(r), repr(ai), repr(bi), cls,
-                         repr(lag)])
+        writer.writerow([cli.SCHEMA_VERSION, repr(t), repr(r), repr(ai),
+                         repr(bi), cls, repr(lag)])
     return ref.getvalue().encode("utf-8")
 
 
@@ -69,8 +69,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(mass=-1.0).validate()
         with pytest.raises(ConfigError):
-            RunConfig(region_lambda=0.5).validate()
-        with pytest.raises(ConfigError):
             RunConfig(quad_rel_tol=0.0).validate()
         for key in ("mass", "epsilon", "quad_rel_tol", "truncation_T",
                     "truncation_R"):
@@ -78,11 +76,18 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=key):
                     RunConfig(**{key: bad}).validate()
 
-    def test_region_lambda_range(self):
-        RunConfig(region_lambda=0.6).validate()
-        for bad in (0.5, 1.0):
-            with pytest.raises(ConfigError):
-                RunConfig(region_lambda=bad).validate()
+    def test_region_lambda_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integrate", "p4", "--region-lambda", "0.85"])
+        assert exc.value.code == 2
+        assert "--region-lambda" in capsys.readouterr().err
+
+    def test_region_lambda_key_removed(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("region_lambda = 0.85\n")
+        assert cli.main(["integrate", "p4", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "region_lambda" in err
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -237,8 +242,9 @@ class TestConeScanCommand:
         for row, t, r, ai, bi in zip(rows, tt.ravel().tolist(),
                                      rr.ravel().tolist(), a.tolist(),
                                      b.tolist()):
-            assert row[:5] + row[6:] == ["1", repr(t), repr(r), repr(ai),
-                                         repr(bi), repr(4.0 * max(bi, 0.0))]
+            assert row[:5] + row[6:] == [
+                cli.SCHEMA_VERSION, repr(t), repr(r), repr(ai), repr(bi),
+                repr(4.0 * max(bi, 0.0))]
             band = abs(bi) <= LIGHTLIKE_BAND * (ai * ai + 1.0)
             assert row[5] == ("L" if band else chain_class(t, r, 0.1))
         assert {row[5] for row in rows} == {"T", "S", "L"}
@@ -430,6 +436,75 @@ class TestVerifyCommand:
         res = run_cli("verify", "geometry")
         assert res.returncode == 0
         assert "PASS" in res.stdout and "FAIL" not in res.stdout
+
+
+class TestSubcommandFlags:
+    # each subcommand takes only the flags it reads: argparse rejects the
+    # others with exit code 2 instead of running without them
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bessel", "--epsilon", "0.3"],
+        ["verify", "bessel", "--mass", "2"],
+        ["verify", "bessel", "--quad-rel-tol", "0.01"],
+        ["verify", "bessel", "-o", "out.csv"],
+        ["kernel", "--seed", "1"],
+        ["kernel", "--truncation-T", "20"],
+        ["cone-scan", "--quad-max-panels", "10"],
+        ["em", "--seed", "1"],
+        ["integrate", "p4", "--seed", "1"],
+        ["holder", "--seed", "1"]], ids=" ".join)
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_keys_stay_shared(self, tmp_path, capsys):
+        # a config file may set any key for any subcommand
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nquad_rel_tol = 0.01\nepsilon = 0.3\n")
+        assert cli.main(["kernel", "--config", str(path)]) == 0
+        assert cli.main(["verify", "geometry", "--config", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+
+class TestMassScaling:
+    # P_m^eps(xi) = m^3 P_1^{m eps}(m xi): at m = 2 with eps, T and R
+    # halved, each integral is 2^8 times the m = 1 one.  A power of two
+    # keeps every node and Bessel argument exact, so values, interior
+    # errors and panels agree bitwise; the tail closures' log and exp do
+    # not scale exactly
+    M2 = ["--mass", "2", "--epsilon", "0.05", "--truncation-T", "20",
+          "--truncation-R", "24"]
+
+    @staticmethod
+    def rows(argv, capsys):
+        assert cli.main(argv) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        return [{k: float(v) for k, v in zip(header, row)
+                 if k != "integral_name"} for row in rows]
+
+    @pytest.mark.parametrize("which", ["p4", "lagrangian"])
+    def test_integrate(self, which, capsys):
+        (one,) = self.rows(["integrate", which], capsys)
+        (two,) = self.rows(["integrate", which] + self.M2, capsys)
+        for key in ("value", "abs_err"):
+            assert two[key] == 2.0 ** 8 * one[key], key
+        assert two["trunc_radius"] == 0.5 * one["trunc_radius"]
+        assert two["panels"] == one["panels"]
+        assert two["tail_bound"] == pytest.approx(
+            2.0 ** 8 * one["tail_bound"], rel=1e-12, abs=0.0)
+
+    def test_holder(self, capsys):
+        ones = self.rows(["holder", "--lambda-list=0,0.02"], capsys)
+        twos = self.rows(["holder", "--lambda-list=0,0.01"] + self.M2,
+                         capsys)
+        assert len(ones) == len(twos) == 2
+        for one, two in zip(ones, twos):
+            assert two["lambda"] == 0.5 * one["lambda"]
+            for key in ("ell_value", "dEll"):
+                assert two[key] == 2.0 ** 8 * one[key], key
+            assert two["dF_norm"] == pytest.approx(
+                2.0 ** 3 * one["dF_norm"], rel=1e-12, abs=0.0)
 
 
 class TestHelp:

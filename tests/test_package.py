@@ -46,21 +46,58 @@ def _references(tree):
                 yield alias.name.rpartition(".")[2], node
 
 
+# the names only verify.py calls, each with the reason it stays in the
+# library; any other such name has no caller but its own check
+_ABSTRACT = "subject of verify abstract until the sea's operators use it"
+VERIFY_ONLY = {
+    "kernel.kernel_p_momentum_oracle": "oracle: the kernel by its "
+                                       "momentum integral",
+    "quadrature.mc_p4_at_x": "oracle: int |P|^4 by Monte Carlo at a "
+                             "moved base point",
+    "chain.closed_chain": "oracle: the 4x4 closed chain behind the radial "
+                          "invariants",
+    "sea_variation.product_coefficient_matrix": "oracle: the chain of two "
+                                                "regularizations",
+    "kernel.kernel_matrix_batch": "the matrix route, oracle of the radial "
+                                  "path",
+    "quadrature.exponent_exact": "the paper's decay lemma",
+    "quadrature.decay_lower_bound": "the paper's decay lemma",
+    "gk.integrate_2d": "verify's second partition of the integrals; also "
+                       "called by bench/make_refs.py",
+    "abstract_cfs.ordered_spectrum": _ABSTRACT,
+    "abstract_cfs.regular_perturbation": _ABSTRACT,
+    "abstract_cfs.admissibility_bounds": _ABSTRACT,
+    "abstract_cfs.local_representation": _ABSTRACT,
+    "abstract_cfs.random_regular_operator": _ABSTRACT,
+}
+
+
 def test_every_public_name_has_a_caller():
+    """Each public name outside verify.py has a caller in the library
+    other than verify.py, or is listed in VERIFY_ONLY, and each listed
+    name is still reached from verify.py alone."""
     trees = {p.stem: ast.parse(p.read_text(), str(p))
              for p in sorted(SRC.glob("*.py"))}
     uses = {}
     for module, tree in trees.items():
         for name, node in _references(tree):
             uses.setdefault(name, []).append((module, node))
-    orphans = []
+    orphans, verify_only = [], set()
     for module, tree in trees.items():
         for name, definition in _public_definitions(tree):
             inside = {id(n) for n in ast.walk(definition)}
-            if not any(m != module or id(n) not in inside
-                       for m, n in uses.get(name, [])):
+            callers = {m for m, n in uses.get(name, [])
+                       if m != module or id(n) not in inside}
+            if not callers:
                 orphans.append("%s.%s" % (module, name))
+            elif callers == {"verify"} and module != "verify":
+                verify_only.add("%s.%s" % (module, name))
     assert not orphans, "no caller in the library: " + ", ".join(orphans)
+    unlisted = sorted(verify_only - set(VERIFY_ONLY))
+    assert not unlisted, "only verify.py calls: " + ", ".join(unlisted)
+    assert verify_only == set(VERIFY_ONLY), \
+        "listed but called elsewhere or gone: " \
+        + ", ".join(sorted(set(VERIFY_ONLY) - verify_only))
 
 
 def test_cli_import_leaves_out_scipy_optimize():

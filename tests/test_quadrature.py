@@ -1,4 +1,4 @@
-"""Region decomposition, decay bounds and the certified integrals."""
+"""The decay lemma and the certified integrals."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from seacausal import chain, gk, quadrature
 from seacausal.kernel import RegKernelParams, kernel_p
-from seacausal.quadrature import (RegionTag, decay_lower_bound, ell_varied,
+from seacausal.quadrature import (decay_lower_bound, ell_varied,
                                   exponent_exact, integrate_lagrangian,
-                                  integrate_p4, mc_p4_at_x, p_norm_radial,
-                                  region_classify_radial)
+                                  integrate_p4, mc_p4_at_x, p_norm_radial)
 
 INTEGRAL_TOL = 0.005
 PARAMS = RegKernelParams(1.0, 0.1)
@@ -58,29 +57,37 @@ class TestPanels:
 
 
 class TestRegions:
+    # the lemma gives a constant on C2 (r >= t / lam) and on C1- (t <= r
+    # < t / lam) with t >= 1, and none on C0 and C1+
     def test_named_points(self):
-        assert region_classify_radial(2.0, 0.0, 0.8) is RegionTag.C0
-        assert region_classify_radial(0.5, 0.4, 0.8) is RegionTag.C1plus
-        assert region_classify_radial(1.0, 10.0, 0.8) is RegionTag.C2
-        assert region_classify_radial(2.0, 2.2, 0.9) is RegionTag.C1minus
+        # C0 at (2, 0) and C1+ at (0.5, 0.4)
+        assert np.isnan(decay_lower_bound(2.0, 0.0, 0.1, 0.8))
+        assert np.isnan(decay_lower_bound(0.5, 0.4, 0.1, 0.8))
+        # C2 at (1, 10) and C1- at (2, 2.2) carry their own constants
+        assert decay_lower_bound([1.0, 2.0], [10.0, 2.2], 0.1, 0.9) \
+            == pytest.approx([np.sqrt(0.5 * (0.2 + 0.19 * 100.0)),
+                              np.sqrt(0.1) * 2.0 ** 0.1], rel=1e-12)
 
     def test_time_slice_rejected(self):
         with pytest.raises(ValueError):
-            region_classify_radial(0.0, 1.0, 0.8)
+            decay_lower_bound(0.0, 1.0, 0.1, 0.8)
+        with pytest.raises(ValueError):
+            decay_lower_bound([1.0, 0.0], [1.0, 1.0], 0.1, 0.8)
 
     def test_parameter_range(self):
-        with pytest.raises(ValueError):
-            region_classify_radial(1.0, 1.0, 0.4)
-        with pytest.raises(ValueError):
-            region_classify_radial(1.0, 1.0, 1.0)
+        for lam in (0.4, 0.5, 1.0, [0.8, 1.0]):
+            with pytest.raises(ValueError):
+                decay_lower_bound(1.0, 1.0, 0.1, lam)
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.floats(min_value=0.01, max_value=20.0),
            r=st.floats(min_value=0.0, max_value=30.0),
            lam=st.floats(min_value=0.55, max_value=0.95))
-    def test_exactly_one_tag(self, t, r, lam):
-        tag = region_classify_radial(t, r, lam)
-        assert tag in RegionTag
+    def test_finite_exactly_where_the_lemma_applies(self, t, r, lam):
+        bound = decay_lower_bound(t, r, 0.1, lam)
+        assert np.isfinite(bound) == (r >= t / lam or (r >= t and t >= 1.0))
+        assert np.isfinite(decay_lower_bound(-t, r, 0.1, lam)) \
+            == np.isfinite(bound)
 
 
 class TestExponent:
@@ -109,34 +116,25 @@ class TestExponent:
 
     def test_lower_bound_named_values(self):
         # steep-cone point
-        v = decay_lower_bound(np.array([4.0, 4.0, 0.0, 0.0]), 0.25, 0.8)
+        v = decay_lower_bound(4.0, 4.0, 0.25, 0.8)
         assert v == pytest.approx(0.5 * 4.0 ** 0.2, rel=1e-12)
         assert v <= exponent_exact(4.0, 4.0, 0.25)
         # far-sideways point
-        v = decay_lower_bound(np.array([1.0, 10.0, 0.0, 0.0]), 0.1, 0.8)
+        v = decay_lower_bound(1.0, 10.0, 0.1, 0.8)
         assert v == pytest.approx(np.sqrt(0.5 * (0.2 + 0.36 * 100.0)),
                                   rel=1e-12)
         assert v <= exponent_exact(1.0, 10.0, 0.1)
 
     def test_lower_bound_never_exceeds_exact(self):
+        # one array of draws, at least 2000 of them where the lemma applies
         rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 2000:
-            t = rng.uniform(0.01, 20.0)
-            r = rng.uniform(0.0, 40.0)
-            eps = rng.uniform(1e-3, 1.0)
-            lam = rng.uniform(0.55, 0.95)
-            try:
-                bound = decay_lower_bound(np.array([t, r, 0.0, 0.0]),
-                                          eps, lam)
-            except ValueError:
-                continue
-            assert bound <= exponent_exact(t, r, eps) * (1 + 1e-12)
-            checked += 1
-
-    def test_regions_without_constants_rejected(self):
-        with pytest.raises(ValueError):
-            decay_lower_bound(np.array([2.0, 0.0, 0.0, 0.0]), 0.1, 0.8)
+        t, r, eps, lam = rng.uniform((0.01, 0.0, 1e-3, 0.55),
+                                     (20.0, 40.0, 1.0, 0.95), (8000, 4)).T
+        bound = decay_lower_bound(t, r, eps, lam)
+        has = np.isfinite(bound)
+        assert np.count_nonzero(has) >= 2000
+        assert np.all(bound[has] <= exponent_exact(t, r, eps)[has]
+                      * (1 + 1e-12))
 
 
 class TestKernelNormClosedForm:
@@ -457,7 +455,7 @@ class TestTailZones:
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_light_cone_zone_matches_rectangle(self, kind, eps):
-        T, R, lam = 40.0, 48.0, 0.85
+        T, R = 40.0, 48.0
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
         interior, _, _ = gk.integrate_2d(
             f, quadrature._interior_roots(T, R, 2.0 * eps), tol_abs=0.0,
@@ -465,9 +463,9 @@ class TestTailZones:
         tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
             * abs(float(interior[0]))
         (zone, zone_err, t_count), (_, _, r_count) = gk.integrate_many(
-            f, quadrature._tail_zones(T, R, lam, tol_abs))
+            f, quadrature._tail_zones(T, R, tol_abs))
         # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
-        rbig = max(4.0 * R, 4.0 * T / lam + T / 20.0)
+        rbig = max(4.0 * R, 4.0 * T / 0.85 + T / 20.0)
         old, old_err, _ = gk.integrate_2d(f, (T, 4.0 * T, 0.0, rbig),
                                           tol_abs=0.0, max_panels=800)
         assert abs(float(zone[0]) - float(old[0])) <= zone_err + old_err
@@ -537,14 +535,14 @@ class TestTailClosures:
     def test_cone_cut_samples_match_one_root(self, kind, eps):
         # each along-cone sample, cut at r = t - delta, t, t + delta, reads
         # a tight integral of its section on one root within its own error
-        T, R, lam = 40.0, 48.0, 0.85
+        T, R = 40.0, 48.0
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
-        _, _, delta, ts, _ = quadrature._tail_geometry(T, R, lam)
+        _, _, delta, ts, _ = quadrature._tail_geometry(T, R)
         sections = quadrature._tail_sections(
-            T, R, lam, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)[:len(ts)]
+            T, R, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)[:len(ts)]
         for t, problem, (value, err, _) in zip(
                 ts, sections, gk.integrate_many(f, sections)):
-            hi = t / lam + T / 8.0
+            hi = t / 0.85 + T / 8.0
             cuts = [0.0, t - delta, t, t + delta, hi]
             assert [box for box, _ in problem.roots] \
                 == list(zip(cuts[:-1], cuts[1:]))
