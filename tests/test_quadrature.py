@@ -60,9 +60,6 @@ class TestRegions:
     # the lemma gives a constant on C2 (r >= t / lam) and on C1- (t <= r
     # < t / lam) with t >= 1, and none on C0 and C1+
     def test_named_points(self):
-        # C0 at (2, 0) and C1+ at (0.5, 0.4)
-        assert np.isnan(decay_lower_bound(2.0, 0.0, 0.1, 0.8))
-        assert np.isnan(decay_lower_bound(0.5, 0.4, 0.1, 0.8))
         # C2 at (1, 10) and C1- at (2, 2.2) carry their own constants
         assert decay_lower_bound([1.0, 2.0], [10.0, 2.2], 0.1, 0.9) \
             == pytest.approx([np.sqrt(0.5 * (0.2 + 0.19 * 100.0)),
@@ -135,6 +132,14 @@ class TestExponent:
         assert np.count_nonzero(has) >= 2000
         assert np.all(bound[has] <= exponent_exact(t, r, eps)[has]
                       * (1 + 1e-12))
+
+    def test_regions_without_constants_rejected(self):
+        # C0 at (2, 0), C1+ at (0.5, 0.4) and C1- below t = 1 at (0.5, 0.6)
+        # get no bound, alone and inside an array with a C2 point
+        for t, r in ((2.0, 0.0), (0.5, 0.4), (0.5, 0.6)):
+            assert np.isnan(decay_lower_bound(t, r, 0.1, 0.8))
+        bound = decay_lower_bound([2.0, 1.0], [0.0, 10.0], 0.1, 0.8)
+        assert np.isnan(bound[0]) and np.isfinite(bound[1])
 
 
 class TestKernelNormClosedForm:
