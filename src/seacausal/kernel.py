@@ -10,6 +10,7 @@ of xi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,28 +54,78 @@ def scalar_FG(z, m: float):
     return f, g
 
 
+@functools.lru_cache(maxsize=None)
+def _column_maps(mu: int, k: int):
+    """Signed maps (spinor.signed_map) of (xi_eps-slash) e_mu =
+    xi_eps @ (METRIC @ GAMMA[:, :, mu]), at most two terms in each
+    component, and of gamma^k e_mu = 1 @ GAMMA[k, :, mu], one term.  Built
+    on first use, so the certified integrals, which never call
+    kernel_column_partial, touch none of their numpy routines."""
+    slashed = np.diag(spinor.METRIC)[:, None] * spinor.GAMMA[:, :, mu]
+    return (spinor.signed_map(slashed),
+            spinor.signed_map(spinor.GAMMA[k, None, :, mu]))
+
+
+def _cmul(ar, ai, br, bi):
+    """The product of a = ar + i ai and b = br + i bi in real parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _pack(re, im):
+    """Complex array from its real and imaginary parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def kernel_column_partial(xi, mu: int, k: int, params: RegKernelParams):
     """Kernel column P^eps e_mu and its partial derivative d/dxi^k P^eps e_mu
-    for displacement rows xi (..., 4); both (..., 4), from one scalar_FG call.
+    for displacement rows xi (..., 4), from one scalar_FG call.  Both come
+    as component-major real parts (8, ...): rows 2 a and 2 a + 1 hold the
+    real and imaginary parts of spinor component a (spinor.from_parts
+    turns them into (..., 4) spinors).
 
     d_k P = eta_kk [F gamma^k - 2 xi_eps^k (F' xi_eps-slash + G')], with
     G' = (i m/2) F and F' = -(2 F + (i m/2) G)/zeta (from K3 = K1 + (4/w) K2).
-    Only columns are formed, never the (..., 4, 4) matrices.
+    Only columns are formed, never the (..., 4, 4) matrices.  zeta and the
+    products are formed in real parts, and the gamma factors as signed
+    maps (see chain.invariants_from_radial), so a point's bits depend on
+    its inputs alone.
     """
-    xi_eps = spinor.complexify(xi, params.eps)
-    zeta = spinor.neg_minkowski_square(xi_eps)
+    xi = np.asarray(xi, dtype=float)
+    t, x1, x2, x3 = comps = np.moveaxis(xi, -1, 0)
+    e = params.eps
+    zeta = (x1 * x1 + x2 * x2 + x3 * x3 - t * t + e * e) - 2j * e * t
+    spinor.check_excluded_ray(zeta)
     f, g = scalar_FG(zeta, params.m)
-    half_im = 0.5j * params.m
-    df = -(2.0 * f + half_im * g) / zeta
-    dg = half_im * f
-    # (xi_eps-slash) e_mu = sum_a eta_aa xi_eps^a gamma^a[:, mu]
-    slashed = xi_eps @ (spinor.METRIC @ spinor.GAMMA[:, :, mu])
-    e_mu = spinor.IDENTITY4[mu]
-    col = f[..., None] * slashed + g[..., None] * e_mu
-    dcol = spinor.METRIC[k, k] * (
-        f[..., None] * spinor.GAMMA[k, :, mu]
-        - 2.0 * xi_eps[..., k, None]
-        * (df[..., None] * slashed + dg[..., None] * e_mu))
+    fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
+    half_m = 0.5 * params.m
+    df = -_pack(2.0 * fr - half_m * gi, 2.0 * fi + half_m * gr) / zeta
+    xi_eps = np.zeros((8,) + t.shape)
+    xi_eps[0::2] = comps
+    xi_eps[1] = e
+    # (xi_eps-slash) e_mu, then F (xi_eps-slash) e_mu + G e_mu
+    slashed_map, gamma_map = _column_maps(mu, k)
+    slashed = spinor.apply_signed_map(xi_eps, *slashed_map)
+    sr, si = slashed[0::2], slashed[1::2]
+    col = np.empty(slashed.shape)
+    col[0::2], col[1::2] = _cmul(fr, fi, sr, si)
+    col[2 * mu] += gr
+    col[2 * mu + 1] += gi
+    # F' xi_eps-slash + G' e_mu, times 2 xi_eps^k
+    in_r, in_i = _cmul(df.real, df.imag, sr, si)
+    in_r[mu] -= half_m * fi
+    in_i[mu] += half_m * fr
+    xk = 2.0 * comps[k]
+    if k == 0:
+        in_r, in_i = _cmul(xk, 2.0 * e, in_r, in_i)
+    else:
+        in_r, in_i = xk * in_r, xk * in_i
+    dcol = spinor.apply_signed_map(np.stack([fr, fi]), *gamma_map)
+    dcol[0::2] -= in_r
+    dcol[1::2] -= in_i
+    dcol *= spinor.METRIC[k, k]
     return col, dcol
 
 

@@ -91,6 +91,13 @@ _KINK_STEPS = 16
 # the tail's reach across the cone r = t: the zones run out to r = 4T /
 # _TAIL_REACH + T/20 at least, the cross-section at t to t / _TAIL_REACH + T/8
 _TAIL_REACH = 0.85
+# the smallest m eps at which integrate_p4 holds its error estimate.  Its
+# cone partition runs from t_c = 7.5 eps_chain to T, while the integrand
+# lives at t ~ eps_chain; below m eps = 2e-4 the first panels' Gauss and
+# Kronrod sums both miss that mass and agree, and eps^8 int |P|^4 reads
+# 4.0 % low at m eps = 1e-4 and 8.2 % low from 3e-5 down, against a
+# reported 0.13-0.24 %.  At 2e-4 it reads the eps -> 0 law within 1e-5.
+_P4_MIN_MASS_EPS = 2e-4
 
 
 class QuadratureError(RuntimeError):
@@ -568,6 +575,13 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     else:
         raise QuadratureError("interior+tail did not reach tolerance")
 
+    # a value below the normal doubles carries no certified digits
+    if not value >= np.finfo(float).tiny:
+        raise ValueError(
+            "%s reads %r, no positive normal double: the integral scales "
+            "as m^8 I(1, m eps), which leaves the double range at m = %g; "
+            "integrate at --mass 1 --epsilon %g and multiply by m^8"
+            % (name or kind, value, params.m, params.m * params.eps))
     # panel counts are summed over all attempts; the rest is the last one's
     extras = dict(tail_info, **panels, interior_roots=len(roots),
                   attempts=attempt + 1)
@@ -582,7 +596,14 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
 def integrate_p4(params: kernel.RegKernelParams, tol: float = 0.005,
                  T: float = 40.0, R: float = 48.0,
                  max_panels: int = 20000) -> QuadratureReport:
-    """int_{R^4} |P^{2eps}(0,xi)|_2^4 d^4 xi."""
+    """int_{R^4} |P^{2eps}(0,xi)|_2^4 d^4 xi, for m eps >= 2e-4 (see
+    _P4_MIN_MASS_EPS)."""
+    if params.m * params.eps < _P4_MIN_MASS_EPS:
+        raise ValueError(
+            "p4 is not certified below m eps = %g (here %g): its interior "
+            "partition misses the mass near the origin there, and the value "
+            "reads up to 8 %% low against a 0.2 %% error estimate"
+            % (_P4_MIN_MASS_EPS, params.m * params.eps))
     return _run_reduced("p4", params, tol, T, R, max_panels)
 
 

@@ -41,10 +41,15 @@ def neg_minkowski_square(v):
     v = np.asarray(v)
     sq = v[..., 0] ** 2 - v[..., 1] ** 2 - v[..., 2] ** 2 - v[..., 3] ** 2
     out = -sq
-    bad = (out.real < 0) & (out.imag == 0) | (out == 0)
+    check_excluded_ray(out)
+    return out
+
+
+def check_excluded_ray(zeta) -> None:
+    """Raise where -xi_eps^2 fell on the excluded ray (-inf, 0]."""
+    bad = (zeta.real < 0) & (zeta.imag == 0) | (zeta == 0)
     if np.any(bad):
         raise ValueError("-v^2 fell on the excluded ray; eps > 0 violated?")
-    return out
 
 
 def slash(v):
@@ -57,6 +62,56 @@ def slash(v):
             - v[..., 1, None, None] * GAMMA[1]
             - v[..., 2, None, None] * GAMMA[2]
             - v[..., 3, None, None] * GAMMA[3])
+
+
+def signed_map(mat):
+    """The product v @ mat for a complex (p, q) matrix whose entries are
+    0, +-1 or +-i, as a map of the real parts: index and sign arrays
+    (terms, 2 q) such that for u (2 p, ...), the rows 2 a and 2 a + 1 of
+    which hold Re v_a and Im v_a of a batch of vectors,
+
+        apply_signed_map(u, index, sign)[c]
+            = sum_k sign[k, c] * u[index[k, c]]
+
+    holds the same rows of v @ mat, the terms added in order and padded
+    with sign 0.  Every product is exact, so the bits depend on v alone;
+    a complex matmul goes through BLAS, and numpy's complex products round
+    with the CPU's dispatch."""
+    mat = np.asarray(mat, dtype=complex)
+    real = np.zeros((2 * mat.shape[0], 2 * mat.shape[1]))
+    real[0::2, 0::2] = real[1::2, 1::2] = mat.real
+    real[0::2, 1::2] = mat.imag
+    real[1::2, 0::2] = -mat.imag
+    if not np.all((real == 0.0) | (np.abs(real) == 1.0)):
+        raise ValueError("entries must be 0, +-1 or +-i")
+    terms = max(int(np.max(np.count_nonzero(real, axis=0))), 1)
+    index = np.zeros((terms, real.shape[1]), dtype=int)
+    sign = np.zeros((terms, real.shape[1]))
+    for c in range(real.shape[1]):
+        rows = np.flatnonzero(real[:, c])
+        index[:rows.size, c] = rows
+        sign[:rows.size, c] = real[rows, c]
+    return index, sign
+
+
+def apply_signed_map(u, index, sign):
+    """The rows (2 q, ...) of v @ mat from those of v (2 p, ...); see
+    signed_map."""
+    sign = sign.reshape(sign.shape + (1,) * (u.ndim - 1))
+    out = np.take(u, index[0], axis=0)
+    out *= sign[0]
+    for idx, sgn in zip(index[1:], sign[1:]):
+        out += np.take(u, idx, axis=0) * sgn
+    return out
+
+
+def from_parts(u):
+    """Spinors (..., 4) from component-major real parts (8, ...), whose
+    rows 2 a and 2 a + 1 hold the real and imaginary parts of component
+    a."""
+    out = np.empty(u.shape[1:] + (4,), dtype=complex)
+    out.view(float)[...] = np.moveaxis(u, 0, -1)
+    return out
 
 
 def spin_product(a, b):

@@ -143,8 +143,9 @@ def suite_kernel(seed=12345):
     fd = (kernel.kernel_matrix_batch(xi[:, None] + steps, p)
           - kernel.kernel_matrix_batch(xi[:, None] - steps, p)) / (2.0 * h)
     # axes (mu, k, point, spinor), as fd.transpose(3, 1, 0, 2)
-    closed = np.array([[kernel.kernel_column_partial(xi, mu, k, p)[1]
-                        for k in range(4)] for mu in range(4)])
+    closed = np.array([[spinor.from_parts(
+        kernel.kernel_column_partial(xi, mu, k, p)[1])
+        for k in range(4)] for mu in range(4)])
     dev = np.abs(closed - fd.transpose(3, 1, 0, 2))
     worst = float(np.max(np.max(dev, axis=(0, 1, 3))
                          / np.max(np.abs(closed), axis=(0, 1, 3))))

@@ -327,6 +327,32 @@ class TestIntegrateCommand:
         assert loud.err == quiet.err
         assert len(caplog.records) == 2
 
+    @pytest.mark.parametrize("which", ["p4", "lagrangian"])
+    def test_underflow_is_domain_error(self, which, capsys):
+        # at m = 1000 the integral m^8 I(1, m eps) is below the double
+        # range and reads 0; that is no certified value
+        assert cli.main(["integrate", which, "--mass", "1000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "m^8 I(1, m eps)" in err
+
+    @pytest.mark.parametrize("args", [["--epsilon", "1e-4"],
+                                      ["--epsilon", "1e-5"],
+                                      ["--mass", "2", "--epsilon", "5e-5"]])
+    def test_p4_below_its_range_is_domain_error(self, args, capsys):
+        # p4 reads 4 % low at m eps = 1e-4 and 8.2 % low at 1e-5, with an
+        # error estimate of 0.2 %
+        assert cli.main(["integrate", "p4"] + args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "m eps = 0.0002" in err
+
+    def test_p4_at_the_edge_of_its_range(self, capsys):
+        # at m eps = 2e-4 p4 reads the eps -> 0 law eps^8 int |P|^4 =
+        # 4.1282e-11 within 1e-4
+        assert cli.main(["integrate", "p4", "--epsilon", "2e-4"]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        value = float(dict(zip(header, rows[0]))["value"])
+        assert 2e-4 ** 8 * value == pytest.approx(4.1282e-11, rel=1e-4)
+
     def test_bad_tolerance_is_config_error(self):
         assert run_cli("integrate", "p4", "--quad-rel-tol", "0")\
             .returncode == 2
@@ -388,9 +414,9 @@ class TestEmCommand:
 
 class TestThreadCap:
     def test_cfs_threads_caps_blas(self):
-        # em sums its convolutions through BLAS, whose result depends on
-        # the thread count; CFS_THREADS alone must give the bytes of an
-        # explicit one-thread run
+        # CFS_THREADS alone must give the bytes of an explicit one-thread
+        # run; em no longer sums through BLAS (see the next test), so this
+        # holds the cap's plumbing, whatever reads the thread count
         base = {k: v for k, v in os.environ.items()
                 if k not in THREAD_VARS}
         args = ("em", "--x", "2.0,0.2,-0.1,0.3")
@@ -398,6 +424,23 @@ class TestThreadCap:
         one = run_cli(*args, env=dict(base, **{k: "1" for k in THREAD_VARS}))
         assert capped.returncode == one.returncode == 0
         assert capped.stdout == one.stdout
+
+    def test_em_bytes_from_inputs_alone(self):
+        # em forms its columns in real parts and sums its convolutions in
+        # node order, without BLAS and without numpy's dispatch-dependent
+        # exp and trigonometric loops: two BLAS threads and reduced CPU
+        # dispatch print the bytes of one thread
+        base = {k: v for k, v in os.environ.items()
+                if k not in THREAD_VARS + ("NPY_DISABLE_CPU_FEATURES",)}
+        args = ("em", "--x", "2.0,0.2,-0.1,0.3", "--x", "1.6,0.35,0.1,0.35")
+        runs = [run_cli(*args, env=dict(base, **env)) for env in (
+            {k: "1" for k in THREAD_VARS},
+            {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+            {"CFS_THREADS": "1", "NPY_DISABLE_CPU_FEATURES":
+             "AVX512_SPR AVX512_ICL X86_V4 X86_V3"})]
+        assert [r.returncode for r in runs] == [0, 0, 0]
+        assert runs[1].stdout == runs[0].stdout
+        assert runs[2].stdout == runs[0].stdout
 
 
 class TestHolderCommand:

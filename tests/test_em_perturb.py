@@ -1,5 +1,7 @@
 """Retarded Green's kernel and the first-order perturbation field."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -8,7 +10,7 @@ from seacausal import em_perturb, spinor, verify
 from seacausal.em_perturb import (GreenParams, Potential, convolve_S,
                                   convolve_surface, convolve_volume,
                                   psi1_on_frame)
-from seacausal.kernel import RegKernelParams
+from seacausal.kernel import RegKernelParams, kernel_p
 
 PARAMS = RegKernelParams(1.0, 0.1)
 GP = GreenParams(-0.1593, 0.0812)  # near green_constants(1.0)
@@ -63,13 +65,13 @@ class TestPotential:
                 / np.linalg.norm(d)
             fd = np.array([(pot.bump(y + h * e) - pot.bump(y - h * e))
                            / (2.0 * h) for e in np.eye(4)])
-            assert np.allclose(pot.bump_gradient(y), fd, rtol=1e-6,
+            assert np.allclose(pot.bump_and_gradient(y)[1], fd, rtol=1e-6,
                                atol=1e-8)
 
     def test_bump_gradient_vanishes_outside(self):
         pot = Potential()
         outside = np.array([[1.0, 0.5, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-        assert np.all(pot.bump_gradient(outside) == 0.0)
+        assert np.all(pot.bump_and_gradient(outside)[1] == 0.0)
 
 
 class TestGreenVolumePart:
@@ -239,7 +241,6 @@ class TestFirstOrderField:
         pot2 = Potential(amplitude=2.0)
         doubled = RegKernelParams(PARAMS.m, 2.0 * PARAMS.eps)
 
-        from seacausal.kernel import kernel_p
         r1 = kernel_p(x, Z, doubled).matrix[:, 1]
         r2 = kernel_p(x, z2, doubled).matrix[:, nu]
         p1 = psi1_on_frame(x, Z, 1, pot, PARAMS, GP)
@@ -262,7 +263,7 @@ class TestFirstOrderField:
 
     def test_dirac_source_zero_outside_support(self):
         pot = Potential()
-        src = em_perturb._dirac_source(pot, Z, 1, PARAMS)
+        src = em_perturb._dirac_source(pot, ((Z, 1),), PARAMS)
         rng = np.random.default_rng(5)
         d = rng.normal(size=(200, 4))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
@@ -287,8 +288,9 @@ class TestFirstOrderField:
 
 
 class TestSourceBlocks:
-    """The source is evaluated in blocks of at most _SOURCE_BLOCK points
-    and gathered before the one weighted sum."""
+    """The element runs both frame vectors through one source on one node
+    set, whose cap points are built and evaluated in blocks of whole node
+    rows, at most _SOURCE_BLOCK points, and summed in node order."""
 
     Z2 = np.array([-0.2, -0.1, 0.2, 0.0])
     # verify em's point and the benchmark's
@@ -305,12 +307,22 @@ class TestSourceBlocks:
         monkeypatch.setattr(em_perturb, "_SOURCE_BLOCK", 10 ** 7)
         assert blocked == self.element(x)
 
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_any_block_size(self, block, monkeypatch):
+        # one node row (128 points) and seven per block read the bits of
+        # the default block
+        x = self.POINTS[1]
+        default = self.element(x)
+        monkeypatch.setattr(em_perturb, "_SOURCE_BLOCK", block)
+        assert self.element(x) == default
+
     def test_block_sizes(self, monkeypatch):
-        sizes = []
+        sizes, frames = [], []
         dirac_source = em_perturb._dirac_source
 
-        def counted(*args):
-            src = dirac_source(*args)
+        def counted(a, fr, params):
+            frames.append(len(fr))
+            src = dirac_source(a, fr, params)
 
             def values(ys):
                 sizes.append(len(ys))
@@ -319,5 +331,66 @@ class TestSourceBlocks:
 
         monkeypatch.setattr(em_perturb, "_dirac_source", counted)
         self.element(self.POINTS[1])
+        assert frames == [2]
         assert max(sizes) <= em_perturb._SOURCE_BLOCK
         assert sum(sizes) > 4 * em_perturb._SOURCE_BLOCK
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_two_frames_match_one_frame_calls(self, x):
+        # the two-frame pass gives each frame's field bitwise, and the
+        # element is built from those fields
+        x = np.array(x)
+        gp = em_perturb.green_constants(PARAMS.m)
+        a = Potential()
+        src = em_perturb._dirac_source(a, ((Z, 1), (self.Z2, 2)), PARAMS)
+        both = -convolve_S(x, src, PARAMS.m, gp, a.center, a.radius)
+        p1 = psi1_on_frame(x, Z, 1, a, PARAMS, gp)
+        p2 = psi1_on_frame(x, self.Z2, 2, a, PARAMS, gp)
+        assert np.array_equal(both, np.concatenate([p1, p2]))
+        doubled = RegKernelParams(PARAMS.m, 2.0 * PARAMS.eps)
+        r1 = kernel_p(x, Z, doubled).matrix[:, 1]
+        r2 = kernel_p(x, self.Z2, doubled).matrix[:, 2]
+        assert self.element(x) == complex(-spinor.spin_product(r1, p2)
+                                          - spinor.spin_product(p1, r2))
+
+    def test_empty_node_set_gives_zeros_of_the_source_width(self):
+        # x before the support: no node, and the source runs on no point
+        widths = []
+        src = em_perturb._dirac_source(Potential(), ((Z, 1), (self.Z2, 2)),
+                                       PARAMS)
+
+        def g(ys):
+            out = src(ys)
+            widths.append(out.shape)
+            return out
+
+        out = convolve_S(np.array([0.3, 0.0, 0.0, 0.0]), g, 1.0, GP,
+                         Potential().center, Potential().radius)
+        assert out.shape == (8,) and np.all(out == 0.0)
+        assert widths == [(0, 8), (0, 8)]
+
+
+class TestElementMemory:
+    """One element's working set is one block, whatever the node count."""
+
+    @staticmethod
+    def traced_peak(x):
+        tracemalloc.start()
+        try:
+            em_perturb.f1_matrix_element(
+                np.array(x), Z, 1, TestSourceBlocks.Z2, 2, Potential(),
+                PARAMS, em_perturb.green_constants(PARAMS.m))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_bounded_by_the_block(self, monkeypatch):
+        # about 4.7 MB at verify em's x_in, and 0.1 MB more at twice the
+        # psi and rho orders; with the cap points built for all nodes it
+        # was 16.7 and 51.9 MB
+        x_in = TestSourceBlocks.POINTS[0]
+        peak = self.traced_peak(x_in)
+        assert peak <= 8e6
+        monkeypatch.setattr(em_perturb, "_N_PSI", 2 * em_perturb._N_PSI)
+        monkeypatch.setattr(em_perturb, "_N_RHO", 2 * em_perturb._N_RHO)
+        assert self.traced_peak(x_in) < peak + 1e6

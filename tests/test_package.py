@@ -64,6 +64,9 @@ VERIFY_ONLY = {
     "quadrature.decay_lower_bound": "the paper's decay lemma",
     "gk.integrate_2d": "verify's second partition of the integrals; also "
                        "called by bench/make_refs.py",
+    "em_perturb.psi1_on_frame": "the one-frame field of verify em's "
+                                "dirac_factor_fd; f1_matrix_element runs "
+                                "both frames on one node set",
     "abstract_cfs.ordered_spectrum": _ABSTRACT,
     "abstract_cfs.regular_perturbation": _ABSTRACT,
     "abstract_cfs.admissibility_bounds": _ABSTRACT,

@@ -110,3 +110,23 @@ class TestSpinAdjoint:
         rhs = spinor.spin_product(adj @ a, b)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+
+class TestSignedMap:
+    @pytest.mark.parametrize("mat", [
+        spinor.GAMMA[2] @ spinor.GAMMA[3],
+        spinor.METRIC @ spinor.GAMMA[:, :, 1],
+        1j * np.eye(4), spinor.GAMMA[0, None, :, 2]])
+    def test_matches_matmul(self, mat):
+        # the real parts of v @ mat, bitwise: every product is exact
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(50, mat.shape[0])) \
+            + 1j * rng.normal(size=(50, mat.shape[0]))
+        parts = np.empty((2 * mat.shape[0], 50))
+        parts[0::2], parts[1::2] = v.real.T, v.imag.T
+        got = spinor.from_parts(spinor.apply_signed_map(
+            parts, *spinor.signed_map(mat)))
+        assert np.array_equal(got, v @ mat)
+
+    def test_rejects_other_entries(self):
+        with pytest.raises(ValueError):
+            spinor.signed_map(0.5 * np.eye(4))
