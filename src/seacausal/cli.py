@@ -78,10 +78,9 @@ def _fmt(x) -> str:
 
 
 def _config_from_args(args) -> "RunConfig":
-    overrides = {key: getattr(args, key, None) for key in (
-        "mass", "epsilon", "quad_rel_tol", "quad_max_panels",
-        "truncation_T", "truncation_R", "seed", "output_path")}
-    return load_config(args.config, overrides)
+    # the namespace holds exactly the dests the subcommand registered, so
+    # its config keys are the ones its flags set
+    return load_config(args.config, vars(args), args.command)
 
 
 def _parse_vec(text: str, length: int) -> np.ndarray:
@@ -271,11 +270,11 @@ def cmd_verify(args) -> int:
         results = verify.run_suite(args.suite, seed=cfg.seed)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
-    failed = 0
-    for name, ok, detail in results:
-        print("%s %s %s" % ("PASS" if ok else "FAIL", name, detail))
-        if not ok:
-            failed += 1
+    for c in results:
+        print(" ".join(filter(None, (
+            "PASS" if c.ok else "FAIL", c.name, c.detail,
+            "[measured %.3g, bound %.3g]" % (c.measured, c.bound)))))
+    failed = sum(not c.ok for c in results)
     print("verify %s: %d/%d passed"
           % (args.suite, len(results) - failed, len(results)))
     return EXIT_OK if failed == 0 else EXIT_INVARIANT

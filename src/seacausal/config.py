@@ -26,12 +26,9 @@ class RunConfig:
                     "truncation_R"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError("%s must be finite" % key)
-        if not self.mass > 0:
-            raise ConfigError("mass must be positive")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
-        if not self.quad_rel_tol > 0:
-            raise ConfigError("quad_rel_tol must be positive")
+        for key in ("mass", "epsilon", "quad_rel_tol"):
+            if not getattr(self, key) > 0:
+                raise ConfigError("%s must be positive" % key)
         if self.quad_max_panels < 1:
             raise ConfigError("quad_max_panels must be positive")
         if not (self.truncation_T > 0 and self.truncation_R > 0):
@@ -72,8 +69,19 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(path: str | None, overrides: dict,
+                command: str | None = None) -> RunConfig:
+    """The config file's values under the overrides that are not None.
+    With `command`, `overrides` is its namespace (every option it takes),
+    and a file key that is none of its options is an error."""
     values = parse_config_file(path) if path else {}
+    if command is not None:
+        own = sorted(set(overrides) & set(_FIELD_TYPES))
+        unread = sorted(set(values) - set(own))
+        if unread:
+            raise ConfigError("%s reads no config key %s (its keys: %s)"
+                              % (command, ", ".join(unread), ", ".join(own)))
+        overrides = {key: overrides[key] for key in own}
     for key, val in overrides.items():
         if val is None:
             continue

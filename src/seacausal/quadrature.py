@@ -567,13 +567,21 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
                    tail_info["tail_panels_2d"], tail_info["tail_panels_1d"],
                    err_total + tail_total, tol * abs(value))
         if not np.isfinite(tail_total):
-            raise QuadratureError("tail fit failed (no decay detected)")
+            raise QuadratureError(
+                "the tail closures found no decay beyond T = %g, R = %g; "
+                "raise --truncation-T/-R" % (T, R))
         if err_total + tail_total <= tol * abs(value):
             break
+        if attempt == 2:
+            raise QuadratureError(
+                "error %.3g (interior %.3g on %d panels, cap %d; tail %.3g) "
+                "above tol |value| = %.3g at T = %g, R = %g, the last "
+                "attempt; loosen --quad-rel-tol, or raise --quad-max-panels "
+                "(interior) or --truncation-T/-R (tail)" % (
+                    err_total + tail_total, err_total, count, max_panels,
+                    tail_total, tol * abs(value), T, R))
         T *= 1.6
         R *= 1.6
-    else:
-        raise QuadratureError("interior+tail did not reach tolerance")
 
     # a value below the normal doubles carries no certified digits
     if not value >= np.finfo(float).tiny:

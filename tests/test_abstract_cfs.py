@@ -576,8 +576,8 @@ class TestGenInverseEigenData:
 
 def test_verify_abstract_reports_margins():
     results = verify.suite_abstract(seed=3, n_pairs=300)
-    assert all(type(ok) is bool and ok for _, ok, _ in results)
-    words = {name: detail.split() for name, _, detail in results}
+    assert all(type(c.ok) is bool and c.ok for c in results)
+    words = {c.name: c.detail.split() for c in results}
     # "max |dspec|/||delta|| R over N pairs, H near-equal": Weyl and
     # Mirsky bound the ratio by 1
     for name in ("eigenvalue_lipschitz", "singular_value_lipschitz"):

@@ -28,10 +28,11 @@ def run_suite_timed(name):
 
 
 def assert_all_pass(results):
-    failures = ["%s: %s" % (name, detail)
-                for name, ok, detail in results if not ok]
+    failures = ["%s: %s (measured %r, bound %r)"
+                % (c.name, c.detail, c.measured, c.bound)
+                for c in results if not c.ok]
     assert not failures, "failed checks:\n" + "\n".join(failures)
-    not_bool = [name for name, ok, _ in results if type(ok) is not bool]
+    not_bool = [c.name for c in results if type(c.ok) is not bool]
     assert not not_bool, "verdicts that are not a bool: " + ", ".join(not_bool)
 
 

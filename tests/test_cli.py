@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from seacausal import cli, em_perturb
+from seacausal import cli, em_perturb, verify
 from seacausal.chain import (LIGHTLIKE_BAND, class_codes, closed_chain,
                              invariants_from_radial, lagrangian_of_b)
 from seacausal.config import ConfigError, RunConfig, load_config, \
@@ -293,6 +293,21 @@ class TestIntegrateCommand:
         assert v1["value"] == v2["value"]
         assert v1["seconds"] == v2["seconds"] == "0.0"
 
+    @pytest.mark.parametrize("flags, names", [
+        (["--epsilon", "1e-4"], ["T = 40, R = 48", "--truncation-T/-R"]),
+        (["--quad-rel-tol", "2e-5"],
+         ["T = 102.4, R = 122.88", "--quad-rel-tol", "--quad-max-panels",
+          "--truncation-T/-R"])], ids=["eps 1e-4", "tol 2e-5"])
+    def test_non_convergence_names_what_to_change(self, flags, names,
+                                                  capsys):
+        # the tail closures see no decay at eps = 1e-4; at tol 2e-5 the
+        # third attempt's error is still above the budget
+        assert cli.main(["integrate", "lagrangian"] + flags) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("non-convergence: ")
+        for name in names:
+            assert name in err, (name, err)
+
     def test_small_eps_lagrangian_converges(self):
         res = run_cli("integrate", "lagrangian", "--epsilon", "0.05")
         assert res.returncode == 0, res.stderr
@@ -475,6 +490,44 @@ class TestVerifyCommand:
     def test_unknown_suite_is_config_error(self):
         assert run_cli("verify", "nosuchsuite").returncode == 2
 
+    @pytest.mark.parametrize("records, verdicts, rc", [
+        ([("below", 0.5, 1.0), ("at", 1.0, 1.0), ("count", 0, 0)],
+         ["PASS", "PASS", "PASS"], 0),
+        ([("above", 1.5, 1.0), ("at", 0.0, 0.0)], ["FAIL", "PASS"], 1),
+        ([("nan", float("nan"), 1.0)], ["FAIL"], 1),
+        ([("missed", float("inf"), 0.1)], ["FAIL"], 1)],
+        ids=["at or below", "above", "nan", "inf"])
+    def test_pass_rule(self, monkeypatch, capsys, records, verdicts, rc):
+        # one rule for every check: pass when measured <= bound, so a
+        # record at its bound passes and a nan fails
+        def fake(seed=12345):
+            return [verify.Check(name, measured, bound, "detail words")
+                    for name, measured, bound in records]
+
+        monkeypatch.setattr(verify, "SUITES", {"fake": fake})
+        assert cli.main(["verify", "fake"]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            [verdict, name] for verdict, (name, _, _) in zip(verdicts,
+                                                             records)]
+        for line, (_, measured, bound) in zip(lines, records):
+            assert line.split(" ", 2)[2] == (
+                "detail words [measured %.3g, bound %.3g]"
+                % (measured, bound))
+        assert lines[-1] == "verify fake: %d/%d passed" % (
+            verdicts.count("PASS"), len(records))
+
+    def test_all_prefixes_suite_names(self, monkeypatch, capsys):
+        def fake(seed=12345):
+            return [verify.Check("check", seed, 0)]
+
+        monkeypatch.setattr(verify, "SUITES", {"one": fake, "two": fake})
+        assert cli.main(["verify", "all", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS one.check [measured 0, bound 0]",
+            "PASS two.check [measured 0, bound 0]",
+            "verify all: 2/2 passed"]
+
     def test_fast_suite_passes(self):
         res = run_cli("verify", "geometry")
         assert res.returncode == 0
@@ -501,12 +554,28 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_config_keys_stay_shared(self, tmp_path, capsys):
-        # a config file may set any key for any subcommand
+    @pytest.mark.parametrize("argv", [
+        ["verify", "geometry", "epsilon"],
+        ["verify", "geometry", "quad_rel_tol"],
+        ["kernel", "seed"],
+        ["cone-scan", "truncation_T"],
+        ["integrate", "p4", "seed"]], ids=" ".join)
+    def test_unread_config_key_rejected(self, argv, tmp_path, capsys):
+        # a config file sets only keys of the command's own flags: verify
+        # geometry with epsilon = 0.3 ran at eps = 0.1 and passed
+        *command, key = argv
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\nquad_rel_tol = 0.01\nepsilon = 0.3\n")
-        assert cli.main(["kernel", "--config", str(path)]) == 0
+        path.write_text("%s = 1\n" % key)
+        assert cli.main(command + ["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err and command[0] in err
+
+    def test_own_config_keys_accepted(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n")
         assert cli.main(["verify", "geometry", "--config", str(path)]) == 0
+        path.write_text("epsilon = 0.3\nmass = 2\noutput_path = -\n")
+        assert cli.main(["kernel", "--config", str(path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
 
