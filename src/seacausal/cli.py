@@ -6,9 +6,7 @@ Exit codes: 0 ok, 1 invariant failure, 2 config error, 3 domain error,
 
 All CSV output is comma-separated with '.' decimals, LF line endings, a
 mandatory header row, and a schema_version column.  Output is bitwise
-deterministic for a fixed seed and configuration; for that reason the
-quadrature reports record wall time only when --timing is given (zero
-otherwise).
+deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .config import ConfigError, load_config  # noqa: E402
 from .kernel import RegKernelParams  # noqa: E402
 from .quadrature import QuadratureError  # noqa: E402
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -179,12 +177,11 @@ def cmd_cone_scan(args) -> int:
     return EXIT_OK
 
 
-def _report_row(rep: quadrature.QuadratureReport, timing: bool):
+def _report_row(rep: quadrature.QuadratureReport):
     return [SCHEMA_VERSION, rep.integral_name, _fmt(rep.m),
             _fmt(rep.epsilon), _fmt(rep.value),
             _fmt(rep.abs_error_estimate), _fmt(rep.truncation_radius),
-            _fmt(rep.tail_bound), str(rep.regions_evaluated),
-            _fmt(rep.wall_time if timing else 0.0)]
+            _fmt(rep.tail_bound), str(rep.regions_evaluated)]
 
 
 def _quad_kwargs(cfg) -> dict:
@@ -205,8 +202,8 @@ def cmd_integrate(args) -> int:
     else:
         rep = quadrature.ell_varied(args.lambda_var, params, **kwargs)
     header = ["schema_version", "integral_name", "m", "epsilon", "value",
-              "abs_err", "trunc_radius", "tail_bound", "panels", "seconds"]
-    _write_rows(cfg.output_path, header, [_report_row(rep, args.timing)])
+              "abs_err", "trunc_radius", "tail_bound", "panels"]
+    _write_rows(cfg.output_path, header, [_report_row(rep)])
     return EXIT_OK
 
 
@@ -328,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("which", choices=["p4", "lagrangian", "ell"])
     s.add_argument("--lambda-var", dest="lambda_var", type=float,
                    default=0.0, help="regularization shift for 'ell'")
-    s.add_argument("--timing", action="store_true",
-                   help="record wall time (breaks bitwise determinism)")
     s.set_defaults(func=cmd_integrate)
 
     s = subs.add_parser("holder", help="regularization-rescaling sweep")

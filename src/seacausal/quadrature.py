@@ -13,10 +13,11 @@ One partition aligned with the cone (`_cone_roots`) cuts every box
 that meets the ridge: the lines r = t - delta, t, t + delta, clipped to
 the box, bound the two halves of a band around r = t and its timelike
 and spacelike sides, so the ridge lies on root edges, where a (t, r)
-panel would straddle it with its sparse nodes.  The interior [0, T] x
-[0, R] (`_interior_roots`) is a corner box around the origin, the strip
-above it, and the cone partition of the rest with delta = 2.5 eps_c.
-This is the interior of |P|^4.  The Lagrangian's interior
+panel would straddle it with its sparse nodes.  The partition of |P|^4
+(`_interior_roots`) of a box [0, T] x [0, R] is a corner box around the
+origin, the strip above it, and the cone partition of the rest with
+delta = 2.5 eps_c, cut in log t, so that its first panels see the mass
+at t ~ eps_c however far the box reaches.  The Lagrangian's
 (`_lagrangian_roots`) is cut instead along its kink: L = 4 max(b, 0) is
 0 beyond a curve r0(t) where b changes sign, which runs from near the
 origin to the cone.  The curve is found once per attempt (one bisection
@@ -27,25 +28,19 @@ with an error of 0.  Where the curve or a band edge is clipped to
 [0, R], the roots are also cut in t where the clip switches.  On either
 partition all roots are refined from one heap of adaptive Gauss-Kronrod
 panels, until the error total is at most tol/2 * |running value|: the
-interior takes half the tolerance budget, and its mesh is never coarser
-than the partition, whose nodes see the ridge and the blob at every eps.
+quadrature takes half the tolerance budget, and its mesh is never
+coarser than the partition, whose nodes see the ridge and the blob at
+every eps.
 
-The exterior is two extension zones out to (4T, Rbig) plus exponential
-closures beyond them.  Each zone is one sub-integral on its cone
-partition with delta = T/40, run tolerance-driven on a fixed private
-share of the budget; its value goes into `value` and its error estimate
-into `tail_bound`.  The closures are fitted to sampled cross-sections
-and inflated 2x (their constants are recorded in the report); they are
-estimates, not proofs, so `tail_bound` is an estimate as long as it
-rests on them.  The cross-sections along the cone are cut at r = t -
-delta, t and t + delta, as the zones are.  All tail geometry scales
-with T, so the integrals are covariant under the mass scaling (m, eps,
-T, R) -> (s m, eps / s, T / s, R / s).
-
-Each attempt refines its interior and the eight cross-sections as one
-batch of `gk.integrate_many` sub-integrals, one integrand call per
-refinement step for all of them, and then the two zones, whose
-tolerance needs the interior's value, as a second batch.
+Each attempt integrates the box [0, 4T] x [0, Rbig] of `_tail_geometry`
+on its partition, as one sub-integral, and the closures' eight
+cross-sections beyond it in the same `gk.integrate_many` batch, one
+integrand call per refinement step for all of them.  The closures are
+exponentials fitted to the cross-sections and inflated 2x (their
+constants are recorded in the report); they are estimates, not proofs,
+so `tail_bound` is an estimate as long as it rests on them.  All tail
+geometry scales with T, so the integrals are covariant under the mass
+scaling (m, eps, T, R) -> (s m, eps / s, T / s, R / s).
 
 Also houses the exact decay exponent Re sqrt(-xi_eps^2) and the paper's
 decay lemma, its lower bounds on the regions C1- and C2
@@ -55,7 +50,7 @@ decay lemma, its lower bounds on the regions C1- and C2
 from __future__ import annotations
 
 import logging
-import time
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,10 +61,9 @@ _log = logging.getLogger("seacausal")
 
 # tail samples below this are numerically extinguished (near-subnormal)
 _TAIL_FLOOR = 1e-280
-# share of tol * |interior value| given to each tail extension zone as its
-# absolute tolerance (the interior takes half the budget), and of tol given
-# to the closures' cross-sections as their relative tolerance
-_TAIL_ZONE_SHARE = 0.01
+# share of tol given to the closures' cross-sections as their relative
+# tolerance (the box takes half the budget)
+_SECTION_SHARE = 0.01
 # the interior partition: a band of half-width delta = _BAND eps_chain
 # around the cone r = t, and a corner box out to t_c = _CORNER delta.
 # Measured against rel-2e-6 runs on this partition and on (4 eps_chain,
@@ -81,6 +75,12 @@ _TAIL_ZONE_SHARE = 0.01
 # eps = 0.05 low by 4.6e-3 against an estimate of 2.4e-3
 _BAND = 2.5
 _CORNER = 3.0
+# the largest ratio t1 / t0 of a piece of p4's cone partition beyond the
+# corner.  At eps = 1e-5 to 2e-4 ratios of 16, 8 and 4 all read the
+# eps^8 law within 6.6e-6 at the default tolerance, and one piece from
+# t_c to 4T read it 8.1 % low already at 2e-4; at eps = 0.1 and 0.05
+# they take 20 and 24, 24 and 22, and 28 and 26 panels
+_CONE_RATIO = 16.0
 # the Lagrangian's kink b = 0: Chebyshev nodes per t-piece of the curve,
 # and bisection steps of the root solve at them.  With 16 and 16, rel-2e-7
 # runs of L on its partition and on the cone partition agree within 4e-8
@@ -88,16 +88,9 @@ _CORNER = 3.0
 # eps = 0.1, against estimates of 1.6e-7
 _KINK_NODES = 16
 _KINK_STEPS = 16
-# the tail's reach across the cone r = t: the zones run out to r = 4T /
+# the tail's reach across the cone r = t: the box runs out to r = 4T /
 # _TAIL_REACH + T/20 at least, the cross-section at t to t / _TAIL_REACH + T/8
 _TAIL_REACH = 0.85
-# the smallest m eps at which integrate_p4 holds its error estimate.  Its
-# cone partition runs from t_c = 7.5 eps_chain to T, while the integrand
-# lives at t ~ eps_chain; below m eps = 2e-4 the first panels' Gauss and
-# Kronrod sums both miss that mass and agree, and eps^8 int |P|^4 reads
-# 4.0 % low at m eps = 1e-4 and 8.2 % low from 3e-5 down, against a
-# reported 0.13-0.24 %.  At 2e-4 it reads the eps -> 0 law within 1e-5.
-_P4_MIN_MASS_EPS = 2e-4
 
 
 class QuadratureError(RuntimeError):
@@ -170,7 +163,6 @@ class QuadratureReport:
     truncation_R: float
     tail_bound: float
     regions_evaluated: int
-    wall_time: float
     extras: dict = field(default_factory=dict)
 
     @property
@@ -276,14 +268,17 @@ def _cone_roots(t0: float, t1: float, r0: float, r1: float, delta: float):
 
 def _interior_roots(T: float, R: float, eps_chain: float,
                     band: float = _BAND, corner: float = _CORNER):
-    """The interior [0, T] x [0, R] as gk roots aligned with the cone.
+    """The box [0, T] x [0, R] as gk roots aligned with the cone.
 
     The corner [0, t_c] x [0, t_c + delta] holds the blob at the origin
-    and the strip [0, t_c] x [t_c + delta, R] lies above it; for t >= t_c
-    the band of half-width delta around r = t and its sides come from
-    `_cone_roots`.  The roots tile the box exactly for every T, R > 0.
-    Every length scales with eps_chain, T and R: delta = band eps_chain
-    and t_c = corner delta, at most T.
+    and the strip [0, t_c] x [t_c + delta, R] lies above it.  For t >=
+    t_c the band of half-width delta around r = t and its sides come
+    from `_cone_roots`, on k pieces cut at t_c (T / t_c)^(i / k), k the
+    fewest for which no piece spans more than _CONE_RATIO in t.  The
+    roots tile the box exactly for every T, R > 0.  Every length scales
+    with eps_chain, T and R: delta = band eps_chain and t_c = corner
+    delta, at most T.  The cuts are Python floats, so their bits depend
+    on the inputs alone.
     """
     delta = band * eps_chain
     tc = min(corner * delta, T)
@@ -291,7 +286,12 @@ def _interior_roots(T: float, R: float, eps_chain: float,
     roots = [((0.0, tc, 0.0, 1.0), _between((0.0, 0.0), (edge, 0.0)))]
     if edge < R:
         roots.append(((0.0, tc, 0.0, 1.0), _between((edge, 0.0), (R, 0.0))))
-    return roots + _cone_roots(tc, T, 0.0, R, delta)
+    if tc < T:
+        k = math.ceil(math.log(T / tc) / math.log(_CONE_RATIO))
+        cuts = [tc * (T / tc) ** (i / k) for i in range(k)] + [T]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            roots += _cone_roots(a, b, 0.0, R, delta)
+    return roots
 
 
 def _bisect(g, lo, hi, g_lo, g_hi):
@@ -361,7 +361,7 @@ def _crossings(curve, ts, levels):
 
 
 def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
-    """The interior [0, T] x [0, R] as gk roots cut along the kink of L.
+    """The box [0, T] x [0, R] as gk roots cut along the kink of L.
 
     L = 4 max(b, 0) has a kink where b changes sign, once in each t, on a
     curve r0(t) that runs from near the origin to the cone r = t.  The
@@ -425,10 +425,10 @@ def _lagrangian_roots(T: float, R: float, eps_chain: float, m: float):
 
 
 def _tail_geometry(T: float, R: float):
-    """The tail's lengths, all scaling with T: the zones' outer ends 4T
-    and Rbig, their cone band's half-width delta, and the abscissae of
-    the closures' cross-sections, ts (in t, beyond 4T) and rs (in r,
-    beyond Rbig)."""
+    """The tail's lengths, all scaling with T: the box's outer ends 4T
+    and Rbig, the half-width delta of the cross-sections' cone band, and
+    the abscissae of the closures' cross-sections, ts (in t, beyond 4T)
+    and rs (in r, beyond Rbig)."""
     T2 = 4.0 * T
     # margins of 2, 5 and 1 at the default T = 40, scaled with T
     Rbig = max(4.0 * R, T2 / _TAIL_REACH + T / 20.0)
@@ -440,25 +440,14 @@ def _tail_geometry(T: float, R: float):
     return T2, Rbig, delta, ts, rs
 
 
-def _tail_zones(T: float, R: float, tol_abs: float):
-    """The two extension zones as gk problems: [T, 4T] x [0, Rbig] (the
-    t-zone) and [0, T] x [R, Rbig] (the r-zone), each one sub-integral on
-    the cone-aligned roots of `_cone_roots`, refined from one heap to the
-    absolute tolerance tol_abs or 800 panels."""
-    T2, Rbig, delta, _, _ = _tail_geometry(T, R)
-    return [gk.Problem(_cone_roots(*box, delta), tol_abs, 800)
-            for box in ((T, T2, 0.0, Rbig), (0.0, T, R, Rbig))]
-
-
 def _tail_sections(T: float, R: float, tol_rel: float):
     """The closures' eight 1-D cross-sections as gk problems: four at
     fixed t = ts over r in [0, t / _TAIL_REACH + T/8], each cut at r =
     t - delta, t and t + delta (clipped to the range, as `_cone_roots`
-    cuts the zones), so the ridge along the cone lies on root edges; and
-    four at
-    fixed r = rs over t in [0, 4T].  Each is refined until its error is
-    at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches 40
-    panels: a log-linear fit needs no more, and a sample below the
+    cuts a box), so the ridge along the cone lies on root edges; and
+    four at fixed r = rs over t in [0, 4T].  Each is refined until its
+    error is at most max(_TAIL_FLOOR, tol_rel |its value|) or it reaches
+    40 panels: a log-linear fit needs no more, and a sample below the
     floor, which the fit drops, stops at its roots."""
     T2, _, delta, ts, rs = _tail_geometry(T, R)
     problems = []
@@ -475,20 +464,16 @@ def _tail_sections(T: float, R: float, tol_rel: float):
     return problems
 
 
-def _tail_estimate(T: float, R: float, zones, sections):
-    """The tail beyond the interior [0, T] x [0, R] (t >= 0 quarter), from
-    the gk results (value, err, count) of `_tail_zones` and of
-    `_tail_sections`.
+def _tail_estimate(T: float, R: float, sections):
+    """The tail beyond the box [0, 4T] x [0, Rbig] (t >= 0 quarter), from
+    the gk results (value, err, count) of `_tail_sections`.
 
-    Beyond the zones, exponential envelopes fitted to the cross-sections
-    (inflated 2x) close the ends.  Returns (bound, info_dict).  The bound
-    is the zones' error estimates plus the inflated closures; the
-    closures are fitted, so it is an estimate.  info carries each zone's
-    value (which belongs to the integral, not to the bound) and error,
-    the fitted closures and the 2-D and 1-D panel counts.
+    Exponential envelopes fitted to the cross-sections (inflated 2x)
+    close the ends.  Returns (bound, info_dict).  The closures are
+    fitted, so the bound is an estimate.  info carries the fitted
+    closures and the 1-D panel count.
     """
     T2, Rbig, _, ts, rs = _tail_geometry(T, R)
-    zone_t, zone_r = zones
     samples = [max(float(np.real(v[0])), 0.0) for v, _, _ in sections]
     svals, qvals = samples[:len(ts)], samples[len(ts):]
 
@@ -510,16 +495,11 @@ def _tail_estimate(T: float, R: float, zones, sections):
     else:
         rem_r = np.inf
 
-    bound = zone_t[1] + zone_r[1] + 2.0 * (rem_t + rem_r)
-    info = {"tail_zone_t": float(zone_t[0][0]),
-            "tail_zone_r": float(zone_r[0][0]),
-            "tail_zone_err_t": zone_t[1], "tail_zone_err_r": zone_r[1],
-            "tail_fit_logA_t": c_t, "tail_fit_k_t": k_t,
+    info = {"tail_fit_logA_t": c_t, "tail_fit_k_t": k_t,
             "tail_fit_logA_r": c_r, "tail_fit_k_r": k_r,
             "tail_rem_t": 2.0 * rem_t, "tail_rem_r": 2.0 * rem_r,
-            "tail_panels_2d": zone_t[2] + zone_r[2],
             "tail_panels_1d": sum(n for _, _, n in sections)}
-    return bound, info
+    return 2.0 * (rem_t + rem_r), info
 
 
 def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
@@ -528,44 +508,37 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
     """The certified integral of the integrand `kind` on up to three
     attempts, T and R growing 1.6x after each that misses tol.
 
-    An attempt refines its interior and the tail's eight cross-sections
-    (`_tail_sections`) as one `gk.integrate_many` batch: independent
-    sub-integrals of one integrand, one integrand call per refinement
-    step for all of them, while each stops on its own tolerance and cap
-    and reads bitwise what it would alone.  The extension zones
-    (`_tail_zones`) take their absolute tolerance from the interior's
-    value, so they run in a second batch after it.
+    An attempt refines the box [0, 4T] x [0, Rbig] and the tail's eight
+    cross-sections (`_tail_sections`) as one `gk.integrate_many` batch:
+    independent sub-integrals of one integrand, one integrand call per
+    refinement step for all of them, while each stops on its own
+    tolerance and cap and reads bitwise what it would alone.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    start = time.perf_counter()
     ec = 2.0 * params.eps if eps_chain is None else eps_chain
     f = _integrand_factory(kind, params, ec)
 
     value = None
-    panels = {"interior_panels": 0, "tail_panels_2d": 0, "tail_panels_1d": 0}
+    panels = {"interior_panels": 0, "tail_panels_1d": 0}
     for attempt in range(3):
-        roots = (_interior_roots(T, R, ec) if kind == "p4"
-                 else _lagrangian_roots(T, R, ec, params.m))
+        T2, Rbig = _tail_geometry(T, R)[:2]
+        roots = (_interior_roots(T2, Rbig, ec) if kind == "p4"
+                 else _lagrangian_roots(T2, Rbig, ec, params.m))
         (vvec, err, count), *sections = gk.integrate_many(
             f, [gk.Problem(roots, 0.0, max_panels, 0.5 * tol)]
-            + _tail_sections(T, R, _TAIL_ZONE_SHARE * tol))
-        interior = float(np.real(vvec[0]))
-        zones = gk.integrate_many(f, _tail_zones(
-            T, R, _TAIL_ZONE_SHARE * tol * max(abs(interior), 1e-300)))
-        tail, tail_info = _tail_estimate(T, R, zones, sections)
+            + _tail_sections(T, R, _SECTION_SHARE * tol))
+        tail, tail_info = _tail_estimate(T, R, sections)
         panels["interior_panels"] += count
-        for key in ("tail_panels_2d", "tail_panels_1d"):
-            panels[key] += tail_info[key]
-        value = 2.0 * (interior + tail_info["tail_zone_t"]
-                       + tail_info["tail_zone_r"])
+        panels["tail_panels_1d"] += tail_info["tail_panels_1d"]
+        value = 2.0 * float(np.real(vvec[0]))
         err_total = 2.0 * float(err)
         tail_total = 2.0 * float(tail)
         _log.debug("%s attempt %d: T=%g R=%g, interior %d panels, tail "
-                   "%d 2-D + %d 1-D panels, error %.6g against %.6g",
+                   "%d 1-D panels, error %.6g against %.6g",
                    name or kind, attempt + 1, T, R, count,
-                   tail_info["tail_panels_2d"], tail_info["tail_panels_1d"],
-                   err_total + tail_total, tol * abs(value))
+                   tail_info["tail_panels_1d"], err_total + tail_total,
+                   tol * abs(value))
         if not np.isfinite(tail_total):
             raise QuadratureError(
                 "the tail closures found no decay beyond T = %g, R = %g; "
@@ -597,21 +570,13 @@ def _run_reduced(kind: str, params: kernel.RegKernelParams, tol: float,
         integral_name=name or kind, m=params.m, epsilon=params.eps,
         value=value, abs_error_estimate=err_total,
         truncation_T=T, truncation_R=R, tail_bound=tail_total,
-        regions_evaluated=count, wall_time=time.perf_counter() - start,
-        extras=extras)
+        regions_evaluated=count, extras=extras)
 
 
 def integrate_p4(params: kernel.RegKernelParams, tol: float = 0.005,
                  T: float = 40.0, R: float = 48.0,
                  max_panels: int = 20000) -> QuadratureReport:
-    """int_{R^4} |P^{2eps}(0,xi)|_2^4 d^4 xi, for m eps >= 2e-4 (see
-    _P4_MIN_MASS_EPS)."""
-    if params.m * params.eps < _P4_MIN_MASS_EPS:
-        raise ValueError(
-            "p4 is not certified below m eps = %g (here %g): its interior "
-            "partition misses the mass near the origin there, and the value "
-            "reads up to 8 %% low against a 0.2 %% error estimate"
-            % (_P4_MIN_MASS_EPS, params.m * params.eps))
+    """int_{R^4} |P^{2eps}(0,xi)|_2^4 d^4 xi."""
     return _run_reduced("p4", params, tol, T, R, max_panels)
 
 

@@ -230,21 +230,20 @@ def suite_integrability(seed=12345):
     out.append(Check("tail_bound_soundness", np.max(ratios), 1.0,
                      "; ".join(details)))
 
-    # the reported interior against the interior on a second partition
+    # the reported box integral against the box on a second partition
     # (band 4 eps_chain, corner 2 delta) at a 10x tighter tolerance
     ratios = []
     for kind, eps in (("p4", 0.1), ("p4", 0.0125), ("lagrangian", 0.1),
                       ("lagrangian", 0.0125)):
         rep = certified(kind, eps, 40.0, 48.0)
-        interior = 0.5 * rep.value - rep.extras["tail_zone_t"] \
-            - rep.extras["tail_zone_r"]
-        roots = quadrature._interior_roots(rep.truncation_T,
-                                           rep.truncation_R, 2.0 * eps,
-                                           band=4.0, corner=2.0)
+        T2, Rbig = quadrature._tail_geometry(rep.truncation_T,
+                                             rep.truncation_R)[:2]
+        roots = quadrature._interior_roots(T2, Rbig, 2.0 * eps, band=4.0,
+                                           corner=2.0)
         other, _, _ = gk.integrate_2d(quadrature._integrand_factory(
             kind, RegKernelParams(1.0, eps)), roots, tol_abs=0.0,
             tol_rel=0.05 * 0.005)
-        ratios.append(abs(interior - float(other[0]))
+        ratios.append(abs(0.5 * rep.value - float(other[0]))
                       / (0.5 * rep.abs_error_estimate))
     out.append(Check("interior_second_partition", np.max(ratios), 1.0,
                      "|diff|/err p4@0.1 %.2e, p4@0.0125 %.2e, L@0.1 %.2e, "
@@ -263,6 +262,20 @@ def suite_integrability(seed=12345):
     out.append(Check("mass_scaling_covariance", np.max(devs), 0.0,
                      "rel diff from 2^8 x (m = 1) p4 %.1e, L %.1e"
                      % tuple(devs)))
+
+    # eps^8 int |P|^4 tends to the massless integral 4.1282e-11 (5 digits)
+    # as eps -> 0, where the integrand lives at t ~ eps_chain, 1e5 times
+    # below the box; the larger deviation from the law is bounded by the
+    # smaller of the two runs' relative errors plus the law's rounding
+    devs, errs = [], []
+    for eps in (1e-4, 1e-5):
+        rep = certified("p4", eps, 40.0, 48.0)
+        devs.append(abs(eps ** 8 * rep.value / 4.1282e-11 - 1.0))
+        errs.append((rep.abs_error_estimate + rep.tail_bound) / rep.value)
+    out.append(Check("p4_small_eps_law", np.max(devs), min(errs) + 1.2e-5,
+                     "|eps^8 I / 4.1282e-11 - 1| at eps = 1e-4 %.1e, "
+                     "1e-5 %.1e; rel err %.1e, %.1e"
+                     % (devs[0], devs[1], errs[0], errs[1])))
 
     r2 = certified("p4", 0.1, 40.0, 48.0)
     est, se = quadrature.mc_p4_at_x(RegKernelParams(1.0, 0.1),

@@ -291,7 +291,10 @@ class TestIntegrateCommand:
         v1 = dict(zip(h1, r1[0]))
         v2 = dict(zip(h2, r2[0]))
         assert v1["value"] == v2["value"]
-        assert v1["seconds"] == v2["seconds"] == "0.0"
+        assert h1 == h2 == ["schema_version", "integral_name", "m", "epsilon",
+                            "value", "abs_err", "trunc_radius", "tail_bound",
+                            "panels"]
+        assert v1["schema_version"] == "3"
 
     @pytest.mark.parametrize("flags, names", [
         (["--epsilon", "1e-4"], ["T = 40, R = 48", "--truncation-T/-R"]),
@@ -350,18 +353,26 @@ class TestIntegrateCommand:
         out, err = capsys.readouterr()
         assert out == "" and "m^8 I(1, m eps)" in err
 
-    @pytest.mark.parametrize("args", [["--epsilon", "1e-4"],
-                                      ["--epsilon", "1e-5"],
-                                      ["--mass", "2", "--epsilon", "5e-5"]])
-    def test_p4_below_its_range_is_domain_error(self, args, capsys):
-        # p4 reads 4 % low at m eps = 1e-4 and 8.2 % low at 1e-5, with an
-        # error estimate of 0.2 %
-        assert cli.main(["integrate", "p4"] + args) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "m eps = 0.0002" in err
+    def test_p4_follows_the_small_eps_law(self, capsys):
+        # eps^8 int |P|^4 tends to 4.1282e-11 as m eps -> 0; the cone
+        # partition, cut in log t, sees the mass at t ~ eps_chain.  At
+        # m = 2 the box is halved too, so the value is bitwise 2^8 times
+        # the m = 1 one (see TestMassScaling)
+        values = {}
+        for m, eps in ((1.0, 1e-4), (1.0, 1e-5), (2.0, 5e-5)):
+            assert cli.main(["integrate", "p4", "--mass", repr(m),
+                             "--epsilon", repr(eps), "--truncation-T",
+                             repr(40.0 / m), "--truncation-R",
+                             repr(48.0 / m)]) == 0
+            header, rows = parse_csv(capsys.readouterr().out)
+            values[m, eps] = float(dict(zip(header, rows[0]))["value"])
+            assert (m * eps) ** 8 * values[m, eps] / m ** 8 \
+                == pytest.approx(4.1282e-11, rel=1e-4)
+        assert values[2.0, 5e-5] == 2.0 ** 8 * values[1.0, 1e-4]
 
     def test_p4_at_the_edge_of_its_range(self, capsys):
-        # at m eps = 2e-4 p4 reads the eps -> 0 law eps^8 int |P|^4 =
+        # at m eps = 2e-4, where p4's range ended before its cone partition
+        # was cut in log t, it reads the eps -> 0 law eps^8 int |P|^4 =
         # 4.1282e-11 within 1e-4
         assert cli.main(["integrate", "p4", "--epsilon", "2e-4"]) == 0
         header, rows = parse_csv(capsys.readouterr().out)

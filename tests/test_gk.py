@@ -225,9 +225,9 @@ class TestExactReplay:
             assert got[2] == 301
 
     def test_tail_zone_integrand(self):
-        # the p4 tail's t-zone and r-zone on their cone-aligned roots
-        # (delta = T/40), at the defaults and at R = T, where the r-zone
-        # touches the cone
+        # p4 on the cone-aligned roots (delta = 1) of a box out along the
+        # cone and of one above it, at R = 48 and at R = 40, where the
+        # second touches the cone at its corner
         f = quadrature._integrand_factory("p4", RegKernelParams(1.0, 0.1))
         for R in (48.0, 40.0):
             rbig = max(4.0 * R, 160.0 / 0.85 + 2.0)
@@ -247,17 +247,18 @@ class TestExactReplay:
             return f(t, np.full_like(t, 192.0))[:, 0]
         for kw in (dict(tol_abs=0.0, max_panels=40),
                    dict(tol_abs=quadrature._TAIL_FLOOR, max_panels=40,
-                        tol_rel=quadrature._TAIL_ZONE_SHARE * 0.005)):
+                        tol_rel=quadrature._SECTION_SHARE * 0.005)):
             assert_bitwise(gk.integrate_1d(q, 0.0, 160.0, **kw),
                            ref_integrate_1d(q, 0.0, 160.0, **kw))
 
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     def test_certified_interior(self, kind):
-        # the six cone-aligned roots of the interior, refined from one heap
-        # to the relative tolerance the certified integrals ask
+        # the ten cone-aligned roots of the box [0, 4T] x [0, Rbig] at the
+        # defaults, refined from one heap to the relative tolerance the
+        # certified integrals ask
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, 0.1))
-        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
-        assert len(roots) == 6
+        roots = quadrature._interior_roots(160.0, 192.0, 0.2)
+        assert len(roots) == 10
         kw = dict(tol_abs=0.0, tol_rel=0.5 * 0.005)
         assert_bitwise(gk.integrate_2d(f, roots, **kw),
                        ref_integrate_roots(f, roots, **kw))
@@ -439,7 +440,7 @@ class TestDriver:
             return smooth_2d(t, r)
         roots = quadrature._interior_roots(40.0, 48.0, 0.2)
         gk.integrate_2d(f, roots, tol_abs=0.0, tol_rel=1e-6)
-        # the six roots come in one call
+        # the ten roots come in one call
         assert calls[0] == len(roots) * 225
 
 

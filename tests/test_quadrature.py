@@ -1,5 +1,7 @@
 """The decay lemma and the certified integrals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,21 +17,25 @@ INTEGRAL_TOL = 0.005
 PARAMS = RegKernelParams(1.0, 0.1)
 
 # values fixed from runs of this deterministic code path; any drift in
-# the quadrature chain shows up here.  Each is the interior plus the two
-# tail zones' values.  The independent "p4@0.1" of bench/refs.json reads
-# 0.004268224431688537 (this value -3.27e-5 relative from it)
-FROZEN_P4 = 0.00426808495487714
-# the p4 interior refinement, pinned bitwise: value (as the CSV prints it)
-# and panel count
-FROZEN_P4_EXACT = 0.004268084954877138
+# the quadrature chain shows up here.  Each is twice the box [0, 4T] x
+# [0, Rbig] refined from one heap.  The independent "p4@0.1" of
+# bench/refs.json reads 0.004268224431688537 (this value -3.31e-5
+# relative from it, against a certified 1.6e-3), and the box on the
+# second partition (band 4 eps_chain, corner 2 delta) at tol_rel 1e-8,
+# plus the closures, 0.004268221374970692
+FROZEN_P4 = 0.00426808294323429
+# the p4 box refinement, pinned bitwise: value (as the CSV prints it) and
+# panel count
+FROZEN_P4_EXACT = 0.004268082943234294
 FROZEN_P4_PANELS = 20
-# the Lagrangian's interior panel count at eps = 0.1, on its partition
-# cut along the kink b = 0
-FROZEN_LAGRANGIAN_PANELS = 9
+# the Lagrangian's box panel count at eps = 0.1, on its partition cut
+# along the kink b = 0
+FROZEN_LAGRANGIAN_PANELS = 13
 # the independent "lagrangian@0.1" of bench/refs.json reads
-# 6.139239596111072e-07 (this value -1.14e-4 relative from it), and a
-# tol-1e-4 run on the cone partition 6.139153439036922e-07
-FROZEN_LAGRANGIAN = 6.138539304798652e-07
+# 6.139239596111072e-07 (this value +1.65e-5 relative from it, against a
+# certified 2.2e-3), and the box on the cone partition at tol_rel 1e-8,
+# plus the closures, 6.139191729333015e-07
+FROZEN_LAGRANGIAN = 6.139340702209918e-07
 # int L d^4 xi at m = 1, eps = 0.05 by an independent route: one
 # tolerance-driven 2-D Gauss-Kronrod pass over growing boxes [0, T] x
 # [0, 1.2 T] without the certified tail or retry loop (bench/make_refs.py,
@@ -230,25 +236,20 @@ class TestCertifiedIntegrals:
         rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL)
         assert rep.extras["attempts"] == 1
         assert rep.extras["interior_panels"] == rep.regions_evaluated
-        assert rep.extras["interior_roots"] == 6
-        # two extension zones on cone-aligned roots, not two 800-panel caps
-        assert rep.extras["tail_panels_2d"] < 50
+        # the corner, the strip and two log-t pieces of four cone roots
+        assert rep.extras["interior_roots"] == 10
         assert rep.extras["tail_panels_1d"] > 0
-        # the zones' error estimates and the closures count in the bound
-        errs = sum(rep.extras[k] for k in (
-            "tail_zone_err_t", "tail_zone_err_r", "tail_rem_t",
-            "tail_rem_r"))
-        assert rep.extras["tail_zone_err_t"] > 0.0
-        assert rep.tail_bound == pytest.approx(2.0 * errs, rel=1e-12, abs=0.0)
-        # and the zones' values in the value, next to the interior's
+        # the closures alone make the bound
+        assert rep.tail_bound == pytest.approx(
+            2.0 * (rep.extras["tail_rem_t"] + rep.extras["tail_rem_r"]),
+            rel=1e-12, abs=0.0)
+        # and the box [0, 4T] x [0, Rbig] alone makes the value
         f = quadrature._integrand_factory("p4", PARAMS)
-        interior, _, _ = gk.integrate_2d(
-            f, quadrature._interior_roots(40.0, 48.0, 0.2), tol_abs=0.0,
+        box, err, _ = gk.integrate_2d(
+            f, quadrature._interior_roots(160.0, 192.0, 0.2), tol_abs=0.0,
             tol_rel=0.5 * INTEGRAL_TOL)
-        zones = rep.extras["tail_zone_t"] + rep.extras["tail_zone_r"]
-        assert zones > 0.0
-        assert rep.value == pytest.approx(2.0 * (float(interior[0]) + zones),
-                                          rel=1e-12, abs=0.0)
+        assert rep.value == 2.0 * float(box[0])
+        assert rep.abs_error_estimate == 2.0 * err
 
     @pytest.mark.parametrize("integrate", [integrate_p4,
                                            integrate_lagrangian])
@@ -303,19 +304,24 @@ class TestInteriorPartition:
         (40.0, 48.0, 0.2), (40.0, 30.0, 0.2), (12.0, 14.4, 0.2),
         (40.0, 48.0, 4.0), (40.0, 20.0, 4.0), (40.0, 48.0, 0.0125),
         (0.5, 48.0, 0.2), (0.5, 0.6, 0.2), (40.0, 40.0, 0.2),
-        (40.0, 39.3, 0.2)],
+        (40.0, 39.3, 0.2), (160.0, 192.0, 0.2), (160.0, 192.0, 2e-5),
+        (160.0, 120.0, 2e-3), (24.0, 28.8, 0.2)],
         ids=["default", "R<T", "small", "eps2", "eps2-R<T", "eps-small",
-             "T<tc", "T,R<tc", "R=T", "R<T<R+2delta"])
+             "T<tc", "T,R<tc", "R=T", "R<T<R+2delta", "box", "6-pieces",
+             "4-pieces-R<T", "ratio-16"])
     def test_tiles_the_box(self, T, R, eps_chain):
+        # also where the cone partition is cut into 2 to 6 pieces in log t,
+        # and where T / t_c is 16 exactly (one piece)
         assert_tiles(quadrature._interior_roots(T, R, eps_chain),
                      (0.0, T, 0.0, R))
 
     def test_cone_aligned_roots(self):
-        # at the defaults: the corner, the strip above it, and for
-        # t >= t_c = 3 delta the timelike side, two band halves of width
-        # delta = 2.5 eps_chain, and the spacelike side
-        roots = quadrature._interior_roots(40.0, 48.0, 0.2)
-        assert len(roots) == 6
+        # at the defaults the box is [0, 160] x [0, 192]: the corner, the
+        # strip above it, and for t >= t_c = 3 delta two pieces cut at
+        # t_c (160 / t_c)^(1/2), each with the timelike side, two band
+        # halves of width delta = 2.5 eps_chain, and the spacelike side
+        roots = quadrature._interior_roots(160.0, 192.0, 0.2)
+        assert len(roots) == 10
         x = np.array([0.0, 0.5, 1.0])
         edges = []
         for (t0, t1, s0, s1), chart in roots:
@@ -323,9 +329,27 @@ class TestInteriorPartition:
             (t, r), jac = chart(np.full(3, t1), x)
             edges.append((t0, t1, r[0], r[-1]))
             assert np.all(jac > 0)
-        assert edges == [(0.0, 1.5, 0.0, 2.0), (0.0, 1.5, 2.0, 48.0),
-                         (1.5, 40.0, 0.0, 39.5), (1.5, 40.0, 39.5, 40.0),
-                         (1.5, 40.0, 40.0, 40.5), (1.5, 40.0, 40.5, 48.0)]
+        cut = 1.5 * math.sqrt(160.0 / 1.5)
+        assert edges == pytest.approx(
+            [(0.0, 1.5, 0.0, 2.0), (0.0, 1.5, 2.0, 192.0)]
+            + [(a, b, lo, hi) for a, b in ((1.5, cut), (cut, 160.0))
+               for lo, hi in ((0.0, b - 0.5), (b - 0.5, b), (b, b + 0.5),
+                              (b + 0.5, 192.0))], rel=1e-15, abs=0.0)
+        assert roots[5][0][1] == roots[6][0][0] == 1.5 * (160.0 / 1.5) ** 0.5
+
+    def test_pieces_span_at_most_the_ratio(self):
+        # k = ceil(log(T / t_c) / log 16) pieces in geometric progression
+        for T, eps_chain, k in ((160.0, 0.2, 2), (160.0, 2e-3, 4),
+                                (160.0, 2e-4, 5), (160.0, 2e-5, 6),
+                                (24.0, 0.2, 1)):
+            roots = quadrature._interior_roots(T, 1.2 * T, eps_chain)
+            starts = sorted({box[0] for box, _ in roots[2:]})
+            tc = quadrature._CORNER * (quadrature._BAND * eps_chain)
+            assert len(starts) == k
+            assert starts[0] == tc
+            ends = starts[1:] + [T]
+            assert max(b / a for a, b in zip(starts, ends)) \
+                <= 16.0 * (1.0 + 1e-15)
 
 
 def assert_covers(roots, box, n=4000):
@@ -449,50 +473,42 @@ class TestConeRoots:
         assert_tiles(quadrature._cone_roots(*box, delta), box)
 
     def test_zones_at_the_defaults(self):
-        # the t-zone is cut along the three lines; the r-zone at R > T
-        # never meets them and is one root
+        # a box out along the cone is cut along the three lines; one above
+        # it at R > T never meets them and is one root
         assert len(quadrature._cone_roots(40.0, 160.0, 0.0, 192.0, 1.0)) == 4
         assert len(quadrature._cone_roots(0.0, 40.0, 48.0, 192.0, 1.0)) == 1
         assert quadrature._cone_roots(40.0, 40.0, 0.0, 48.0, 1.0) == []
 
 
 class TestTailZones:
+    """The region the extension zones covered, [T, 4T] x [0, Rbig] and
+    [0, T] x [R, Rbig], is now part of the one box [0, 4T] x [0, Rbig]."""
+
+    @staticmethod
+    def assert_matches_rectangle(kind, eps, T, R):
+        # the box's value against a plain (t, r)-rectangle integration of
+        # [0, 4T] x [0, Rbig], within both error estimates
+        params = RegKernelParams(1.0, eps)
+        rep = {"p4": integrate_p4,
+               "lagrangian": integrate_lagrangian}[kind](
+            params, tol=INTEGRAL_TOL, T=T, R=R)
+        assert rep.extras["attempts"] == 1
+        T2, Rbig = quadrature._tail_geometry(T, R)[:2]
+        rect, rect_err, _ = gk.integrate_2d(
+            quadrature._integrand_factory(kind, params),
+            (0.0, T2, 0.0, Rbig), tol_abs=0.0, tol_rel=1e-4)
+        assert abs(0.5 * rep.value - float(rect[0])) \
+            <= 0.5 * rep.abs_error_estimate + rect_err
+
     @pytest.mark.parametrize("kind", ["p4", "lagrangian"])
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_light_cone_zone_matches_rectangle(self, kind, eps):
-        T, R = 40.0, 48.0
-        f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
-        interior, _, _ = gk.integrate_2d(
-            f, quadrature._interior_roots(T, R, 2.0 * eps), tol_abs=0.0,
-            tol_rel=0.5 * INTEGRAL_TOL)
-        tol_abs = quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL \
-            * abs(float(interior[0]))
-        (zone, zone_err, t_count), (_, _, r_count) = gk.integrate_many(
-            f, quadrature._tail_zones(T, R, tol_abs))
-        # the t-zone [T, 4T] x [0, Rbig] on (t, r) panels run to the cap
-        rbig = max(4.0 * R, 4.0 * T / 0.85 + T / 20.0)
-        old, old_err, _ = gk.integrate_2d(f, (T, 4.0 * T, 0.0, rbig),
-                                          tol_abs=0.0, max_panels=800)
-        assert abs(float(zone[0]) - float(old[0])) <= zone_err + old_err
-        assert zone_err <= tol_abs
-        assert t_count + r_count < 50
+        self.assert_matches_rectangle(kind, eps, 40.0, 48.0)
 
     def test_r_zone_at_r_equal_t(self):
-        # at R = T the r-zone touches the cone at its corner (T, R); the
-        # reference integrates it on (t, r) rectangles split at t = T -
-        # delta and r = R + delta, to 1e-6 relative (2.063117e-11)
-        T = R = 40.0
-        rep = integrate_p4(PARAMS, tol=INTEGRAL_TOL, T=T, R=R)
-        assert rep.extras["attempts"] == 1
-        f = quadrature._integrand_factory("p4", PARAMS)
-        delta = T / 40.0
-        rbig = max(4.0 * R, 4.0 * T / 0.85 + T / 20.0)
-        rects = [((t0, t1, r0, r1), None)
-                 for t0, t1 in ((0.0, T - delta), (T - delta, T))
-                 for r0, r1 in ((R, R + delta), (R + delta, rbig))]
-        ref, _, _ = gk.integrate_2d(f, rects, tol_abs=0.0, tol_rel=1e-6)
-        zone, err = rep.extras["tail_zone_r"], rep.extras["tail_zone_err_r"]
-        assert abs(zone - float(ref[0])) <= err
+        # at R = T the former r-zone touched the cone at its corner (T, R);
+        # now R only sets Rbig = max(4R, 4T / 0.85 + T/20)
+        self.assert_matches_rectangle("p4", 0.1, 40.0, 40.0)
 
 
 class TestTailClosures:
@@ -544,7 +560,7 @@ class TestTailClosures:
         f = quadrature._integrand_factory(kind, RegKernelParams(1.0, eps))
         _, _, delta, ts, _ = quadrature._tail_geometry(T, R)
         sections = quadrature._tail_sections(
-            T, R, quadrature._TAIL_ZONE_SHARE * INTEGRAL_TOL)[:len(ts)]
+            T, R, quadrature._SECTION_SHARE * INTEGRAL_TOL)[:len(ts)]
         for t, problem, (value, err, _) in zip(
                 ts, sections, gk.integrate_many(f, sections)):
             hi = t / 0.85 + T / 8.0
@@ -559,8 +575,8 @@ class TestTailClosures:
 
 
 class TestIntegrandCalls:
-    # one integrand call per refinement step: across the interior's roots
-    # and the tail's cross-sections, then across the two zones
+    # one integrand call per refinement step, across the box's roots and
+    # the tail's cross-sections
     @staticmethod
     def calls(integrate, monkeypatch):
         calls = []
@@ -579,17 +595,17 @@ class TestIntegrandCalls:
     def test_p4_calls(self, monkeypatch):
         rep, calls = self.calls(integrate_p4, monkeypatch)
         assert rep.value == FROZEN_P4_EXACT
-        assert calls <= 9
+        assert calls <= 8
 
     def test_lagrangian_calls(self, monkeypatch):
         rep, calls = self.calls(integrate_lagrangian, monkeypatch)
         assert rep.value == FROZEN_LAGRANGIAN
-        assert calls <= 8
+        assert calls <= 6
 
 
 class TestLockstep:
-    """The batches of a certified attempt against their sub-integrals run
-    alone: the interior and the cross-sections, then the zones."""
+    """The one batch of a certified attempt, the box and the eight
+    cross-sections, against its sub-integrals run alone."""
 
     @staticmethod
     def assert_bitwise(got, want):
@@ -610,8 +626,8 @@ class TestLockstep:
         monkeypatch.setattr(gk, "integrate_many", recording)
         rep = integrate(RegKernelParams(1.0, eps), tol=INTEGRAL_TOL)
         monkeypatch.undo()
-        assert len(batches) == 2 * rep.extras["attempts"]
-        (f, first, got), (_, zones, zones_got) = batches[-2:]
+        assert len(batches) == rep.extras["attempts"]
+        f, first, got = batches[-1]
         interior = first[0]
         assert (interior.tol_abs, interior.tol_rel) == (0.0,
                                                         0.5 * INTEGRAL_TOL)
@@ -620,8 +636,8 @@ class TestLockstep:
             f, interior.roots, interior.tol_abs, interior.max_panels,
             interior.tol_rel))
         assert got[0][2] == rep.regions_evaluated
-        assert len(first) == 9 and len(zones) == 2
-        for problem, run in zip(first[1:] + zones, got[1:] + zones_got):
+        assert len(first) == 9
+        for problem, run in zip(first[1:], got[1:]):
             self.assert_bitwise(run, integrate_many(f, [problem])[0])
 
 
