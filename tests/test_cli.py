@@ -353,22 +353,27 @@ class TestIntegrateCommand:
         out, err = capsys.readouterr()
         assert out == "" and "m^8 I(1, m eps)" in err
 
-    def test_p4_follows_the_small_eps_law(self, capsys):
+    @staticmethod
+    def p4_value(m, eps, capsys):
+        assert cli.main(["integrate", "p4", "--mass", repr(m), "--epsilon",
+                         repr(eps), "--truncation-T", repr(40.0 / m),
+                         "--truncation-R", repr(48.0 / m)]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        return float(dict(zip(header, rows[0]))["value"])
+
+    @pytest.mark.parametrize("args", [(1.0, 1e-4), (1.0, 1e-5),
+                                      (2.0, 5e-5)])
+    def test_p4_follows_the_small_eps_law(self, args, capsys):
         # eps^8 int |P|^4 tends to 4.1282e-11 as m eps -> 0; the cone
         # partition, cut in log t, sees the mass at t ~ eps_chain.  At
         # m = 2 the box is halved too, so the value is bitwise 2^8 times
         # the m = 1 one (see TestMassScaling)
-        values = {}
-        for m, eps in ((1.0, 1e-4), (1.0, 1e-5), (2.0, 5e-5)):
-            assert cli.main(["integrate", "p4", "--mass", repr(m),
-                             "--epsilon", repr(eps), "--truncation-T",
-                             repr(40.0 / m), "--truncation-R",
-                             repr(48.0 / m)]) == 0
-            header, rows = parse_csv(capsys.readouterr().out)
-            values[m, eps] = float(dict(zip(header, rows[0]))["value"])
-            assert (m * eps) ** 8 * values[m, eps] / m ** 8 \
-                == pytest.approx(4.1282e-11, rel=1e-4)
-        assert values[2.0, 5e-5] == 2.0 ** 8 * values[1.0, 1e-4]
+        m, eps = args
+        value = self.p4_value(m, eps, capsys)
+        assert (m * eps) ** 8 * value / m ** 8 \
+            == pytest.approx(4.1282e-11, rel=1e-4)
+        if m != 1.0:
+            assert value == m ** 8 * self.p4_value(1.0, m * eps, capsys)
 
     def test_p4_at_the_edge_of_its_range(self, capsys):
         # at m eps = 2e-4, where p4's range ended before its cone partition
