@@ -12,8 +12,6 @@ import pytest
 from seacausal import cli, em_perturb, verify
 from seacausal.chain import (LIGHTLIKE_BAND, class_codes, closed_chain,
                              invariants_from_radial, lagrangian_of_b)
-from seacausal.config import ConfigError, RunConfig, load_config, \
-    parse_config_file
 from seacausal.kernel import RegKernelParams
 
 CLI = [sys.executable, "-m", "seacausal.cli"]
@@ -61,25 +59,55 @@ def chain_class(t, r, eps):
     return "T" if real else "S"
 
 
+# every config key with its default, each the default of its flag
+DEFAULTS = {"mass": 1.0, "epsilon": 0.1, "quad_rel_tol": 0.005,
+            "quad_max_panels": 20000, "truncation_T": 40.0,
+            "truncation_R": 48.0, "seed": 12345, "output_path": "-"}
+
+# (key, flag, value) of values rejected from a config file and from the
+# command line alike
+REJECTED = [("mass", "--mass", "-1"),
+            ("quad_rel_tol", "--quad-rel-tol", "0")] + [
+    (key, "--" + key.replace("_", "-"), bad)
+    for key in ("mass", "epsilon", "quad_rel_tol", "truncation_T",
+                "truncation_R") for bad in ("inf", "nan")]
+
+
+def write_config(tmp_path, *lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def stdout_of(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
 class TestConfig:
     def test_defaults_valid(self):
-        RunConfig().validate()
+        # each command parses its config keys' flags to the defaults a
+        # config file starts from, as floats where they are floats
+        model = ["epsilon", "mass", "output_path"]
+        quad = sorted(set(DEFAULTS) - {"seed"})
+        for argv, keys in ((["kernel"], model), (["cone-scan"], model),
+                           (["em"], model), (["integrate", "p4"], quad),
+                           (["holder"], quad), (["verify", "all"], ["seed"])):
+            args = vars(cli._parser().parse_args(argv))
+            assert sorted(set(args) & set(DEFAULTS)) == keys, argv
+            assert {key: repr(args[key]) for key in keys} \
+                == {key: repr(DEFAULTS[key]) for key in keys}
 
-    def test_invalid_values(self):
-        with pytest.raises(ConfigError):
-            RunConfig(mass=-1.0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(quad_rel_tol=0.0).validate()
-        for key in ("mass", "epsilon", "quad_rel_tol", "truncation_T",
-                    "truncation_R"):
-            for bad in (float("inf"), float("nan")):
-                with pytest.raises(ConfigError, match=key):
-                    RunConfig(**{key: bad}).validate()
+    def test_invalid_values(self, capsys):
+        for _, flag, bad in REJECTED:
+            assert cli.main(["integrate", "p4", "%s=%s" % (flag, bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err, (flag, bad, err)
 
     def test_region_lambda_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["integrate", "p4", "--region-lambda", "0.85"])
-        assert exc.value.code == 2
+        assert cli.main(["integrate", "p4", "--region-lambda", "0.85"]) == 2
         assert "--region-lambda" in capsys.readouterr().err
 
     def test_region_lambda_key_removed(self, tmp_path, capsys):
@@ -89,23 +117,59 @@ class TestConfig:
         out, err = capsys.readouterr()
         assert out == "" and "region_lambda" in err
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("mass = 2.0\n# comment\nepsilon = 0.3\n")
-        cfg = load_config(str(path), {})
-        assert cfg.mass == 2.0 and cfg.epsilon == 0.3
+    def test_file_round_trip(self, tmp_path, capsys):
+        path = write_config(tmp_path, "mass = 2.0", "# comment",
+                            "epsilon = 0.3")
+        xi = ["--xi", "1,0.2,0,0"]
+        from_file = stdout_of(["kernel", "--config", path] + xi, capsys)
+        assert from_file == stdout_of(
+            ["kernel", "--mass", "2.0", "--epsilon", "0.3"] + xi, capsys)
+        assert from_file != stdout_of(["kernel"] + xi, capsys)
 
-    def test_unknown_key_named(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("masss = 2.0\n")
-        with pytest.raises(ConfigError, match="masss"):
-            parse_config_file(str(path))
+    def test_unknown_key_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, "masss = 2.0")
+        assert cli.main(["kernel", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "masss" in err
 
-    def test_overrides_win(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("mass = 2.0\n")
-        cfg = load_config(str(path), {"mass": 3.0, "epsilon": None})
-        assert cfg.mass == 3.0 and cfg.epsilon == 0.1
+    def test_overrides_win(self, tmp_path, capsys):
+        path = write_config(tmp_path, "mass = 2.0")
+        xi = ["--xi", "1,0.2,0,0"]
+        assert stdout_of(["kernel", "--config", path, "--mass", "3"] + xi,
+                         capsys) \
+            == stdout_of(["kernel", "--mass", "3", "--epsilon", "0.1"] + xi,
+                         capsys)
+
+
+class TestOneValueTwoSources:
+    # a config file's lines are parsed by their flags' own types, so a
+    # value reads, and fails, the same way from either source
+    @pytest.mark.parametrize("argv, lines, flags, override", [
+        (["integrate", "lagrangian"], ["epsilon = 0.05"],
+         ["--epsilon", "0.05"], ["--epsilon", "0.1"]),
+        (["kernel", "--xi", "1,0.2,0,0"],
+         ["mass = 2", "epsilon = 0.3", "output_path = -"],
+         ["--mass", "2", "--epsilon", "0.3", "-o", "-"], ["--mass", "3"]),
+        (["verify", "geometry"], ["seed = 1"], ["--seed", "1"],
+         ["--seed", "2"])], ids=["integrate", "kernel", "verify"])
+    def test_accepted_values_print_the_same_bytes(self, argv, lines, flags,
+                                                  override, tmp_path,
+                                                  capsys):
+        path = write_config(tmp_path, *lines)
+        from_file = stdout_of(argv + ["--config", path], capsys)
+        assert from_file == stdout_of(argv + flags, capsys)
+        overridden = stdout_of(argv + ["--config", path] + override, capsys)
+        assert overridden == stdout_of(argv + flags + override, capsys)
+        assert overridden != from_file
+
+    @pytest.mark.parametrize("key, flag, bad", REJECTED,
+                             ids=["%s=%s" % (k, v) for k, _, v in REJECTED])
+    def test_rejected_values_exit_2(self, key, flag, bad, tmp_path, capsys):
+        path = write_config(tmp_path, "%s = %s" % (key, bad))
+        for argv in (["%s=%s" % (flag, bad)], ["--config", path]):
+            assert cli.main(["integrate", "p4"] + argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and flag in err, (argv, err)
 
 
 class TestKernelCommand:
@@ -437,10 +501,8 @@ class TestEmCommand:
     @pytest.mark.parametrize("flag, value", [("--mu", "4"), ("--mu", "-1"),
                                              ("--component", "7")])
     def test_out_of_range_index_is_config_error(self, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["em", "--alpha", "-0.1593", "--beta", "0.0812",
-                      "--x", "0.2,0,0,0", flag, value])
-        assert exc.value.code == 2
+        assert cli.main(["em", "--alpha", "-0.1593", "--beta", "0.0812",
+                         "--x", "0.2,0,0,0", flag, value]) == 2
 
 
 class TestThreadCap:
@@ -565,9 +627,7 @@ class TestSubcommandFlags:
         ["integrate", "p4", "--seed", "1"],
         ["holder", "--seed", "1"]], ids=" ".join)
     def test_unread_flag_rejected(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert cli.main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -575,10 +635,14 @@ class TestSubcommandFlags:
         ["verify", "geometry", "quad_rel_tol"],
         ["kernel", "seed"],
         ["cone-scan", "truncation_T"],
-        ["integrate", "p4", "seed"]], ids=" ".join)
+        ["integrate", "p4", "seed"],
+        ["kernel", "xi"], ["em", "x"], ["cone-scan", "t_min"],
+        ["holder", "lambda_list"]], ids=" ".join)
     def test_unread_config_key_rejected(self, argv, tmp_path, capsys):
         # a config file sets only keys of the command's own flags: verify
-        # geometry with epsilon = 0.3 ran at eps = 0.1 and passed
+        # geometry with epsilon = 0.3 ran at eps = 0.1 and passed.  Those
+        # are the flags of _add_model and verify's --seed, so no other
+        # flag's dest is a key
         *command, key = argv
         path = tmp_path / "run.cfg"
         path.write_text("%s = 1\n" % key)
