@@ -19,7 +19,7 @@ data from a QR decomposition of its factor B^dag and one 2n x 2n `eigh`.
 
 A `CfsOperator` holds one matrix or a stack of shape (..., d, d).
 `ordered_spectrum`, `signature`, `is_regular`, `gen_inverse`,
-`spin_kernel`, `chain_spectrum`, `admissibility_bounds`,
+`spin_kernel`, `closed_chain_spectrum`, `admissibility_bounds`,
 `local_representation`, `indefinite_gram` and `random_regular_operator`
 work item by item on stacks: a 2-D matrix is the one-item case of the
 same code, and gives the same bits as the item of a stack.
@@ -47,6 +47,16 @@ def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
 
+def _symmetrise(a):
+    """Set each matrix of the complex stack a to (a + a^dag) / 2, in
+    place, and return a: the bits of 0.5 * (a + a^dag) with one
+    temporary instead of three, and a itself when it is Hermitian
+    already."""
+    a += _adjoint(a)
+    a *= 0.5
+    return a
+
+
 def _op_norm(a):
     """Spectral norm of each matrix of a stack: the square root of the
     largest eigenvalue of the smaller Gram matrix, a a^dag or a^dag a."""
@@ -72,7 +82,7 @@ class CfsOperator:
             raise ValueError("n must be >= 1")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("matrix not finite")
-        self.matrix = 0.5 * (matrix + _adjoint(matrix))
+        self.matrix = _symmetrise(matrix.copy())
         self.n = n
         self.dim = matrix.shape[-1]
         self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
@@ -109,13 +119,13 @@ class CfsOperator:
 
     @classmethod
     def _from_eigen(cls, matrix, n: int, eigvals, eigvecs) -> CfsOperator:
-        """The operator of `matrix` with known eigen data, sorted
-        ascending as `eigh` returns them, so no decomposition runs.  Data
-        already ascending, as a stack's items are, are kept as given.
-        SignatureError as from __init__."""
+        """The operator of `matrix`, Hermitian as `_symmetrise` leaves it,
+        with known eigen data, sorted ascending as `eigh` returns them, so
+        no decomposition runs.  Data already ascending, as a stack's items
+        are, are kept as given.  SignatureError as from __init__."""
         out = object.__new__(cls)
         out.n, out.dim = n, matrix.shape[-1]
-        out.matrix = 0.5 * (matrix + _adjoint(matrix))
+        out.matrix = matrix
         out.eigvals, out.eigvecs = eigvals, eigvecs
         if np.any(eigvals[..., 1:] < eigvals[..., :-1]):
             order = np.argsort(eigvals, axis=-1, kind="stable")
@@ -126,7 +136,8 @@ class CfsOperator:
         return out
 
     def __getitem__(self, index) -> CfsOperator:
-        """The operators at `index` of the stack dimensions."""
+        """The operators at `index` of the stack dimensions, on the
+        stack's symmetrised matrices."""
         stack = self._zero_tol.shape
         items = np.arange(self._zero_tol.size).reshape(stack)[index]
 
@@ -199,16 +210,22 @@ def _nonzero(x: CfsOperator) -> np.ndarray:
     return np.abs(x.eigvals) > x._zero_tol[..., None]
 
 
+def _inverse_eigvals(x: CfsOperator) -> np.ndarray:
+    """The eigenvalues of the generalized inverse in x's order: the
+    reciprocal nonzero eigenvalues of x, zero on its kernel."""
+    nonzero = _nonzero(x)
+    return np.where(nonzero, 1.0 / np.where(nonzero, x.eigvals, 1.0), 0.0)
+
+
 def gen_inverse(x: CfsOperator) -> CfsOperator:
     """Inverse on the range, zero on its orthogonal complement.
 
-    The result reuses x's eigenvectors: its eigenvalues are the
-    reciprocal nonzero eigenvalues of x (zero on the kernel), re-sorted
-    ascending as `eigh` would return them, so no decomposition runs."""
-    nonzero = _nonzero(x)
-    inv = np.where(nonzero, 1.0 / np.where(nonzero, x.eigvals, 1.0), 0.0)
+    The result reuses x's eigenvectors: its eigenvalues are
+    `_inverse_eigvals`, re-sorted ascending as `eigh` would return them,
+    so no decomposition runs."""
+    inv = _inverse_eigvals(x)
     g = (x.eigvecs * inv[..., None, :]) @ _adjoint(x.eigvecs)
-    return CfsOperator._from_eigen(g, x.n, inv, x.eigvecs)
+    return CfsOperator._from_eigen(_symmetrise(g), x.n, inv, x.eigvecs)
 
 
 def _spin_frame(x: CfsOperator):
@@ -232,35 +249,42 @@ def spin_kernel(x: CfsOperator, y: CfsOperator) -> np.ndarray:
     return (_adjoint(ux) @ uy) * ly[..., None, :]
 
 
-def chain_spectrum(x: CfsOperator, y: CfsOperator) -> np.ndarray:
-    """Spectrum of the closed chain A_xy = P(x, y) P(y, x) on S_x, 2n
-    entries by decreasing absolute value, padded with zeros.  Its
-    nonzero part is the nonzero spectrum of x y: AB and BA share their
-    nonzero eigenvalues, and x pi_x = x."""
-    ev = np.linalg.eigvals(spin_kernel(x, y) @ spin_kernel(y, x))
+def closed_chain_spectrum(chain, n: int) -> np.ndarray:
+    """Spectrum of the closed chain A_xy = P(x, y) P(y, x) on S_x, given
+    as its 2n x 2n matrix `chain`: 2n entries by decreasing absolute
+    value, padded with zeros.  Its nonzero part is the nonzero spectrum
+    of x y: AB and BA share their nonzero eigenvalues, and x pi_x = x."""
+    ev = np.linalg.eigvals(chain)
     tol = _EIG_ZERO_TOL * (
         1.0 + np.max(np.abs(ev), axis=-1, keepdims=True, initial=0.0))
     # zeroed entries sort last; the stable sort keeps the order of ties
     ev = np.where(np.abs(ev) > tol, ev, 0.0)
     order = np.argsort(-np.abs(ev), axis=-1, kind="stable")
     ev = np.take_along_axis(ev, order, axis=-1)
-    out = np.zeros(ev.shape[:-1] + (2 * x.n,), dtype=complex)
-    k = min(ev.shape[-1], 2 * x.n)
+    out = np.zeros(ev.shape[:-1] + (2 * n,), dtype=complex)
+    k = min(ev.shape[-1], 2 * n)
     out[..., :k] = ev[..., :k]
     return out
 
 
 def admissibility_bounds(x: CfsOperator, y: CfsOperator):
     """(||P(x,y)|| ||P(y,x)||, ||x|| ||g(y)|| ||P(x,y)||), asserting the
-    two inequality chains they bound for every item."""
+    two inequality chains they bound for every item.
+
+    Each spin kernel and the closed chain are formed once, and ||g(y)||
+    is read from `_inverse_eigvals(y)`, so no generalized inverse is
+    built."""
     pxy = spin_kernel(x, y)
     pyx = spin_kernel(y, x)
-    norm_a = _op_norm(pxy @ pyx)
+    chain = pxy @ pyx
+    norm_a = _op_norm(chain)
     npxy = _op_norm(pxy)
     npyx = _op_norm(pyx)
-    lam_max = np.max(np.abs(chain_spectrum(x, y)), axis=-1, initial=0.0)
+    lam_max = np.max(np.abs(closed_chain_spectrum(chain, x.n)), axis=-1,
+                     initial=0.0)
     bound_i = npxy * npyx
-    bound_ii = x.norm() * gen_inverse(y).norm() * npxy
+    bound_ii = x.norm() * _unstack(np.max(
+        np.abs(_inverse_eigvals(y)), axis=-1, initial=0.0)) * npxy
     scale = 1.0 + np.maximum(bound_i, bound_ii)
     if np.any(lam_max > norm_a + 1e-10 * scale) \
             or np.any(norm_a > bound_i + 1e-10 * scale):
@@ -304,19 +328,33 @@ def indefinite_gram(b, n: int) -> CfsOperator:
     them."""
     j = np.concatenate([np.ones(n), -np.ones(n)])
     b = np.asarray(b, dtype=complex)
-    bh = _adjoint(b)
-    matrix = -(bh * j) @ b
+    matrix = -(_adjoint(b) * j) @ b
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix not finite")
-    dim = matrix.shape[-1]
-    k = min(2 * n, dim)
+    _symmetrise(matrix)
+    vals, vecs = _factor_eigen(_adjoint(b), j, min(2 * n, matrix.shape[-1]))
+    return CfsOperator._from_eigen(matrix, n, vals, vecs)
+
+
+def _factor_eigen(bh, j, k: int):
+    """`indefinite_gram`'s eigenpairs, unsorted: mu then the dim - k
+    zeros, and the columns of Q with the first k rotated by W.  R is
+    freed on return, before the caller sorts."""
     q, r = np.linalg.qr(bh, mode="complete")
     rk = r[..., :k, :]
     mu, w = np.linalg.eigh(-(rk * j) @ _adjoint(rk))
     q[..., :k] = q[..., :k] @ w
     vals = np.zeros(q.shape[:-1])
     vals[..., :k] = mu
-    return CfsOperator._from_eigen(matrix, n, vals, q)
+    return vals, q
+
+
+def _complex_normal(rng, shape, axis):
+    """One `rng.normal` draw of `shape`, its `axis` (of length 2) taken
+    as real and imaginary parts; the real draw is freed once they are
+    combined."""
+    re, im = np.moveaxis(rng.normal(size=shape), axis, 0)
+    return re + 1j * im
 
 
 def random_regular_operator(n: int, dim: int, rng,
@@ -325,5 +363,5 @@ def random_regular_operator(n: int, dim: int, rng,
     of them.  One `rng.normal` call draws the stack; in C order each B
     takes its real part, then its imaginary part, so a stack holds the
     operators that as many one-item calls draw in turn."""
-    g = rng.normal(size=tuple(shape) + (2, 2 * n, dim))
-    return indefinite_gram(g[..., 0, :, :] + 1j * g[..., 1, :, :], n)
+    return indefinite_gram(
+        _complex_normal(rng, tuple(shape) + (2, 2 * n, dim), -3), n)

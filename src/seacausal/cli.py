@@ -100,8 +100,9 @@ def _checked(kind, ok, message: str):
 _number = _checked(float, math.isfinite, "non-finite number %r")
 _positive = _checked(_number, lambda v: v > 0, "%r is not positive")
 _count = _checked(int, lambda v: v >= 1, "%r is below 1")
-_seed = _checked(int, lambda v: -2 ** 63 <= v < 2 ** 63,
-                 "%r does not fit in 64 bits")
+# the range of numpy's default_rng seeds that fit in 64 bits
+_seed = _checked(int, lambda v: 0 <= v < 2 ** 64,
+                 "%r is not an unsigned 64-bit integer")
 
 
 def _numbers(text: str) -> list:

@@ -316,11 +316,12 @@ def suite_geometry(seed=12345, n=10000):
 
 
 # pairs per stacked block in suite_abstract.  The block bounds peak RSS:
-# at seed 1 the process running the suite peaks at about 330 MB with all
-# 10^4 pairs in one stack, 87 MB with blocks of 1000, 73 MB with 500,
-# 65 MB with 250 and 61 MB with 125 (55 MB of it the imports), at about
-# the same speed.  The near-equal pairs are drawn per block, so the
-# printed margins move with the block size; the verdicts do not.
+# at seed 1 the process running the suite peaks at about 167 MB with all
+# 10^4 pairs in one stack, 69 MB with blocks of 1000, 64 MB with 500,
+# 61 MB with 250 and 59 MB with 125 (55 MB of it the imports), each in
+# 1.2-1.3 s at one BLAS thread on a 2-core x86-64 machine.  The
+# near-equal pairs are drawn per block, so the printed margins move with
+# the block size; the verdicts do not.
 _ABSTRACT_BLOCK = 250
 
 
@@ -349,56 +350,62 @@ def _near_equal(pairs, rng):
     return h
 
 
-def suite_abstract(seed=12345, n_pairs=10000):
-    rng = np.random.default_rng(seed)
-    out = []
-    n, dim = 2, 8
+def _over_blocks(block, n_pairs):
+    """Run `block(k)` on each block of n_pairs pairs in turn, so one
+    block's arrays are alive at a time.  Each returns (excess, ratio,
+    count); the result is the largest excess and ratio and the summed
+    count."""
+    excess, ratio, count = zip(*(block(k) for k in _blocks(n_pairs)))
+    return np.max(excess), max(ratio), sum(count)
 
+
+def _eigenvalue_lipschitz(rng, n, dim, n_pairs):
     # Weyl and Mirsky bound each spectral shift by ||delta||: the largest
     # ratio is the margin.  Half of each block's pairs are nearly equal,
     # where an ordering or padding slip would show as a ratio far above 1.
     # The pass rule is the absolute excess |shift| - ||delta|| <= 1e-12.
-    worst, ratio, near = -np.inf, 0.0, 0
-    for k in _blocks(n_pairs):
+    def block(k):
         # the draw of random_regular_operator(n, dim, rng, (k, 2)); the
         # near-equal pairs perturb B rank-preservingly, B -> B + E, as a
         # full-rank Hermitian delta would leave the signature
-        g = rng.normal(size=(k, 2, 2, 2 * n, dim))
-        b = g[:, :, 0] + 1j * g[:, :, 1]
-        near += _near_equal(b, rng)
+        b = abstract_cfs._complex_normal(rng, (k, 2, 2, 2 * n, dim), 2)
+        near = _near_equal(b, rng)
         pairs = abstract_cfs.indefinite_gram(b, n)
         spec = abstract_cfs.ordered_spectrum(pairs)
         d = _hermitian_norm(pairs.matrix[:, 0] - pairs.matrix[:, 1])
         gap = np.max(np.abs(spec[:, 0] - spec[:, 1]), axis=-1)
-        worst = np.maximum(worst, float(np.max(gap - d)))
-        ratio = max(ratio, float(np.max(gap / d)))
-    out.append(Check("eigenvalue_lipschitz", worst, 1e-12,
-                     "max |dspec|/||delta|| %.4f over %d pairs, %d near-equal"
-                     % (ratio, n_pairs, near)))
+        return float(np.max(gap - d)), float(np.max(gap / d)), near
 
-    worst, ratio, near = -np.inf, 0.0, 0
-    for k in _blocks(n_pairs):
-        g = rng.normal(size=(k, 2, 2, 6, 6))
-        st = g[:, :, 0] + 1j * g[:, :, 1]          # pairs (s, t)
-        near += _near_equal(st, rng)
+    worst, ratio, near = _over_blocks(block, n_pairs)
+    return Check("eigenvalue_lipschitz", worst, 1e-12,
+                 "max |dspec|/||delta|| %.4f over %d pairs, %d near-equal"
+                 % (ratio, n_pairs, near))
+
+
+def _singular_value_lipschitz(rng, n_pairs):
+    def block(k):
+        # pairs (s, t)
+        st = abstract_cfs._complex_normal(rng, (k, 2, 2, 6, 6), 2)
+        near = _near_equal(st, rng)
         sv = np.linalg.svd(st, compute_uv=False)
         d = abstract_cfs._op_norm(st[:, 0] - st[:, 1])
         gap = np.max(np.abs(sv[:, 0] - sv[:, 1]), axis=-1)
-        worst = np.maximum(worst, float(np.max(gap - d)))
-        ratio = max(ratio, float(np.max(gap / d)))
-    out.append(Check("singular_value_lipschitz", worst, 1e-12,
-                     "max |dsv|/||delta|| %.4f over %d pairs, %d near-equal"
-                     % (ratio, n_pairs, near)))
+        return float(np.max(gap - d)), float(np.max(gap / d)), near
 
+    worst, ratio, near = _over_blocks(block, n_pairs)
+    return Check("singular_value_lipschitz", worst, 1e-12,
+                 "max |dsv|/||delta|| %.4f over %d pairs, %d near-equal"
+                 % (ratio, n_pairs, near))
+
+
+def _gen_inverse_lipschitz(rng, n, dim, n_pairs):
     # rank-preserving perturbations: x = -B^dag J B becomes
     # y = -(B+E)^dag J (B+E).  A full-rank Hermitian delta would lift the
     # kernel of x and leave the signature, so no pair would be checked.
     # The excess lhs - rhs tends to 0 with ||delta||, so the margin shown
     # is the largest ratio lhs/rhs.
-    worst, ratio, checked = -np.inf, 0.0, 0
-    for k in _blocks(n_pairs):
-        g = rng.normal(size=(2, 2, k, 2 * n, dim))
-        b, e = g[:, 0] + 1j * g[:, 1]
+    def block(k):
+        b, e = abstract_cfs._complex_normal(rng, (2, 2, k, 2 * n, dim), 1)
         x = abstract_cfs.indefinite_gram(b, n)
         gx = abstract_cfs.gen_inverse(x)
         # ||delta|| <= 2 ||B|| ||E|| + ||E||^2, so E of norm
@@ -411,42 +418,67 @@ def suite_abstract(seed=12345, n_pairs=10000):
         regular = abstract_cfs.is_regular(y)
         lhs = _hermitian_norm(abstract_cfs.gen_inverse(y).matrix - gx.matrix)
         rhs = 6.0 * gx.norm() ** 2 * _hermitian_norm(y.matrix - x.matrix)
-        worst = np.maximum(worst, float(np.max((lhs - rhs)[regular],
-                                               initial=-np.inf)))
-        ratio = max(ratio, float(np.max((lhs / rhs)[regular], initial=0.0)))
-        checked += int(np.sum(regular))
-    out.append(Check("gen_inverse_lipschitz", worst if checked else np.inf,
-                     1e-10, "max lhs/rhs %.4f over %d/%d pairs"
-                     % (ratio, checked, n_pairs)))
+        return (float(np.max((lhs - rhs)[regular], initial=-np.inf)),
+                float(np.max((lhs / rhs)[regular], initial=0.0)),
+                int(np.sum(regular)))
 
+    worst, ratio, checked = _over_blocks(block, n_pairs)
+    return Check("gen_inverse_lipschitz", worst if checked else np.inf,
+                 1e-10, "max lhs/rhs %.4f over %d/%d pairs"
+                 % (ratio, checked, n_pairs))
+
+
+def _gen_inverse_discontinuity(seed, n, dim):
     zero = abstract_cfs.CfsOperator(np.zeros((dim, dim)), n)
     dev = 0.0
     for eps in (0.5, 0.1, 0.01):
         xp = abstract_cfs.regular_perturbation(zero, eps, seed=seed)
         dev = np.maximum(dev, abs(abstract_cfs.gen_inverse(xp).norm()
                                   - 1.0 / eps))
-    out.append(Check("gen_inverse_discontinuity_witness", dev, 1e-10,
-                     "max |  ||g|| - 1/eps |"))
+    return Check("gen_inverse_discontinuity_witness", dev, 1e-10,
+                 "max |  ||g|| - 1/eps |")
 
-    failed = 0
-    for k in _blocks(n_pairs):
-        pairs = abstract_cfs.random_regular_operator(n, dim, rng, (k, 2))
+
+def _admissibility_chains(rng, n, dim, n_pairs):
+    def block(k):
+        # the draw of random_regular_operator(n, dim, rng, (k, 2)), its
+        # members x and y built one after the other, never as one stack
+        b = abstract_cfs._complex_normal(rng, (k, 2, 2, 2 * n, dim), 2)
+        x = abstract_cfs.indefinite_gram(b[:, 0], n)
+        y = abstract_cfs.indefinite_gram(b[:, 1], n)
         try:
-            abstract_cfs.admissibility_bounds(pairs[:, 0], pairs[:, 1])
+            abstract_cfs.admissibility_bounds(x, y)
         except AssertionError:
-            failed += 1
-    out.append(Check("admissibility_chains", failed, 0,
-                     "failed blocks of %d, %d pairs"
-                     % (len(_blocks(n_pairs)), n_pairs)))
+            return 1
+        return 0
 
+    failed = sum(block(k) for k in _blocks(n_pairs))
+    return Check("admissibility_chains", failed, 0,
+                 "failed blocks of %d, %d pairs"
+                 % (len(_blocks(n_pairs)), n_pairs))
+
+
+def _local_representation(rng, n, dim):
     # one stack, the operators that 200 one-item draws give in turn
     xs = abstract_cfs.random_regular_operator(n, dim, rng, (200,))
     psi, signs = abstract_cfs.local_representation(xs)
     recon = -(abstract_cfs._adjoint(psi) * signs[:, None, :]) @ psi
     worst = float(np.max(abstract_cfs._op_norm(recon - xs.matrix)
                          / np.maximum(xs.norm(), 1e-300)))
-    out.append(Check("local_representation", worst, 1e-10, "max rel resid"))
-    return out
+    return Check("local_representation", worst, 1e-10, "max rel resid")
+
+
+def suite_abstract(seed=12345, n_pairs=10000):
+    rng = np.random.default_rng(seed)
+    n, dim = 2, 8
+    # the checks draw from rng in this order; each frees its arrays when
+    # it returns, so only one check's working set is alive at a time
+    return [_eigenvalue_lipschitz(rng, n, dim, n_pairs),
+            _singular_value_lipschitz(rng, n_pairs),
+            _gen_inverse_lipschitz(rng, n, dim, n_pairs),
+            _gen_inverse_discontinuity(seed, n, dim),
+            _admissibility_chains(rng, n, dim, n_pairs),
+            _local_representation(rng, n, dim)]
 
 
 def suite_variation(seed=12345):

@@ -140,6 +140,23 @@ class TestConfig:
             == stdout_of(["kernel", "--mass", "3", "--epsilon", "0.1"] + xi,
                          capsys)
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_named(self, name, tmp_path, capsys):
+        path = str(tmp_path / name)
+        assert cli.main(["kernel", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") \
+            and path in err
+
+    def test_non_utf8_file_named(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mass = \xff\n")
+        assert cli.main(["kernel", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") \
+            and str(path) in err
+
 
 class TestOneValueTwoSources:
     # a config file's lines are parsed by their flags' own types, so a
@@ -605,6 +622,21 @@ class TestVerifyCommand:
             "PASS one.check [measured 0, bound 0]",
             "PASS two.check [measured 0, bound 0]",
             "verify all: 2/2 passed"]
+
+    @pytest.mark.parametrize("seed, rc", [
+        ("-1", 2), ("0", 0), (str(2 ** 64 - 1), 0), (str(2 ** 64), 2)],
+        ids=["-1", "0", "2**64-1", "2**64"])
+    def test_seed_range(self, seed, rc, tmp_path, capsys):
+        # numpy's default_rng takes 0 <= seed: a seed it would reject is
+        # a rejected input, from the command line and a config file alike
+        path = write_config(tmp_path, "seed = %s" % seed)
+        for argv in (["--seed", seed], ["--config", path]):
+            assert cli.main(["verify", "geometry"] + argv) == rc, argv
+            out, err = capsys.readouterr()
+            if rc:
+                assert out == "" and "--seed" in err, (argv, err)
+            else:
+                assert "FAIL" not in out and err == ""
 
     def test_fast_suite_passes(self):
         res = run_cli("verify", "geometry")

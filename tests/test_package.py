@@ -68,6 +68,7 @@ VERIFY_ONLY = {
                                 "dirac_factor_fd; f1_matrix_element runs "
                                 "both frames on one node set",
     "abstract_cfs.ordered_spectrum": _ABSTRACT,
+    "abstract_cfs.gen_inverse": _ABSTRACT,
     "abstract_cfs.regular_perturbation": _ABSTRACT,
     "abstract_cfs.admissibility_bounds": _ABSTRACT,
     "abstract_cfs.local_representation": _ABSTRACT,
