@@ -332,21 +332,16 @@ def indefinite_gram(b, n: int) -> CfsOperator:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix not finite")
     _symmetrise(matrix)
-    vals, vecs = _factor_eigen(_adjoint(b), j, min(2 * n, matrix.shape[-1]))
-    return CfsOperator._from_eigen(matrix, n, vals, vecs)
-
-
-def _factor_eigen(bh, j, k: int):
-    """`indefinite_gram`'s eigenpairs, unsorted: mu then the dim - k
-    zeros, and the columns of Q with the first k rotated by W.  R is
-    freed on return, before the caller sorts."""
-    q, r = np.linalg.qr(bh, mode="complete")
+    k = min(2 * n, matrix.shape[-1])
+    q, r = np.linalg.qr(_adjoint(b), mode="complete")
     rk = r[..., :k, :]
     mu, w = np.linalg.eigh(-(rk * j) @ _adjoint(rk))
     q[..., :k] = q[..., :k] @ w
+    # freed before _from_eigen sorts a copy of Q
+    del r, rk, w
     vals = np.zeros(q.shape[:-1])
     vals[..., :k] = mu
-    return vals, q
+    return CfsOperator._from_eigen(matrix, n, vals, q)
 
 
 def _complex_normal(rng, shape, axis):
